@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -228,14 +229,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	reportSpeedup(os.Stdout, appName, tuned, def, machineTime)
+}
+
+// reportSpeedup prints the application-level outcome: collective time
+// under tuned vs default selections (microseconds in, seconds out) and
+// the application runtime at which the tuning machine time is paid back.
+// A trace that calls none of the tuned collectives has no time on either
+// side and therefore no speedup to state.
+func reportSpeedup(w io.Writer, app string, tuned, def, machineTime float64) {
+	if tuned == 0 {
+		fmt.Fprintf(w, "application %s: no tuned collective appears in the trace\n", app)
+		return
+	}
 	speedup := def / tuned
-	fmt.Printf("application %s collective time: tuned %.2f s vs default %.2f s (%.3fx speedup)\n",
-		appName, tuned/1e6, def/1e6, speedup)
+	fmt.Fprintf(w, "application %s collective time: tuned %.2f s vs default %.2f s (%.3fx speedup)\n",
+		app, tuned/1e6, def/1e6, speedup)
 	if speedup > 1 {
 		breakEvenHours := machineTime * speedup / (speedup - 1) / 1e6 / 3600
-		fmt.Printf("break-even application runtime: %.2f hours\n", breakEvenHours)
+		fmt.Fprintf(w, "break-even application runtime: %.2f hours\n", breakEvenHours)
 	} else {
-		fmt.Println("no collective speedup on this job; default selections were already optimal")
+		fmt.Fprintln(w, "no collective speedup on this job; default selections were already optimal")
 	}
 }
 

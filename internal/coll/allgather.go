@@ -9,10 +9,9 @@ import (
 
 // uniformSegments partitions n*m output bytes into n blocks of m bytes.
 func uniformSegments(n, m int) segset {
-	s := segset{off: make([]int, n), len: make([]int, n)}
-	for i := 0; i < n; i++ {
+	s := segset{off: make([]int, n+1)}
+	for i := range s.off {
 		s.off[i] = i * m
-		s.len[i] = m
 	}
 	return s
 }
@@ -22,11 +21,10 @@ func uniformSegments(n, m int) segset {
 // so it has the fewest latency terms; non-P2 rank counts pay the
 // pre/post fold with its extra full-size transfer, making this the
 // strongly P2-favoring allgather.
-func allgatherRecursiveDoubling(c *simmpi.Comm, block simmpi.Buf) simmpi.Buf {
+func allgatherRecursiveDoubling(c *simmpi.Comm, block simmpi.Buf, segs segset) simmpi.Buf {
 	n := c.Size()
 	out := newBufLike(block, n*block.N)
 	out.CopyInto(c.Rank()*block.N, block)
-	segs := uniformSegments(n, block.N)
 	rdAllgather(c, out, segs, c.Rank(), n, func(r int) int { return r })
 	return out
 }
@@ -34,11 +32,10 @@ func allgatherRecursiveDoubling(c *simmpi.Comm, block simmpi.Buf) simmpi.Buf {
 // allgatherRing gathers blocks with n-1 pipelined neighbour exchanges of
 // one block each: bandwidth-optimal and topology-friendly, but its n-1
 // serial latency terms dominate for small blocks.
-func allgatherRing(c *simmpi.Comm, block simmpi.Buf) simmpi.Buf {
+func allgatherRing(c *simmpi.Comm, block simmpi.Buf, segs segset) simmpi.Buf {
 	n := c.Size()
 	out := newBufLike(block, n*block.N)
 	out.CopyInto(c.Rank()*block.N, block)
-	segs := uniformSegments(n, block.N)
 	ringAllgather(c, out, segs, c.Rank(), n, func(r int) int { return r })
 	return out
 }
@@ -85,15 +82,16 @@ func newBufLike(ref simmpi.Buf, n int) simmpi.Buf {
 func execAllgather(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
+	segs := uniformSegments(n, msgBytes)
 	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
 		block := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), block)
 		var out simmpi.Buf
 		switch alg {
 		case "recursive_doubling":
-			out = allgatherRecursiveDoubling(c, block)
+			out = allgatherRecursiveDoubling(c, block, segs)
 		case "ring":
-			out = allgatherRing(c, block)
+			out = allgatherRing(c, block, segs)
 		case "brucks":
 			out = allgatherBrucks(c, block)
 		default:

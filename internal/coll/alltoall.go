@@ -13,11 +13,10 @@ import (
 // final inverse rotation. Only log(n) latency terms, but each block is
 // forwarded up to log(n) times and both rotations pay a full local
 // copy — MPICH's short-message choice.
-func alltoallBrucks(c *simmpi.Comm, send simmpi.Buf) simmpi.Buf {
+func alltoallBrucks(c *simmpi.Comm, send simmpi.Buf, segs segset) simmpi.Buf {
 	n := c.Size()
 	m := send.N / n
 	rank := c.Rank()
-	segs := uniformSegments(n, m)
 	// Rotation 1: tmp[j] = block destined for rank (rank+j)%n, so the
 	// self block sits at index 0 and never moves.
 	tmp := newBufLike(send, n*m)
@@ -105,13 +104,14 @@ func alltoallScattered(c *simmpi.Comm, send simmpi.Buf) simmpi.Buf {
 func execAlltoall(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
+	segs := uniformSegments(n, msgBytes)
 	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
 		send := newBuf(n*msgBytes, opts.WithData)
 		fillInput(c.Rank(), send)
 		var out simmpi.Buf
 		switch alg {
 		case "brucks":
-			out = alltoallBrucks(c, send)
+			out = alltoallBrucks(c, send, segs)
 		case "pairwise":
 			out = alltoallPairwise(c, send)
 		case "scattered":

@@ -39,12 +39,11 @@ func bcastBinomial(c *simmpi.Comm, root int, out simmpi.Buf) {
 // allgather. Bandwidth-optimal for large messages, but it strongly
 // favors power-of-two rank counts (the allgather fixup for the leftover
 // ranks costs an extra full-message transfer).
-func bcastScatterRDAllgather(c *simmpi.Comm, root int, out simmpi.Buf) {
+func bcastScatterRDAllgather(c *simmpi.Comm, root int, out simmpi.Buf, segs segset) {
 	n := c.Size()
 	rel := (c.Rank() - root + n) % n
 	toAbs := func(r int) int { return (r + root) % n }
-	segs := ceilSegments(out.N, n)
-	binomialScatter(c, out, segs, rel, n, toAbs)
+	binomialScatter(c, out, rel, n, toAbs)
 	rdAllgather(c, out, segs, rel, n, toAbs)
 }
 
@@ -52,12 +51,11 @@ func bcastScatterRDAllgather(c *simmpi.Comm, root int, out simmpi.Buf) {
 // scatter followed by a ring allgather. Bandwidth-optimal and indifferent
 // to power-of-two rank counts, but its n-1 serial ring steps make it
 // latency-sensitive.
-func bcastScatterRingAllgather(c *simmpi.Comm, root int, out simmpi.Buf) {
+func bcastScatterRingAllgather(c *simmpi.Comm, root int, out simmpi.Buf, segs segset) {
 	n := c.Size()
 	rel := (c.Rank() - root + n) % n
 	toAbs := func(r int) int { return (r + root) % n }
-	segs := ceilSegments(out.N, n)
-	binomialScatter(c, out, segs, rel, n, toAbs)
+	binomialScatter(c, out, rel, n, toAbs)
 	ringAllgather(c, out, segs, rel, n, toAbs)
 }
 
@@ -66,6 +64,7 @@ func bcastScatterRingAllgather(c *simmpi.Comm, root int, out simmpi.Buf) {
 func execBcast(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
+	segs := ceilSegments(msgBytes, n)
 	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
 		out := newBuf(msgBytes, opts.WithData)
 		if c.Rank() == opts.Root {
@@ -75,9 +74,9 @@ func execBcast(model *netmodel.Model, alg string, msgBytes int, opts Options) ([
 		case "binomial":
 			bcastBinomial(c, opts.Root, out)
 		case "scatter_recursive_doubling_allgather":
-			bcastScatterRDAllgather(c, opts.Root, out)
+			bcastScatterRDAllgather(c, opts.Root, out, segs)
 		case "scatter_ring_allgather":
-			bcastScatterRingAllgather(c, opts.Root, out)
+			bcastScatterRingAllgather(c, opts.Root, out, segs)
 		default:
 			panic(fmt.Sprintf("coll: unknown bcast algorithm %q", alg))
 		}

@@ -293,14 +293,14 @@ func TestCeilSegments(t *testing.T) {
 	wantOff := []int{0, 3, 6, 9}
 	wantLen := []int{3, 3, 3, 1}
 	for i := range wantOff {
-		if s.off[i] != wantOff[i] || s.len[i] != wantLen[i] {
-			t.Errorf("seg %d = [%d,+%d), want [%d,+%d)", i, s.off[i], s.len[i], wantOff[i], wantLen[i])
+		if s.off[i] != wantOff[i] || s.len(i) != wantLen[i] {
+			t.Errorf("seg %d = [%d,+%d), want [%d,+%d)", i, s.off[i], s.len(i), wantOff[i], wantLen[i])
 		}
 	}
 	// Degenerate: more ranks than bytes -> empty tail segments.
 	s2 := ceilSegments(2, 4)
-	if s2.len[0] != 1 || s2.len[1] != 1 || s2.len[2] != 0 || s2.len[3] != 0 {
-		t.Errorf("ceilSegments(2,4) lens = %v", s2.len)
+	if s2.len(0) != 1 || s2.len(1) != 1 || s2.len(2) != 0 || s2.len(3) != 0 {
+		t.Errorf("ceilSegments(2,4) offsets = %v", s2.off)
 	}
 	// Total always covered exactly once.
 	for _, tc := range []struct{ total, n int }{{1, 1}, {5, 3}, {100, 7}, {8, 8}, {3, 10}} {
@@ -310,7 +310,7 @@ func TestCeilSegments(t *testing.T) {
 			if s.off[i] > tc.total {
 				t.Errorf("offset beyond total for %+v", tc)
 			}
-			sum += s.len[i]
+			sum += s.len(i)
 		}
 		if sum != tc.total {
 			t.Errorf("ceilSegments(%d,%d) covers %d bytes", tc.total, tc.n, sum)
@@ -319,25 +319,23 @@ func TestCeilSegments(t *testing.T) {
 }
 
 func TestHeldBlocks(t *testing.T) {
-	// pof2=4, rem=2: actives 0..3, extras 4 (of 0) and 5 (of 1).
-	got := heldBlocks(2, 2, 4, 2)
-	want := []int{2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("heldBlocks = %v, want %v", got, want)
-	}
-	got = heldBlocks(0, 2, 4, 2)
-	want = []int{0, 4, 1, 5}
-	if len(got) != len(want) {
-		t.Fatalf("heldBlocks = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("heldBlocks = %v, want %v", got, want)
+	// pof2=4, rem=2: actives 0..3, extras 4 (of 0) and 5 (of 1); block i
+	// is bytes [10i, 10i+10).
+	segs := uniformSegments(6, 10)
+	for _, tc := range []struct {
+		a, dist          int
+		lo, hi, xlo, xhi int
+	}{
+		{a: 2, dist: 2, lo: 20, hi: 40},                   // blocks 2,3; no extras
+		{a: 0, dist: 2, lo: 0, hi: 20, xlo: 40, xhi: 60},  // blocks 0,1 and extras 4,5
+		{a: 1, dist: 1, lo: 10, hi: 20, xlo: 50, xhi: 60}, // block 1 and extra 5
+		{a: 3, dist: 4, lo: 0, hi: 40, xlo: 40, xhi: 60},  // dist = pof2 covers everything
+	} {
+		lo, hi, xlo, xhi := heldRanges(segs, tc.a, tc.dist, 4, 2)
+		if lo != tc.lo || hi != tc.hi || xlo != tc.xlo || xhi != tc.xhi {
+			t.Errorf("heldRanges(a=%d, dist=%d) = [%d,%d)+[%d,%d), want [%d,%d)+[%d,%d)",
+				tc.a, tc.dist, lo, hi, xlo, xhi, tc.lo, tc.hi, tc.xlo, tc.xhi)
 		}
-	}
-	// dist = pof2 covers everything.
-	if got := heldBlocks(3, 4, 4, 2); len(got) != 6 {
-		t.Errorf("full-distance heldBlocks = %v, want all 6", got)
 	}
 }
 

@@ -7,12 +7,17 @@ import (
 	"acclaim/internal/simmpi"
 )
 
-// segset describes how an output buffer is partitioned into per-rank
-// segments: segment i covers bytes [off[i], off[i]+len[i]).
+// segset describes how an output buffer is partitioned into contiguous
+// per-rank segments: segment i covers bytes [off[i], off[i+1]), so off
+// has one entry more than there are segments, the last being the total.
+// A segset depends only on the call's shape, so each exec* harness
+// builds one and every rank reads it.
 type segset struct {
 	off []int
-	len []int
 }
+
+// len returns the length of segment i.
+func (s segset) len(i int) int { return s.off[i+1] - s.off[i] }
 
 // ceilSegments splits total bytes into n segments of ceil(total/n) bytes
 // each (the MPICH scatter_size), with the tail truncated and possibly
@@ -21,18 +26,9 @@ type segset struct {
 // the non-P2 performance effects originate.
 func ceilSegments(total, n int) segset {
 	ss := (total + n - 1) / n
-	s := segset{off: make([]int, n), len: make([]int, n)}
-	for i := 0; i < n; i++ {
-		lo := i * ss
-		hi := lo + ss
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
-		s.off[i] = lo
-		s.len[i] = hi - lo
+	s := segset{off: make([]int, n+1)}
+	for i := range s.off {
+		s.off[i] = min(i*ss, total)
 	}
 	return s
 }
@@ -42,7 +38,7 @@ func ceilSegments(total, n int) segset {
 // relative rank 0 holds the full buffer; on return, relative rank rel
 // holds its own segment (and has forwarded its subtree's segments).
 // toAbs maps relative ranks to absolute ranks.
-func binomialScatter(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, toAbs func(int) int) {
+func binomialScatter(c *simmpi.Comm, out simmpi.Buf, rel, n int, toAbs func(int) int) {
 	total := out.N
 	ss := (total + n - 1) / n
 	currHi := 0
@@ -74,21 +70,19 @@ func binomialScatter(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, to
 	}
 }
 
-// heldBlocks returns, in ascending order, the segment indices held by
-// active rank a once recursive doubling has reached the given distance
-// (dist = 1 before the first exchange). Actives are 0..pof2-1; active b
-// additionally carries the folded-in segment of extra rank pof2+b when
-// b < rem.
-func heldBlocks(a, dist, pof2, rem int) []int {
+// heldRanges returns the byte ranges of out held by active rank a once
+// recursive doubling has reached the given distance (dist = 1 before the
+// first exchange). Actives are 0..pof2-1 and active b additionally
+// carries the folded-in segment of extra rank pof2+b when b < rem, so a
+// holds its aligned group of dist own segments [lo, hi) plus the group's
+// extras [xlo, xhi) — two contiguous runs, the second possibly empty.
+func heldRanges(segs segset, a, dist, pof2, rem int) (lo, hi, xlo, xhi int) {
 	base := a &^ (dist - 1)
-	blocks := make([]int, 0, 2*dist)
-	for b := base; b < base+dist; b++ {
-		blocks = append(blocks, b)
-		if b < rem {
-			blocks = append(blocks, pof2+b)
-		}
+	lo, hi = segs.off[base], segs.off[base+dist]
+	if base < rem {
+		xlo, xhi = segs.off[pof2+base], segs.off[pof2+min(base+dist, rem)]
 	}
-	return blocks
+	return lo, hi, xlo, xhi
 }
 
 // rdAllgather gathers all segments of out to all ranks using recursive
@@ -105,7 +99,7 @@ func rdAllgather(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, toAbs 
 	rem := n - pof2
 	if rel >= pof2 {
 		partner := rel - pof2
-		c.Send(toAbs(partner), out.Slice(segs.off[rel], segs.off[rel]+segs.len[rel]))
+		c.Send(toAbs(partner), out.Slice(segs.off[rel], segs.off[rel+1]))
 		full := c.Recv(toAbs(partner))
 		out.CopyInto(0, full)
 		return
@@ -116,9 +110,15 @@ func rdAllgather(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, toAbs 
 	}
 	for dist := 1; dist < pof2; dist *= 2 {
 		partner := rel ^ dist
-		payload := concatBlocks(out, segs, heldBlocks(rel, dist, pof2, rem))
+		lo, hi, xlo, xhi := heldRanges(segs, rel, dist, pof2, rem)
+		payload := out.Slice(lo, hi).Concat(out.Slice(xlo, xhi))
 		got := c.Sendrecv(toAbs(partner), payload, toAbs(partner))
-		scatterBlocks(out, segs, heldBlocks(partner, dist, pof2, rem), got)
+		lo, hi, xlo, xhi = heldRanges(segs, partner, dist, pof2, rem)
+		if want := hi - lo + xhi - xlo; got.N != want {
+			panic(fmt.Sprintf("coll: payload of %d bytes for blocks totalling %d", got.N, want))
+		}
+		out.CopyInto(lo, got.Slice(0, hi-lo))
+		out.CopyInto(xlo, got.Slice(hi-lo, got.N))
 	}
 	if rel < rem {
 		c.Send(toAbs(rel+pof2), out)
@@ -130,14 +130,14 @@ func rdAllgather(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, toAbs 
 func concatBlocks(out simmpi.Buf, segs segset, blocks []int) simmpi.Buf {
 	total := 0
 	for _, b := range blocks {
-		total += segs.len[b]
+		total += segs.len(b)
 	}
 	if !out.HasData() {
 		return simmpi.MakeBuf(total)
 	}
 	data := make([]byte, 0, total)
 	for _, b := range blocks {
-		data = append(data, out.Data[segs.off[b]:segs.off[b]+segs.len[b]]...)
+		data = append(data, out.Data[segs.off[b]:segs.off[b+1]]...)
 	}
 	return simmpi.BytesBuf(data)
 }
@@ -148,8 +148,8 @@ func concatBlocks(out simmpi.Buf, segs segset, blocks []int) simmpi.Buf {
 func scatterBlocks(out simmpi.Buf, segs segset, blocks []int, payload simmpi.Buf) {
 	pos := 0
 	for _, b := range blocks {
-		out.CopyInto(segs.off[b], payload.Slice(pos, pos+segs.len[b]))
-		pos += segs.len[b]
+		out.CopyInto(segs.off[b], payload.Slice(pos, pos+segs.len(b)))
+		pos += segs.len(b)
 	}
 	if pos != payload.N {
 		panic(fmt.Sprintf("coll: payload of %d bytes for blocks totalling %d", payload.N, pos))
@@ -165,7 +165,7 @@ func ringAllgather(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, toAb
 	for s := 0; s < n-1; s++ {
 		sendIdx := (rel - s + n*2) % n
 		recvIdx := (rel - s - 1 + n*2) % n
-		payload := out.Slice(segs.off[sendIdx], segs.off[sendIdx]+segs.len[sendIdx])
+		payload := out.Slice(segs.off[sendIdx], segs.off[sendIdx+1])
 		got := c.Sendrecv(right, payload, left)
 		out.CopyInto(segs.off[recvIdx], got)
 	}

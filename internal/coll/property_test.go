@@ -239,7 +239,7 @@ func TestReduceScatterIdentityProperty(t *testing.T) {
 		segs := ceilSegments(msg, n)
 		full := redOuts[0].Data
 		for r := 0; r < n; r++ {
-			want := full[segs.off[r] : segs.off[r]+segs.len[r]]
+			want := full[segs.off[r]:segs.off[r+1]]
 			if !bytes.Equal(rsOuts[r].Data, want) {
 				t.Logf("seed %d: %s rank %d != reduce+scatterv segment", seed, alg, r)
 				return false

@@ -32,10 +32,9 @@ func rsBounds(st foldState, segs segset, total int) []int {
 // ranks receive their segment back from their odd partner at the end.
 // log(n) latency terms and bandwidth-optimal data volume, but the fold
 // costs an extra full-vector transfer on non-P2 rank counts.
-func reduceScatterRecursiveHalving(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op) simmpi.Buf {
+func reduceScatterRecursiveHalving(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op, segs segset) simmpi.Buf {
 	n := c.Size()
 	r := c.Rank()
-	segs := ceilSegments(vec.N, n)
 	st := foldFor(r, n)
 	acc := vec.Clone()
 	if !preFold(c, st, acc, op) {
@@ -69,9 +68,9 @@ func reduceScatterRecursiveHalving(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op)
 	if newRank < st.rem {
 		// Return the folded even partner's segment, keep our own.
 		even := 2 * newRank
-		c.Send(even, acc.Slice(segs.off[even], segs.off[even]+segs.len[even]))
+		c.Send(even, acc.Slice(segs.off[even], segs.off[even+1]))
 	}
-	return acc.Slice(segs.off[r], segs.off[r]+segs.len[r])
+	return acc.Slice(segs.off[r], segs.off[r+1])
 }
 
 // reduceScatterPairwise is MPICH's pairwise-exchange reduce_scatter:
@@ -79,15 +78,14 @@ func reduceScatterRecursiveHalving(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op)
 // input segment its step partner owns and folds the segment it receives
 // into its own accumulator. Works for any rank count with uniformly
 // small messages; the n-1 latency terms make it the long-vector choice.
-func reduceScatterPairwise(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op) simmpi.Buf {
+func reduceScatterPairwise(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op, segs segset) simmpi.Buf {
 	n := c.Size()
 	r := c.Rank()
-	segs := ceilSegments(vec.N, n)
-	acc := vec.Slice(segs.off[r], segs.off[r]+segs.len[r]).Clone()
+	acc := vec.Slice(segs.off[r], segs.off[r+1]).Clone()
 	for i := 1; i < n; i++ {
 		dst := (r + i) % n
 		src := (r - i + n) % n
-		payload := vec.Slice(segs.off[dst], segs.off[dst]+segs.len[dst])
+		payload := vec.Slice(segs.off[dst], segs.off[dst+1])
 		got := c.Sendrecv(dst, payload, src)
 		op.Combine(acc, got)
 		c.Compute(c.Model().ReduceCost(acc.N))
@@ -103,15 +101,16 @@ func reduceScatterPairwise(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op) simmpi.
 func execReduceScatter(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
+	segs := ceilSegments(msgBytes, n)
 	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
 		vec := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), vec)
 		var out simmpi.Buf
 		switch alg {
 		case "recursive_halving":
-			out = reduceScatterRecursiveHalving(c, vec, opts.Op)
+			out = reduceScatterRecursiveHalving(c, vec, opts.Op, segs)
 		case "pairwise_exchange":
-			out = reduceScatterPairwise(c, vec, opts.Op)
+			out = reduceScatterPairwise(c, vec, opts.Op, segs)
 		default:
 			panic(fmt.Sprintf("coll: unknown reduce_scatter algorithm %q", alg))
 		}
@@ -121,10 +120,9 @@ func execReduceScatter(model *netmodel.Model, alg string, msgBytes int, opts Opt
 		return nil, res, err
 	}
 	if opts.WithData {
-		segs := ceilSegments(msgBytes, n)
 		full := expectedReduction(n, msgBytes, opts.Op)
 		for r := 0; r < n; r++ {
-			want := full[segs.off[r] : segs.off[r]+segs.len[r]]
+			want := full[segs.off[r]:segs.off[r+1]]
 			if err := verifyEqual(outs[r], want, "reduce_scatter", r); err != nil {
 				return outs, res, err
 			}

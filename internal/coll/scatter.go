@@ -28,7 +28,7 @@ func scatterBinomial(c *simmpi.Comm, root int, send simmpi.Buf, m int) simmpi.Bu
 			c.Compute(c.Model().CopyCost(n * m)) // pack into relative order
 		}
 	}
-	binomialScatter(c, buf, uniformSegments(n, m), rel, n, func(r int) int { return (r + root) % n })
+	binomialScatter(c, buf, rel, n, func(r int) int { return (r + root) % n })
 	return buf.Slice(rel*m, (rel+1)*m)
 }
 

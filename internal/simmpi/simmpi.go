@@ -1,7 +1,7 @@
 // Package simmpi is a virtual-time message-passing runtime: the MPI
 // substrate the collective algorithms in internal/coll execute on.
 //
-// Each MPI rank is a goroutine with a private virtual clock in
+// Each MPI rank is a coroutine with a private virtual clock in
 // microseconds. Sends are eager: the sender is charged a small injection
 // overhead and the message is stamped with its arrival time
 // (sendClock + alpha + bytes/beta from the netmodel). A receive blocks
@@ -11,6 +11,17 @@
 // while still moving real bytes, so every collective algorithm is
 // simultaneously timed and checked for correctness.
 //
+// The computation is deterministic, so Run pays for no concurrency: one
+// scheduler loop resumes one rank at a time and control moves only when
+// a Recv finds its queue empty (sched.go). Ranks interact solely through
+// blocking reads on per-(destination, source) FIFOs and never test a
+// queue for emptiness, which makes the program a Kahn process network:
+// the sequence of messages on every FIFO — and with it every clock,
+// message count and output byte — is the same under any order in which
+// runnable ranks are resumed. The goroutine-per-rank runtime this
+// replaced survives in oracle_test.go as the differential oracle that
+// holds the scheduler to that claim bit for bit.
+//
 // Buffers may omit their backing bytes (timing-only mode) so large
 // exhaustive benchmark sweeps do not pay for megabyte memcpy traffic;
 // the virtual-time accounting is identical either way.
@@ -18,7 +29,6 @@ package simmpi
 
 import (
 	"fmt"
-	"sync"
 
 	"acclaim/internal/netmodel"
 )
@@ -147,67 +157,25 @@ func (op Op) Combine(dst, src Buf) {
 type message struct {
 	buf     Buf
 	arrival float64 // virtual time at which the bytes are available
+	next    int32   // arena link used by sched: next in the same FIFO or free list
 }
 
-// mailbox holds pending messages for one rank, matched by source rank in
-// FIFO order per source (MPI's non-overtaking guarantee).
-type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending map[int][]message
+// transport moves stamped messages between ranks, FIFO per (dst, src)
+// pair (MPI's non-overtaking guarantee); take blocks until a message
+// from src is pending at dst. *sched is the implementation Run uses; the
+// seam exists so oracle_test.go can drive the same Comm over goroutines
+// and mailboxes.
+type transport interface {
+	put(src, dst int, m message)
+	take(dst, src int) message
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{pending: make(map[int][]message)}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-func (mb *mailbox) put(src int, m message) {
-	mb.mu.Lock()
-	mb.pending[src] = append(mb.pending[src], m)
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-}
-
-func (mb *mailbox) take(src int) message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.pending[src]) == 0 {
-		mb.cond.Wait()
-	}
-	q := mb.pending[src]
-	m := q[0]
-	if len(q) == 1 {
-		delete(mb.pending, src)
-	} else {
-		mb.pending[src] = q[1:]
-	}
-	return m
-}
-
-// World is one job's communication universe: the network model plus a
-// mailbox per rank.
-type World struct {
-	model *netmodel.Model
-	mail  []*mailbox
-}
-
-// NewWorld creates a world for the model's ranks.
-func NewWorld(model *netmodel.Model) *World {
-	n := model.Ranks()
-	w := &World{model: model, mail: make([]*mailbox, n)}
-	for i := range w.mail {
-		w.mail[i] = newMailbox()
-	}
-	return w
-}
-
-// Comm is one rank's handle on the world; the analogue of an MPI
-// communicator bound to a rank. A Comm is confined to its rank's
-// goroutine and must not be shared.
+// Comm is one rank's handle on the job's communication universe; the
+// analogue of an MPI communicator bound to a rank. A Comm is confined to
+// the rank function it was passed to and must not be shared.
 type Comm struct {
-	w     *World
+	tr    transport
+	model *netmodel.Model
 	rank  int
 	clock float64
 	sent  int // messages sent, for diagnostics
@@ -218,13 +186,13 @@ type Comm struct {
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the world.
-func (c *Comm) Size() int { return len(c.w.mail) }
+func (c *Comm) Size() int { return c.model.Ranks() }
 
 // Clock returns the rank's current virtual time in microseconds.
 func (c *Comm) Clock() float64 { return c.clock }
 
 // Model exposes the underlying network model (read-only).
-func (c *Comm) Model() *netmodel.Model { return c.w.model }
+func (c *Comm) Model() *netmodel.Model { return c.model }
 
 // Stats returns the number of messages this rank sent and received.
 func (c *Comm) Stats() (sent, received int) { return c.sent, c.recvd }
@@ -249,10 +217,10 @@ func (c *Comm) Send(dst int, buf Buf) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("simmpi: send to rank %d of %d", dst, c.Size()))
 	}
-	c.clock += c.w.model.SendOverhead()
-	arrival := c.clock + c.w.model.Transfer(c.rank, dst, buf.N)
-	// Clone data so sender reuse of the buffer cannot race the receiver.
-	c.w.mail[dst].put(c.rank, message{buf: buf.Clone(), arrival: arrival})
+	c.clock += c.model.SendOverhead()
+	arrival := c.clock + c.model.Transfer(c.rank, dst, buf.N)
+	// Clone data so sender reuse of the buffer cannot corrupt delivery.
+	c.tr.put(c.rank, dst, message{buf: buf.Clone(), arrival: arrival})
 	c.sent++
 }
 
@@ -265,7 +233,7 @@ func (c *Comm) Recv(src int) Buf {
 	if src < 0 || src >= c.Size() {
 		panic(fmt.Sprintf("simmpi: recv from rank %d of %d", src, c.Size()))
 	}
-	m := c.w.mail[c.rank].take(src)
+	m := c.tr.take(c.rank, src)
 	if m.arrival > c.clock {
 		c.clock = m.arrival
 	}
@@ -288,41 +256,31 @@ type Result struct {
 	Sent     int       // total messages sent
 }
 
-// Run executes fn once per rank, each on its own goroutine with a fresh
-// Comm starting at clock 0, and waits for all to finish. A panic in any
-// rank is recovered and returned as an error naming the rank.
+// Run executes fn once per rank, each with a fresh Comm starting at
+// clock 0, and returns when all have finished. A panic in any rank ends
+// the run and is returned as an error naming the rank; if every
+// unfinished rank is blocked in Recv the error names the blocked ranks
+// and the sources they wait on. Either way the remaining ranks are
+// unwound before Run returns, so nothing outlives it.
 func Run(model *netmodel.Model, fn func(*Comm)) (Result, error) {
-	w := NewWorld(model)
-	n := model.Ranks()
-	comms := make([]*Comm, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		comms[r] = &Comm{w: w, rank: r}
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("simmpi: rank %d panicked: %v", r, p)
-				}
-			}()
-			fn(comms[r])
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	res := Result{Clocks: make([]float64, n)}
-	for r, c := range comms {
+	return run(model, fn)
+}
+
+// run is a variable only so that the differential fuzz target can route
+// internal/coll's schedules, which call Run, through the oracle runtime
+// in oracle_test.go; nothing outside _test.go assigns it.
+var run = runCoroutines
+
+// collect summarises the ranks' final state.
+func collect(comms []Comm) Result {
+	res := Result{Clocks: make([]float64, len(comms))}
+	for r := range comms {
+		c := &comms[r]
 		res.Clocks[r] = c.clock
 		res.Sent += c.sent
 		if c.clock > res.MaxClock {
 			res.MaxClock = c.clock
 		}
 	}
-	return res, nil
+	return res
 }

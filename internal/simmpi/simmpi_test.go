@@ -2,6 +2,9 @@ package simmpi
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -385,5 +388,127 @@ func TestManyRanksFanIn(t *testing.T) {
 	}
 	if res.Sent != n-1 {
 		t.Errorf("Sent = %d, want %d", res.Sent, n-1)
+	}
+}
+
+// settledGoroutines reports runtime.NumGoroutine once goroutines that
+// have returned but not yet been reaped are gone.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestDeadlockIsReported(t *testing.T) {
+	before := runtime.NumGoroutine()
+	model := testModel(t, 4, 1)
+	unwound := 0
+	_, err := Run(model, func(c *Comm) {
+		defer func() { unwound++ }()
+		switch c.Rank() {
+		case 0:
+			c.Recv(1) // 0 and 1 wait on each other
+		case 1:
+			c.Recv(0)
+		case 2:
+			c.Send(3, MakeBuf(1))
+			c.Recv(3) // 3 never replies
+		case 3:
+			c.Recv(2)
+		}
+	})
+	if err == nil {
+		t.Fatal("deadlocked run returned no error")
+	}
+	for _, want := range []string{"deadlock", "rank 0 waits on 1", "rank 1 waits on 0", "rank 2 waits on 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "rank 3 waits") {
+		t.Errorf("error %q names rank 3, which finished", err)
+	}
+	if unwound != 4 {
+		t.Errorf("%d of 4 ranks ran their deferred calls", unwound)
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Errorf("goroutines: %d before, %d after a deadlocked Run", before, after)
+	}
+}
+
+func TestDeadlockListIsBounded(t *testing.T) {
+	model := testModel(t, 16, 4)
+	_, err := Run(model, func(c *Comm) { c.Recv((c.Rank() + 1) % c.Size()) })
+	if err == nil {
+		t.Fatal("deadlocked run returned no error")
+	}
+	if !strings.Contains(err.Error(), "and 56 more") || len(err.Error()) > 300 {
+		t.Errorf("error for 64 blocked ranks = %q", err)
+	}
+}
+
+func TestPanicWithWaitingPeer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	model := testModel(t, 3, 1)
+	_, err := Run(model, func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Recv(2) // would wait forever on the goroutine runtime
+		case 1:
+			c.Recv(0)
+		case 2:
+			panic("boom")
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 2 panicked: boom") {
+		t.Fatalf("err = %v, want rank 2's panic", err)
+	}
+	if after := settledGoroutines(before); after != before {
+		t.Errorf("goroutines: %d before, %d after a panicking Run", before, after)
+	}
+}
+
+// TestInboxAgainstMap drives one inbox with random pushes and pops
+// against per-source slices, across the switch from the scanned list to
+// the by-source row: FIFO per source, a miss exactly when the source has
+// nothing pending, and no row until more than maxFew sources are pending
+// at once.
+func TestInboxAgainstMap(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(1))
+	var b inbox
+	var arena []message
+	want := make(map[int32][]int32)
+	for step := 0; step < 20000; step++ {
+		// Few sources at first, then all of them, then few again.
+		span := int32(maxFew)
+		if step > 5000 && step < 15000 {
+			span = n
+		}
+		src := rng.Int31n(span)
+		if rng.Intn(2) == 0 {
+			i := int32(len(arena))
+			arena = append(arena, message{next: -1})
+			b.push(arena, src, i, n)
+			want[src] = append(want[src], i)
+		} else {
+			i, ok := b.pop(arena, src)
+			q := want[src]
+			if ok != (len(q) > 0) || (ok && i != q[0]) {
+				t.Fatalf("step %d: pop(%d) = %d, %v; pending %v", step, src, i, ok, q)
+			}
+			if ok {
+				want[src] = q[1:]
+			}
+		}
+		if step == 5000 && b.dense != nil {
+			t.Fatalf("inbox went dense with at most %d sources pending", maxFew)
+		}
+	}
+	if b.dense == nil {
+		t.Error("inbox never went dense with up to 40 sources pending")
 	}
 }
