@@ -27,6 +27,25 @@
 // linear prefix-sum pass, with candidate boundaries wherever the bin
 // index changes.
 //
+// Work skipping. A node does only the work that can change the tree,
+// under three rules that each leave every output bit in place:
+//
+//   - A feature whose sorted order segment starts and ends in the same
+//     bin is constant in the node. Its scan could yield no candidate,
+//     so bestSplit skips it, and it stays constant in every descendant,
+//     so its segment is never partitioned again in the subtree and no
+//     descendant reads it. A per-depth row of flags in trainer scratch
+//     (any column count, no allocation) carries the live set down the
+//     tree; fillPerm still draws the full permutation, so the per-tree
+//     RNG stream is unchanged.
+//   - Each child's (mean, SSE) is computed once, right after idx is
+//     partitioned, over the same slice the child would read. When both
+//     children stop, no descendant reads an order segment, so none is
+//     partitioned.
+//   - stablePartition writes each index to both sides and advances only
+//     its own side's cursor: the same sequence, without a
+//     data-dependent branch.
+//
 // Determinism. Bit-identity with the reference builder is structural,
 // not approximate: the per-tree RNG is pre-drawn identically, feature
 // permutations consume the stream through the shared fillPerm, and the
@@ -40,9 +59,10 @@
 // parent, left-subtree, right-subtree emission order as the builder,
 // so the parent+1 left-child adjacency the inference Kernel asserts at
 // Compile time is preserved), then one right-sized copy per tree is
-// retained by the Forest. Steady-state growth — order building, split
-// scans, partitions — allocates nothing; the zeroalloc annotations and
-// BenchmarkTrainSplitScan's hard benchguard gate hold that line.
+// retained by the Forest. Steady-state growth — order building,
+// live-set marking, split scans, partitions — allocates nothing; the
+// zeroalloc annotations and BenchmarkTrainSplitScan's hard benchguard
+// gate hold that line.
 package forest
 
 import (
@@ -125,6 +145,11 @@ type trainer struct {
 	ybuf  []float64
 	bbuf  []int32 // SoA split-scan gather: targets and bins in node-sorted order
 	perm  []int   // scratch: feature permutation (mirrors rand.Perm)
+
+	// live holds one row of nf flags per depth: live[d*nf+f] says
+	// feature f still varies in the node being split at depth d. Growth
+	// is depth-first, so a node's row is intact while its subtree grows.
+	live []bool
 }
 
 // ensure sizes every scratch buffer for a bootstrap of nb samples.
@@ -146,6 +171,11 @@ func (t *trainer) ensure(nb int) {
 	if cap(t.perm) < t.bs.nf {
 		t.perm = make([]int, t.bs.nf)
 	}
+	// Only nodes shallower than MaxDepth split, so depths [0, MaxDepth)
+	// need rows.
+	if need := t.cfg.MaxDepth * t.bs.nf; cap(t.live) < need {
+		t.live = make([]bool, need)
+	}
 }
 
 // fitTree implements fitter: it grows one tree from a fresh seed and
@@ -161,7 +191,8 @@ func (t *trainer) fitTree(seed int64, boot []int) []node {
 		t.nodes = make([]node, 0, t.hint)
 	}
 	t.nodes = t.nodes[:0]
-	t.growRange(0, t.nb, 0)
+	mean, sse := meanSSE32(t.y, t.idx)
+	t.growRange(0, t.nb, 0, mean, sse)
 	out := make([]node, len(t.nodes))
 	copy(out, t.nodes)
 	t.hint = len(t.nodes)
@@ -203,31 +234,41 @@ func (t *trainer) buildOrders() {
 	}
 }
 
-// growRange builds the subtree over the samples in idx[lo:hi] and
-// returns its node index. It mirrors builder.grow stopping rule for
-// stopping rule; idx and every feature's order segment are partitioned
-// in place, preserving relative order.
-func (t *trainer) growRange(lo, hi, depth int) int {
-	idx := t.idx[lo:hi]
-	mean, sse := meanSSE32(t.y, idx)
+// growRange builds the subtree over the samples in idx[lo:hi], whose
+// target mean and SSE the caller has already computed, and returns its
+// node index. It mirrors builder.grow stopping rule for stopping rule;
+// idx and the order segments of the features that still vary are
+// partitioned in place, preserving relative order.
+func (t *trainer) growRange(lo, hi, depth int, mean, sse float64) int {
 	self := len(t.nodes)
 	t.nodes = append(t.nodes, node{left: -1, right: -1, value: mean})
-	if depth >= t.cfg.MaxDepth || len(idx) < 2*t.cfg.MinLeaf || sse <= 1e-12 {
+	if t.stops(hi-lo, depth, sse) {
 		return self
 	}
-	feat, thresh, cut, ok := t.bestSplit(lo, hi, sse)
+	live := t.markLive(lo, hi, depth)
+	feat, thresh, cut, ok := t.bestSplit(lo, hi, sse, live)
 	if !ok {
 		return self
 	}
+	idx := t.idx[lo:hi]
 	k := t.stablePartition(idx, feat, cut)
 	if k < t.cfg.MinLeaf || len(idx)-k < t.cfg.MinLeaf {
 		return self
 	}
-	for f := 0; f < t.bs.nf; f++ {
-		t.stablePartition(t.order[f*t.nb+lo:f*t.nb+hi], feat, cut)
+	// meanSSE32 over the partitioned halves of idx is exactly what each
+	// child would compute over its own range. When both children stop,
+	// no descendant reads an order segment, so none is partitioned.
+	lMean, lSSE := meanSSE32(t.y, idx[:k])
+	rMean, rSSE := meanSSE32(t.y, idx[k:])
+	if !t.stops(k, depth+1, lSSE) || !t.stops(len(idx)-k, depth+1, rSSE) {
+		for f, on := range live {
+			if on {
+				t.stablePartition(t.order[f*t.nb+lo:f*t.nb+hi], feat, cut)
+			}
+		}
 	}
-	l := t.growRange(lo, lo+k, depth+1)
-	r := t.growRange(lo+k, hi, depth+1)
+	l := t.growRange(lo, lo+k, depth+1, lMean, lSSE)
+	r := t.growRange(lo+k, hi, depth+1, rMean, rSSE)
 	t.nodes[self].feature = feat
 	t.nodes[self].thresh = thresh
 	t.nodes[self].left = l
@@ -235,15 +276,46 @@ func (t *trainer) growRange(lo, hi, depth int) int {
 	return self
 }
 
+// stops is builder.grow's stopping rule for a node of n samples.
+func (t *trainer) stops(n, depth int, sse float64) bool {
+	return depth >= t.cfg.MaxDepth || n < 2*t.cfg.MinLeaf || sse <= 1e-12
+}
+
+// markLive fills and returns the live row of the node [lo,hi) at depth:
+// the features whose bins are not all equal there. An order segment is
+// sorted, so its first and last bins decide that in O(1). A feature
+// constant in the parent stays constant in the child and its segment
+// was never partitioned, so only the parent's live features are tested.
+//
+//acclaim:zeroalloc
+func (t *trainer) markLive(lo, hi, depth int) []bool {
+	n, nb, nf := t.bs.n, t.nb, t.bs.nf
+	row := t.live[depth*nf : (depth+1)*nf]
+	for f := range row {
+		if depth > 0 && !t.live[(depth-1)*nf+f] {
+			row[f] = false
+			continue
+		}
+		col := t.bs.bins[f*n : (f+1)*n]
+		row[f] = col[t.order[f*nb+lo]] != col[t.order[f*nb+hi-1]]
+	}
+	return row
+}
+
 // bestSplit scans MTry random features (same fillPerm stream as the
-// reference) for the threshold minimizing the children's summed SSE.
-// cut is the highest bin index the left child keeps — the integer form
-// of the reference partition's `value <= thresh` predicate, which can
-// include the right boundary bin when the midpoint rounds up to it.
-func (t *trainer) bestSplit(lo, hi int, parentSSE float64) (feat int, thresh float64, cut int32, ok bool) {
+// reference) for the threshold minimizing the children's summed SSE,
+// skipping features constant in the node: their scan has no candidate
+// boundary. cut is the highest bin index the left child keeps — the
+// integer form of the reference partition's `value <= thresh`
+// predicate, which can include the right boundary bin when the midpoint
+// rounds up to it.
+func (t *trainer) bestSplit(lo, hi int, parentSSE float64, live []bool) (feat int, thresh float64, cut int32, ok bool) {
 	feats := fillPerm(t.rng, t.perm[:t.bs.nf], t.cfg.MTry)
 	bestSSE := parentSSE - 1e-12
 	for _, f := range feats {
+		if !live[f] {
+			continue
+		}
 		if sse, th, c, o := t.scanFeature(f, lo, hi, bestSSE); o {
 			bestSSE, feat, thresh, cut, ok = sse, f, th, c, true
 		}
@@ -315,21 +387,26 @@ func (t *trainer) scanFeature(f, lo, hi int, limit float64) (bestSSE, thresh flo
 // stablePartition reorders arr so samples with feature f's bin <= cut
 // come first, preserving relative order on both sides — the binned
 // form of builder.partition, sharing its scratch-buffer discipline —
-// and returns the left-side count.
+// and returns the left-side count. The loop has no data-dependent
+// branch: every index is written to both sides and only the cursor of
+// its own side advances, so the next write to the other side
+// overwrites it. k never passes the read position, so arr[k] has
+// already been read.
 //
 //acclaim:zeroalloc
 func (t *trainer) stablePartition(arr []int32, f int, cut int32) int {
 	col := t.bs.bins[f*t.bs.n : (f+1)*t.bs.n]
-	buf := t.part
+	buf := t.part[:len(arr)]
 	k, r := 0, 0
 	for _, i := range arr {
+		left := 0
 		if col[i] <= cut {
-			arr[k] = i
-			k++
-		} else {
-			buf[r] = i
-			r++
+			left = 1
 		}
+		arr[k] = i
+		buf[r] = i
+		k += left
+		r += 1 - left
 	}
 	copy(arr[k:], buf[:r])
 	return k

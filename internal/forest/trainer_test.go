@@ -131,6 +131,60 @@ func TestTrainerAllEqualFeature(t *testing.T) {
 	}
 }
 
+// TestTrainerWideMatrix guards the live-feature set past 64 columns: a
+// representation that packs it into one machine word would drop the
+// high columns. The target hangs on columns 67 and 75 only, columns 64
+// and 70 are constant, and the rest mix low-cardinality and continuous
+// noise, so the trees must split on columns >= 64 and skip constant
+// ones there, node for node as the reference does.
+func TestTrainerWideMatrix(t *testing.T) {
+	const nf = 80
+	rng := rand.New(rand.NewSource(71))
+	x := make([][]float64, 300)
+	y := make([]float64, len(x))
+	for i := range x {
+		row := make([]float64, nf)
+		for j := range row {
+			switch {
+			case j == 64 || j == 70:
+				row[j] = 1.5
+			case j%3 == 0:
+				row[j] = float64(rng.Intn(3))
+			default:
+				row[j] = rng.NormFloat64()
+			}
+		}
+		x[i] = row
+		y[i] = 4*row[67] - 3*row[75] + rng.NormFloat64()*0.1
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Seed: 73, NTrees: 6, Workers: workers}
+		want, err := trainReference(cfg, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Train(cfg, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !forestsIdentical(want, got) {
+			t.Fatalf("Workers=%d: %d-column forest differs from reference builder", workers, nf)
+		}
+		high := false
+		for _, tr := range got.trees {
+			for _, nd := range tr.nodes {
+				if nd.left != -1 && (nd.feature == 64 || nd.feature == 70) {
+					t.Fatalf("Workers=%d: tree split on constant column %d", workers, nd.feature)
+				}
+				high = high || (nd.left != -1 && nd.feature >= 64)
+			}
+		}
+		if !high {
+			t.Fatalf("Workers=%d: no split on a column >= 64; the test no longer reaches them", workers)
+		}
+	}
+}
+
 // TestTrainerWorkerCounts pins the Workers-independence contract on
 // the compiled path itself (the fuzz target additionally compares
 // against the reference).
@@ -259,8 +313,9 @@ func TestBinsetRoundTrip(t *testing.T) {
 
 // TestTrainerSteadyStateZeroAlloc is the runtime gate behind the
 // //acclaim:zeroalloc annotations in trainer.go: once scratch is
-// warmed (ensure + one tree grown), order building, split scanning,
-// and partitioning allocate nothing.
+// warmed (ensure + one tree grown), order building, live-feature
+// marking, split scanning, and partitioning allocate nothing — and
+// neither does re-sizing scratch for the same bootstrap.
 func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	x, y := trainerData(53, 220, 4)
 	cfg := Config{Seed: 59, NTrees: 1, Workers: 1}.withDefaults(4)
@@ -276,8 +331,17 @@ func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	}
 	tr.fitTree(61, boot) // warm every scratch buffer
 
+	if n := testing.AllocsPerRun(100, func() { tr.ensure(len(boot)) }); n != 0 {
+		t.Errorf("ensure allocates %v times per run on warm scratch, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { tr.buildOrders() }); n != 0 {
 		t.Errorf("buildOrders allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.markLive(0, tr.nb, 0)
+		tr.markLive(0, tr.nb/2, 1)
+	}); n != 0 {
+		t.Errorf("markLive allocates %v times per run, want 0", n)
 	}
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {

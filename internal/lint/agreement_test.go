@@ -59,6 +59,7 @@ var zeroAllocManifest = map[string][]string{
 		"Kernel.walk",
 		"Kernel.walkLevels",
 		"trainer.buildOrders",
+		"trainer.markLive",
 		"trainer.scanFeature",
 		"trainer.stablePartition",
 	},

@@ -1,9 +1,8 @@
 // Package stats implements the statistical machinery of the ACCLAiM
 // paper: the jackknife variance estimate (Section IV-A, after Efron &
-// Stein), the average-slowdown autotuner quality metric (Section II-C2),
-// and the convergence detectors used to stop training — the classic
-// average-slowdown threshold and ACCLAiM's cumulative-variance window
-// criterion (Section VI-C).
+// Stein), the average-slowdown autotuner quality metric (Section II-C2)
+// with its default convergence bound, and the stall detector that stops
+// training on ACCLAiM's cumulative-variance criterion (Section VI-C).
 package stats
 
 import (
@@ -132,135 +131,6 @@ func AvgSlowdown(selected, optimal []float64) (float64, error) {
 // "good enough" to stop training.
 const ConvergenceCriterion = 1.03
 
-// ThresholdDetector declares convergence once an observed metric stays at
-// or below Limit. It mirrors the average-slowdown criterion used by FACT
-// and the paper's Figure 10 markers. The zero value is not ready for
-// use; construct with NewThresholdDetector.
-//
-// All detectors in this package are safe for concurrent use: once the
-// scoring sweep feeding a detector runs on a worker pool, the ledger
-// and its convergence state become shared, and Observe may be called
-// from multiple goroutines. Note that with concurrent observers the
-// *order* of observations is scheduling-dependent; deterministic runs
-// should funnel observations through one goroutine (as the tuners do)
-// and rely on the lock only as a guard rail.
-type ThresholdDetector struct {
-	Limit float64
-
-	mu        sync.Mutex
-	converged bool      // guarded by mu
-	history   []float64 // guarded by mu
-}
-
-// NewThresholdDetector returns a detector with the given limit.
-func NewThresholdDetector(limit float64) *ThresholdDetector {
-	return &ThresholdDetector{Limit: limit}
-}
-
-// Observe records a metric sample and returns true once converged.
-// Convergence latches: after the first sample at or below the limit the
-// detector stays converged.
-func (d *ThresholdDetector) Observe(v float64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.history = append(d.history, v)
-	if v <= d.Limit {
-		d.converged = true
-	}
-	return d.converged
-}
-
-// Converged reports whether the detector has latched.
-func (d *ThresholdDetector) Converged() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.converged
-}
-
-// History returns a copy of all observed samples in order.
-func (d *ThresholdDetector) History() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]float64(nil), d.history...)
-}
-
-// VarianceWindowDetector implements ACCLAiM's test-set-free convergence
-// criterion (Section VI-C): training stops once Window consecutive
-// iterations each change the cumulative variance by less than Epsilon.
-//
-// The paper uses Window = 4 and Epsilon = 1e-9 on its (absolute) variance
-// scale; because our simulated times are on a different scale, Epsilon is
-// configurable and Relative may be set to compare |Δv|/max(|v|, 1e-30)
-// instead of the absolute delta.
-type VarianceWindowDetector struct {
-	Window   int     // number of consecutive small deltas required
-	Epsilon  float64 // delta bound
-	Relative bool    // interpret Epsilon as a relative change
-
-	mu        sync.Mutex
-	last      float64   // guarded by mu
-	have      bool      // guarded by mu
-	smallRun  int       // guarded by mu
-	converged bool      // guarded by mu
-	history   []float64 // guarded by mu
-}
-
-// NewVarianceWindowDetector returns a detector with the paper's default
-// window of four consecutive iterations.
-func NewVarianceWindowDetector(epsilon float64, relative bool) *VarianceWindowDetector {
-	return &VarianceWindowDetector{Window: 4, Epsilon: epsilon, Relative: relative}
-}
-
-// Observe records a cumulative-variance sample and returns true once the
-// run of small deltas reaches the window length. Convergence latches.
-func (d *VarianceWindowDetector) Observe(v float64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.history = append(d.history, v)
-	if d.converged {
-		return true
-	}
-	if d.have {
-		delta := math.Abs(v - d.last)
-		if d.Relative {
-			den := math.Max(math.Abs(d.last), 1e-30)
-			delta /= den
-		}
-		if delta < d.Epsilon {
-			d.smallRun++
-		} else {
-			d.smallRun = 0
-		}
-		if d.smallRun >= d.Window {
-			d.converged = true
-		}
-	}
-	d.last = v
-	d.have = true
-	return d.converged
-}
-
-// Converged reports whether the detector has latched.
-func (d *VarianceWindowDetector) Converged() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.converged
-}
-
-// History returns a copy of all observed samples in order.
-func (d *VarianceWindowDetector) History() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]float64(nil), d.history...)
-}
-
-// Reset clears all state so the detector can be reused.
-func (d *VarianceWindowDetector) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.last, d.have, d.smallRun, d.converged, d.history = 0, false, 0, false, nil
-}
-
 // StallDetector declares convergence when a noisy series stabilises: it
 // compares the mean of the last Window samples with the mean of the
 // Window before it and latches once the relative change (in either
@@ -270,6 +140,14 @@ func (d *VarianceWindowDetector) Reset() {
 // cumulative variance, so windowed means are compared instead of raw
 // consecutive deltas, and a still-rising series (the model discovering
 // new structure) blocks convergence just like a still-falling one.
+//
+// A StallDetector is safe for concurrent use: once the scoring sweep
+// feeding it runs on a worker pool, the ledger and its convergence
+// state become shared, and Observe may be called from multiple
+// goroutines. With concurrent observers the *order* of observations is
+// scheduling-dependent; deterministic runs should funnel observations
+// through one goroutine (as the tuners do) and rely on the lock only
+// as a guard rail.
 type StallDetector struct {
 	Window     int     // window length (default 5 when zero)
 	MinImprove float64 // required relative change per window to keep training

@@ -135,86 +135,6 @@ func TestAvgSlowdownOptimalProperty(t *testing.T) {
 	}
 }
 
-func TestThresholdDetector(t *testing.T) {
-	d := NewThresholdDetector(ConvergenceCriterion)
-	if d.Observe(1.5) {
-		t.Error("converged too early")
-	}
-	if d.Observe(1.04) {
-		t.Error("1.04 should not converge at 1.03")
-	}
-	if !d.Observe(1.03) {
-		t.Error("1.03 should converge (inclusive)")
-	}
-	if !d.Observe(9.9) {
-		t.Error("convergence should latch")
-	}
-	if len(d.History()) != 4 {
-		t.Errorf("history length = %d", len(d.History()))
-	}
-}
-
-func TestVarianceWindowDetector(t *testing.T) {
-	d := NewVarianceWindowDetector(0.01, false)
-	seq := []float64{10, 5, 3, 3.001, 3.002, 3.001, 3.0005}
-	var conv []bool
-	for _, v := range seq {
-		conv = append(conv, d.Observe(v))
-	}
-	// Deltas: 5, 2, .001, .001, .001, .0005 — the fourth small delta is
-	// the last one, so convergence happens exactly at the final sample.
-	for i := 0; i < len(seq)-1; i++ {
-		if conv[i] {
-			t.Fatalf("converged early at sample %d", i)
-		}
-	}
-	if !conv[len(seq)-1] {
-		t.Fatal("did not converge at final sample")
-	}
-}
-
-func TestVarianceWindowDetectorRunReset(t *testing.T) {
-	d := NewVarianceWindowDetector(0.01, false)
-	// Three small deltas, one big delta, then three small again: a big
-	// delta must reset the run, so no convergence.
-	for _, v := range []float64{1, 1.001, 1.002, 1.003, 2, 2.001, 2.002, 2.003} {
-		if d.Observe(v) {
-			t.Fatal("converged despite interrupted run")
-		}
-	}
-	if d.Observe(2.0035) != true {
-		t.Fatal("fourth consecutive small delta should converge")
-	}
-}
-
-func TestVarianceWindowDetectorRelative(t *testing.T) {
-	d := NewVarianceWindowDetector(0.01, true)
-	// Relative deltas of 0.5% each.
-	v := 1000.0
-	converged := false
-	for i := 0; i < 5; i++ {
-		converged = d.Observe(v)
-		v *= 1.005
-	}
-	if !converged {
-		t.Error("relative detector should converge on 0.5% steps with 1% epsilon")
-	}
-}
-
-func TestVarianceWindowDetectorReset(t *testing.T) {
-	d := NewVarianceWindowDetector(1, false)
-	for i := 0; i < 10; i++ {
-		d.Observe(0)
-	}
-	if !d.Converged() {
-		t.Fatal("should have converged")
-	}
-	d.Reset()
-	if d.Converged() || len(d.History()) != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
@@ -237,72 +157,32 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
+// TestStallDetector pins the windowed rule: no verdict before two full
+// windows, a still-falling series keeps training, a flat pair of
+// windows latches, and the latch survives a later jump.
+func TestStallDetector(t *testing.T) {
+	d := &StallDetector{Window: 2, MinImprove: 0.05}
+	for i, v := range []float64{10, 8, 6, 4, 3.9, 3.8} {
+		// Adjacent window means move 9 -> 5, 7 -> 3.95, 5 -> 3.85: each
+		// change is far above 5 %.
+		if d.Observe(v) {
+			t.Fatalf("converged at sample %d of a still-falling series", i)
+		}
+	}
+	if !d.Observe(3.9) { // 3.95 -> 3.85, a 2.5 % change
+		t.Fatal("flat windows did not converge")
+	}
+	if !d.Observe(100) {
+		t.Fatal("convergence should latch")
+	}
+	if got := len(d.History()); got != 8 {
+		t.Errorf("history length = %d, want 8", got)
+	}
+}
+
 // --- Concurrency: once scoring runs on a worker pool, the autotune
-// ledger and its convergence detector become shared state. These tests
-// hammer each detector from many goroutines; run with -race.
-
-func TestThresholdDetectorConcurrent(t *testing.T) {
-	d := NewThresholdDetector(1.03)
-	const goroutines = 8
-	const perG = 200
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// Every goroutine's last observation is below the limit,
-				// so the detector must latch regardless of interleaving.
-				v := 2.0
-				if i == perG-1 {
-					v = 1.0
-				}
-				d.Observe(v)
-				_ = d.Converged()
-				_ = d.History()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if !d.Converged() {
-		t.Error("detector did not latch")
-	}
-	if got := len(d.History()); got != goroutines*perG {
-		t.Errorf("history length = %d, want %d (lost observations)", got, goroutines*perG)
-	}
-}
-
-func TestVarianceWindowDetectorConcurrent(t *testing.T) {
-	d := NewVarianceWindowDetector(1e-9, false)
-	const goroutines = 8
-	const perG = 100
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// A constant series: every delta is zero, so however the
-				// observations interleave the run of small deltas grows
-				// and the detector must latch.
-				d.Observe(5.0)
-				_ = d.Converged()
-				_ = d.History()
-			}
-		}()
-	}
-	wg.Wait()
-	if !d.Converged() {
-		t.Error("constant series did not converge")
-	}
-	if got := len(d.History()); got != goroutines*perG {
-		t.Errorf("history length = %d, want %d", got, goroutines*perG)
-	}
-	d.Reset()
-	if d.Converged() || len(d.History()) != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
+// ledger and its convergence detector become shared state. This test
+// hammers the detector from many goroutines; run with -race.
 
 func TestStallDetectorConcurrent(t *testing.T) {
 	d := &StallDetector{Window: 5, MinImprove: 0.05}
@@ -334,7 +214,7 @@ func TestStallDetectorConcurrent(t *testing.T) {
 // TestHistoryIsACopy: History must hand back a snapshot, not the live
 // backing array a concurrent Observe could be appending to.
 func TestHistoryIsACopy(t *testing.T) {
-	d := NewThresholdDetector(0)
+	d := &StallDetector{}
 	d.Observe(5)
 	h := d.History()
 	h[0] = -1
