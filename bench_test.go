@@ -455,42 +455,19 @@ func BenchmarkForestTrain(b *testing.B) {
 		mean, _ := l.DS.TimeOf(coll.Bcast, c.Alg, c.Point)
 		ts.Add(c, mean, mean)
 	}
-	x, y := ts.Matrix()
+	var x featspace.Matrix
+	y := ts.FillMatrix(&x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := forest.Train(forest.Config{NTrees: 30, Seed: 3}, x, y); err != nil {
+		if _, err := forest.TrainMatrix(forest.Config{NTrees: 30, Seed: 3}, &x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkJackknifeSweep measures the per-iteration variance sweep
-// over a full candidate pool.
-func BenchmarkJackknifeSweep(b *testing.B) {
-	l := benchLab(b)
-	ts := autotune.NewTrainingSet(coll.Bcast)
-	cands := autotune.Candidates(coll.Bcast, l.Space, 64)
-	for _, c := range cands {
-		mean, _ := l.DS.TimeOf(coll.Bcast, c.Alg, c.Point)
-		ts.Add(c, mean, mean)
-	}
-	m, err := autotune.TrainModel(forest.Config{NTrees: 30, Seed: 3}, ts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for _, c := range cands {
-			sum += m.Variance(c)
-		}
-		_ = sum
-	}
-}
-
-// BenchmarkJackknifeSweepBatch is the same sweep through the batched
-// scorer the tuners now use — one VarianceBatch call fanned across the
-// worker pool.
+// BenchmarkJackknifeSweepBatch measures the per-iteration variance
+// sweep over a full candidate pool: one VarianceBatchInto call on a
+// reused arena, as the tuners make it every round.
 func BenchmarkJackknifeSweepBatch(b *testing.B) {
 	l := benchLab(b)
 	ts := autotune.NewTrainingSet(coll.Bcast)
@@ -503,11 +480,13 @@ func BenchmarkJackknifeSweepBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var a autotune.Arena
+	m.VarianceBatchInto(&a, cands) // size the arena's buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum float64
-		for _, v := range m.VarianceBatch(cands) {
+		for _, v := range m.VarianceBatchInto(&a, cands) {
 			sum += v
 		}
 		_ = sum

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"acclaim/internal/benchmark"
 	"acclaim/internal/coll"
@@ -127,27 +126,11 @@ func (ts *TrainingSet) Has(c Candidate) bool { return ts.have[c.Spec(ts.Coll)] }
 // Len returns the number of samples.
 func (ts *TrainingSet) Len() int { return len(ts.Samples) }
 
-// Matrix renders features and log-time targets for the unified
-// (algorithm-as-feature) model. Rows are subslices of one flat backing
-// array, sized exactly up front so appends never reallocate.
-func (ts *TrainingSet) Matrix() (x [][]float64, y []float64) {
-	x = make([][]float64, len(ts.Samples))
-	y = make([]float64, len(ts.Samples))
-	flat := make([]float64, 0, len(ts.Samples)*featspace.NumFeatures)
-	for i, s := range ts.Samples {
-		start := len(flat)
-		flat = featspace.AppendFeatures(flat, s.Candidate.Point, s.Candidate.AlgIdx)
-		x[i] = flat[start:len(flat):len(flat)]
-		y[i] = math.Log(s.Mean)
-	}
-	return x, y
-}
-
 // FillMatrix renders the unified design into a flat featspace.Matrix
 // (rows reuse m's backing buffer across rounds) and returns the
 // log-time targets — the zero-copy input of forest.TrainMatrix, which
-// bins columns straight off the flat buffer. Row i matches Matrix()'s
-// row i exactly.
+// bins columns straight off the flat buffer. Row i is sample i's
+// features with its algorithm index last.
 func (ts *TrainingSet) FillMatrix(m *featspace.Matrix) (y []float64) {
 	m.Reset(featspace.NumFeatures)
 	y = make([]float64, len(ts.Samples))
@@ -173,48 +156,18 @@ func (ts *TrainingSet) FillMatrixForAlg(m *featspace.Matrix, alg string) (y []fl
 	return y
 }
 
-// MatrixForAlg renders features and targets restricted to one algorithm
-// (for per-algorithm model designs, without the algorithm feature).
-func (ts *TrainingSet) MatrixForAlg(alg string) (x [][]float64, y []float64) {
-	n := 0
-	for _, s := range ts.Samples {
-		if s.Candidate.Alg == alg {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	x = make([][]float64, 0, n)
-	y = make([]float64, 0, n)
-	flat := make([]float64, 0, n*(featspace.NumFeatures-1))
-	for _, s := range ts.Samples {
-		if s.Candidate.Alg != alg {
-			continue
-		}
-		start := len(flat)
-		flat = featspace.AppendFeatures(flat, s.Candidate.Point)
-		x = append(x, flat[start:len(flat):len(flat)])
-		y = append(y, math.Log(s.Mean))
-	}
-	return x, y
-}
-
 // Model is a trained unified model for one collective: a single forest
 // with the algorithm index as an input feature (ACCLAiM's design,
-// Section V). Scoring goes through the forest's compiled SoA kernel;
-// the pointer-walk Forest stays reachable via F as the reference path.
+// Section V), held as its compiled inference kernel. A Model is
+// immutable and safe for concurrent scoring.
 type Model struct {
 	Coll coll.Collective
-	F    *forest.Forest
-
-	compileOnce sync.Once      // builds kern on first use
-	kern        *forest.Kernel // immutable once built; see Kernel
+	kern *forest.Kernel
 }
 
 // TrainModel fits the unified model on a training set and compiles its
-// inference kernel (once per Train — tuners retrain every round, so the
-// compile cost is paid exactly once per round).
+// inference kernel (tuners retrain every round, so the compile cost is
+// paid exactly once per round).
 func TrainModel(cfg forest.Config, ts *TrainingSet) (*Model, error) {
 	var x featspace.Matrix
 	y := ts.FillMatrix(&x)
@@ -222,29 +175,13 @@ func TrainModel(cfg forest.Config, ts *TrainingSet) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Coll: ts.Coll, F: f}
-	m.Kernel()
-	return m, nil
-}
-
-// Kernel returns the forest's compiled inference kernel, building it on
-// first use. The kernel is immutable and safe for concurrent scoring.
-func (m *Model) Kernel() *forest.Kernel {
-	m.compileOnce.Do(func() { m.kern = m.F.Compile() })
-	return m.kern
+	return &Model{Coll: ts.Coll, kern: f.Compile()}, nil
 }
 
 // PredictTime returns the predicted collective time in microseconds for
 // an algorithm (by index) at a point.
 func (m *Model) PredictTime(p featspace.Point, algIdx int) float64 {
-	return math.Exp(m.Kernel().Predict(featspace.Features(p, algIdx)))
-}
-
-// Variance returns the jackknife variance of the model's (log-scale)
-// prediction for a candidate — the uncertainty signal ACCLAiM selects
-// training points by.
-func (m *Model) Variance(c Candidate) float64 {
-	return m.F.JackknifeVariance(featspace.Features(c.Point, c.AlgIdx))
+	return math.Exp(m.kern.Predict(featspace.Features(p, algIdx)))
 }
 
 // Arena holds a scoring call site's reusable buffers: the flat
@@ -268,24 +205,18 @@ func grow(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// VarianceBatch returns the jackknife variance for every candidate via
-// the compiled kernel — the batched form of the active-learning
-// scoring sweep. out[i] equals Variance(cands[i]) bit for bit, for any
-// worker count.
-func (m *Model) VarianceBatch(cands []Candidate) []float64 {
-	var a Arena
-	return m.VarianceBatchInto(&a, cands)
-}
-
-// VarianceBatchInto is VarianceBatch with caller-owned buffers. The
-// returned slice aliases the arena.
+// VarianceBatchInto returns the jackknife variance of the model's
+// (log-scale) prediction for every candidate — the uncertainty signal
+// ACCLAiM selects training points by — in one fused kernel sweep over
+// the arena's buffers. The result is identical for every worker count;
+// the returned slice aliases the arena.
 func (m *Model) VarianceBatchInto(a *Arena, cands []Candidate) []float64 {
-	a.x.Reset(m.F.NumFeatures())
+	a.x.Reset(m.kern.NumFeatures())
 	for _, c := range cands {
 		a.x.AppendPoint(c.Point, c.AlgIdx)
 	}
 	a.out = grow(a.out, len(cands))
-	m.Kernel().ScoreFlat(a.x.Data(), nil, a.out)
+	m.kern.ScoreFlat(a.x.Data(), nil, a.out)
 	return a.out
 }
 
@@ -317,17 +248,16 @@ func (m *Model) SelectBatch(pts []featspace.Point) []string {
 		best[i] = algs[0]
 		bestT[i] = math.Inf(1)
 	}
-	nf := m.F.NumFeatures()
+	nf := m.kern.NumFeatures()
 	var x featspace.Matrix
 	x.Reset(nf)
 	for _, p := range pts {
 		x.AppendPoint(p, 0)
 	}
 	preds := make([]float64, len(pts))
-	k := m.Kernel()
 	for ai, a := range algs {
 		x.SetCol(nf-1, float64(ai))
-		k.PredictFlat(x.Data(), preds)
+		m.kern.PredictFlat(x.Data(), preds)
 		for i, t := range preds {
 			if t < bestT[i] {
 				best[i], bestT[i] = a, t
@@ -338,24 +268,19 @@ func (m *Model) SelectBatch(pts []featspace.Point) []string {
 }
 
 // PerAlgModel is the prior works' design: one forest per algorithm
-// (Hunold et al., Section II-C1). Scoring goes through per-algorithm
-// compiled kernels, built eagerly by TrainPerAlg.
+// (Hunold et al., Section II-C1), each held as its compiled inference
+// kernel. The kernel map is built by TrainPerAlg and read-only after,
+// so a PerAlgModel is safe for concurrent scoring.
 type PerAlgModel struct {
 	Coll    coll.Collective
-	Forests map[string]*forest.Forest
-
-	mu sync.Mutex
-	// kerns caches each algorithm's compiled kernel, keyed like
-	// Forests; guarded by mu (kernels themselves are immutable and
-	// returned outside the lock).
-	kerns map[string]*forest.Kernel
+	kernels map[string]*forest.Kernel // by algorithm; absent = no samples
 }
 
 // TrainPerAlg fits one forest per algorithm that has samples and
 // compiles each into its inference kernel. Algorithms with no samples
 // are absent and never selected.
 func TrainPerAlg(cfg forest.Config, ts *TrainingSet) (*PerAlgModel, error) {
-	m := &PerAlgModel{Coll: ts.Coll, Forests: make(map[string]*forest.Forest)}
+	m := &PerAlgModel{Coll: ts.Coll, kernels: make(map[string]*forest.Kernel)}
 	var x featspace.Matrix
 	for _, alg := range coll.AlgorithmNames(ts.Coll) {
 		y := ts.FillMatrixForAlg(&x, alg)
@@ -366,33 +291,12 @@ func TrainPerAlg(cfg forest.Config, ts *TrainingSet) (*PerAlgModel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("autotune: training %s/%s: %w", ts.Coll, alg, err)
 		}
-		m.Forests[alg] = f
-		m.kernel(alg)
+		m.kernels[alg] = f.Compile()
 	}
-	if len(m.Forests) == 0 {
+	if len(m.kernels) == 0 {
 		return nil, errors.New("autotune: no algorithm has training samples")
 	}
 	return m, nil
-}
-
-// kernel returns the compiled kernel for alg, compiling and caching it
-// on first use. It returns nil for algorithms without a trained forest.
-func (m *PerAlgModel) kernel(alg string) *forest.Kernel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if k, ok := m.kerns[alg]; ok {
-		return k
-	}
-	f, ok := m.Forests[alg]
-	if !ok {
-		return nil
-	}
-	if m.kerns == nil {
-		m.kerns = make(map[string]*forest.Kernel, len(m.Forests))
-	}
-	k := f.Compile()
-	m.kerns[alg] = k
-	return k
 }
 
 // Select queries every per-algorithm model and picks the lowest
@@ -402,8 +306,8 @@ func (m *PerAlgModel) Select(p featspace.Point) string {
 	best := ""
 	bestT := math.Inf(1)
 	for _, alg := range coll.AlgorithmNames(m.Coll) {
-		k := m.kernel(alg)
-		if k == nil {
+		k, ok := m.kernels[alg]
+		if !ok {
 			continue
 		}
 		if t := k.Predict(feats); t < bestT {
@@ -430,8 +334,8 @@ func (m *PerAlgModel) SelectBatch(pts []featspace.Point) []string {
 	}
 	preds := make([]float64, len(pts))
 	for _, alg := range coll.AlgorithmNames(m.Coll) {
-		k := m.kernel(alg)
-		if k == nil {
+		k, ok := m.kernels[alg]
+		if !ok {
 			continue
 		}
 		k.PredictFlat(x.Data(), preds)

@@ -89,25 +89,27 @@ func TestTrainingSetMatrix(t *testing.T) {
 	if !ts.Has(c) || ts.Len() != 1 {
 		t.Fatal("Add/Has broken")
 	}
-	x, y := ts.Matrix()
-	if len(x) != 1 || len(x[0]) != featspace.NumFeatures {
-		t.Fatalf("matrix shape %dx%d", len(x), len(x[0]))
+	var m featspace.Matrix
+	y := ts.FillMatrix(&m)
+	if m.Rows() != 1 || m.Cols() != featspace.NumFeatures {
+		t.Fatalf("matrix shape %dx%d", m.Rows(), m.Cols())
 	}
 	if math.Abs(y[0]-math.Log(100)) > 1e-12 {
 		t.Errorf("target = %v, want log(100)", y[0])
 	}
-	xa, _ := ts.MatrixForAlg("binomial")
-	if len(xa) != 1 || len(xa[0]) != featspace.NumFeatures-1 {
-		t.Errorf("per-alg matrix shape wrong")
+	ts.FillMatrixForAlg(&m, "binomial")
+	if m.Rows() != 1 || m.Cols() != featspace.NumFeatures-1 {
+		t.Errorf("per-alg matrix shape %dx%d", m.Rows(), m.Cols())
 	}
-	if xa, _ := ts.MatrixForAlg("ring"); len(xa) != 0 {
+	if y := ts.FillMatrixForAlg(&m, "ring"); m.Rows() != 0 || y != nil {
 		t.Error("per-alg matrix leaked other algorithms")
 	}
 }
 
 // TestFillMatrixMatchesMatrix: the flat training-set renderings feed
-// forest.TrainMatrix the same rows (and targets) the row-of-slices
-// renderings produce, for both model designs.
+// forest.TrainMatrix each sample's feature encoding (with the
+// algorithm index for the unified design, without it per algorithm)
+// and its log-time target, in sample order.
 func TestFillMatrixMatchesMatrix(t *testing.T) {
 	ts := NewTrainingSet(coll.Bcast)
 	for i, alg := range []string{"binomial", "ring", "binomial", "scatter_allgather"} {
@@ -117,38 +119,49 @@ func TestFillMatrixMatchesMatrix(t *testing.T) {
 			AlgIdx: i % 3,
 		}, float64(100+i*7), 700)
 	}
+	sameRow := func(got, want []float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				return false
+			}
+		}
+		return true
+	}
 
 	var m featspace.Matrix
 	y := ts.FillMatrix(&m)
-	x, wantY := ts.Matrix()
-	if m.Rows() != len(x) || m.Cols() != featspace.NumFeatures {
-		t.Fatalf("FillMatrix shape %dx%d, want %dx%d", m.Rows(), m.Cols(), len(x), featspace.NumFeatures)
+	if m.Rows() != ts.Len() || m.Cols() != featspace.NumFeatures || len(y) != ts.Len() {
+		t.Fatalf("FillMatrix shape %dx%d with %d targets, want %dx%d", m.Rows(), m.Cols(), len(y), ts.Len(), featspace.NumFeatures)
 	}
-	for i := range x {
-		for j, v := range x[i] {
-			if m.Row(i)[j] != v {
-				t.Fatalf("FillMatrix row %d col %d = %v, want %v", i, j, m.Row(i)[j], v)
-			}
+	for i, s := range ts.Samples {
+		if want := featspace.Features(s.Candidate.Point, s.Candidate.AlgIdx); !sameRow(m.Row(i), want) {
+			t.Fatalf("FillMatrix row %d = %v, want %v", i, m.Row(i), want)
 		}
-		if y[i] != wantY[i] {
-			t.Fatalf("FillMatrix target %d = %v, want %v", i, y[i], wantY[i])
+		if y[i] != math.Log(s.Mean) {
+			t.Fatalf("FillMatrix target %d = %v, want %v", i, y[i], math.Log(s.Mean))
 		}
 	}
 
 	for _, alg := range []string{"binomial", "ring", "missing"} {
 		ya := ts.FillMatrixForAlg(&m, alg)
-		xa, wantYa := ts.MatrixForAlg(alg)
-		if m.Rows() != len(xa) || len(ya) != len(wantYa) {
-			t.Fatalf("%s: FillMatrixForAlg %d rows / %d targets, want %d / %d",
-				alg, m.Rows(), len(ya), len(xa), len(wantYa))
-		}
-		for i := range xa {
-			for j, v := range xa[i] {
-				if m.Row(i)[j] != v {
-					t.Fatalf("%s: per-alg row %d col %d = %v, want %v", alg, i, j, m.Row(i)[j], v)
-				}
+		var want []Sample
+		for _, s := range ts.Samples {
+			if s.Candidate.Alg == alg {
+				want = append(want, s)
 			}
-			if ya[i] != wantYa[i] {
+		}
+		if m.Rows() != len(want) || len(ya) != len(want) {
+			t.Fatalf("%s: FillMatrixForAlg %d rows / %d targets, want %d",
+				alg, m.Rows(), len(ya), len(want))
+		}
+		for i, s := range want {
+			if w := featspace.Features(s.Candidate.Point); !sameRow(m.Row(i), w) {
+				t.Fatalf("%s: per-alg row %d = %v, want %v", alg, i, m.Row(i), w)
+			}
+			if ya[i] != math.Log(s.Mean) {
 				t.Fatalf("%s: per-alg target %d differs", alg, i)
 			}
 		}
@@ -186,10 +199,11 @@ func TestUnifiedModelLearnsSelections(t *testing.T) {
 		t.Errorf("fully trained unified model slowdown = %v", sd)
 	}
 	// Variance is non-negative and finite everywhere.
-	for _, c := range Candidates(coll.Bcast, tinySpace(), 64)[:6] {
-		v := m.Variance(c)
+	var a Arena
+	cands := Candidates(coll.Bcast, tinySpace(), 64)
+	for i, v := range m.VarianceBatchInto(&a, cands) {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("bad variance %v for %v", v, c)
+			t.Errorf("bad variance %v for %v", v, cands[i])
 		}
 	}
 }
@@ -201,8 +215,8 @@ func TestPerAlgModelLearnsSelections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Forests) != coll.NumAlgorithms(coll.Reduce) {
-		t.Errorf("forests = %d", len(m.Forests))
+	if len(m.kernels) != coll.NumAlgorithms(coll.Reduce) {
+		t.Errorf("forests = %d", len(m.kernels))
 	}
 	sd, err := EvalSlowdown(ds, coll.Reduce, tinySpace().Points(), m)
 	if err != nil {
@@ -222,8 +236,8 @@ func TestTrainPerAlgPartialAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Forests) != 1 {
-		t.Errorf("forests = %d, want 1", len(m.Forests))
+	if len(m.kernels) != 1 {
+		t.Errorf("forests = %d, want 1", len(m.kernels))
 	}
 	// Selection falls back to the only trained algorithm.
 	if got := m.Select(featspace.Point{Nodes: 2, PPN: 1, MsgBytes: 8}); got != "binomial" {
@@ -330,27 +344,36 @@ func TestLearningCurve(t *testing.T) {
 }
 
 // TestBatchEquivalence: the batched model APIs must agree exactly with
-// their per-point counterparts — this is what lets the selection loops
-// in core, fact, and hunold fan out without changing results.
+// their per-point counterparts and across worker counts — this is what
+// lets the selection loops in core, fact, and hunold fan out without
+// changing results.
 func TestBatchEquivalence(t *testing.T) {
 	ds := tinyDataset(t)
 	ts := trainOn(t, ds, coll.Bcast)
 	cands := Candidates(coll.Bcast, tinySpace(), 64)
 	pts := tinySpace().Points()
 
+	var serial []float64 // Workers=1 variances
 	for _, workers := range []int{1, 4} {
 		m, err := TrainModel(forest.Config{Seed: 5, NTrees: 25, Workers: workers}, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs := m.VarianceBatch(cands)
+		var a, one Arena
+		vs := m.VarianceBatchInto(&a, cands)
 		if len(vs) != len(cands) {
-			t.Fatalf("VarianceBatch length %d, want %d", len(vs), len(cands))
+			t.Fatalf("VarianceBatchInto length %d, want %d", len(vs), len(cands))
 		}
-		for i, c := range cands {
-			if vs[i] != m.Variance(c) {
-				t.Fatalf("workers=%d VarianceBatch[%d] = %v, Variance = %v", workers, i, vs[i], m.Variance(c))
+		for i := range cands {
+			if v := m.VarianceBatchInto(&one, cands[i:i+1])[0]; vs[i] != v {
+				t.Fatalf("workers=%d VarianceBatchInto[%d] = %v, one-candidate sweep = %v", workers, i, vs[i], v)
 			}
+			if serial != nil && vs[i] != serial[i] {
+				t.Fatalf("workers=%d VarianceBatchInto[%d] = %v, Workers=1 = %v", workers, i, vs[i], serial[i])
+			}
+		}
+		if serial == nil {
+			serial = append([]float64(nil), vs...)
 		}
 		sels := m.SelectBatch(pts)
 		for i, p := range pts {

@@ -144,9 +144,16 @@ func TestNoSurrogate一ModelOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Model.F.NumFeatures() != featspace.NumFeatures {
-		t.Errorf("model features = %d, want %d (algorithm enumerated as a feature)",
-			res.Model.F.NumFeatures(), featspace.NumFeatures)
+	// Predicting takes the algorithm index as a feature (a narrower
+	// forest would panic on the wider row) and the prediction depends
+	// on it.
+	p := featspace.Point{Nodes: 4, PPN: 2, MsgBytes: 4096}
+	times := map[float64]bool{}
+	for ai := range coll.AlgorithmNames(coll.Allreduce) {
+		times[res.Model.PredictTime(p, ai)] = true
+	}
+	if len(times) < 2 {
+		t.Errorf("model predicts %d distinct times across algorithms, want the algorithm to be a feature", len(times))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Compiled forest inference: Forest.Compile lowers a trained forest
-// into a structure-of-arrays Kernel whose batch entry points are the
-// scoring hot path of every autotuner round (the jackknife sweep over
-// the candidate pool, Section IV-A) and of the rule-extraction and
-// evaluation sweeps.
+// into a structure-of-arrays Kernel, the only scorer of a forest. Its
+// flat batch entry points are the scoring hot path of every autotuner
+// round (the jackknife sweep over the candidate pool, Section IV-A) and
+// of the rule-extraction and evaluation sweeps.
 //
 // Layout. The per-tree []node arenas are concatenated into flat
 // per-forest slices — feature[], thresh[], left[], right[], value[] —
@@ -28,9 +28,10 @@
 // Determinism. For each query, per-tree predictions are accumulated in
 // tree order (the tile loops keep t ascending for every fixed q), and
 // the mean / jackknife arithmetic repeats the reference expressions of
-// Forest.Predict and stats.JackknifeVariance operation for operation,
-// so kernel results are bit-identical to the pointer-walk path at
-// every Workers count — FuzzCompiledDifferential holds that line.
+// the per-row pointer walk (oracle_test.go) and stats.JackknifeVariance
+// operation for operation, so kernel results are bit-identical to that
+// oracle at every Workers count — FuzzCompiledDifferential holds that
+// line.
 package forest
 
 import (
@@ -49,8 +50,8 @@ const blockQ = 64
 // Kernel is a compiled, immutable inference representation of a
 // trained Forest. All methods are safe for concurrent use: the node
 // arrays are read-only after Compile and per-call scratch comes from
-// an internal pool. Batch results are bit-identical to the Forest's
-// pointer-walk methods for every Workers setting.
+// an internal pool. Results are bit-identical to the reference pointer
+// walk for every Workers setting.
 //
 //acclaim:frozen
 type Kernel struct {
@@ -228,8 +229,8 @@ func (k *Kernel) walkLevels(t int, x []float64, q0, nq int, idx []int32) {
 	}
 }
 
-// Predict returns the ensemble mean prediction for x, bit-identical to
-// Forest.Predict. It panics if x has the wrong dimensionality.
+// Predict returns the ensemble mean prediction for x. It panics if x
+// has the wrong dimensionality.
 //
 //acclaim:zeroalloc
 func (k *Kernel) Predict(x []float64) float64 {
@@ -253,46 +254,13 @@ func (k *Kernel) PredictFlat(x, out []float64) {
 // ScoreFlat is the fused scoring kernel: one streaming pass fills
 // mean[i] with the ensemble mean and vari[i] with the jackknife
 // variance for row i of the row-major flat matrix x. mean may be nil
-// when only variances are wanted (the active-learning sweep). Results
-// are bit-identical to Forest.PredictBatch and
-// Forest.JackknifeVarianceBatch.
+// when only variances are wanted (the active-learning sweep).
 func (k *Kernel) ScoreFlat(x, mean, vari []float64) {
 	if mean != nil && len(mean) != len(vari) {
 		panic(fmt.Sprintf("forest: fused score with %d mean slots but %d variance slots", len(mean), len(vari)))
 	}
 	k.checkFlat(x, len(vari))
 	k.dispatch(x, mean, vari, len(vari), true)
-}
-
-// PredictBatch returns the ensemble mean prediction for every row of
-// xs — the drop-in compiled form of Forest.PredictBatch, including its
-// per-row dimensionality panic. The flat entry points avoid this
-// wrapper's flatten copy.
-func (k *Kernel) PredictBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	k.PredictFlat(k.flatten(xs), out)
-	return out
-}
-
-// JackknifeVarianceBatch returns the jackknife variance at every row
-// of xs — the drop-in compiled form of Forest.JackknifeVarianceBatch.
-func (k *Kernel) JackknifeVarianceBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	k.ScoreFlat(k.flatten(xs), nil, out)
-	return out
-}
-
-// flatten checks every row exactly as the reference path does and
-// copies xs into one row-major buffer.
-func (k *Kernel) flatten(xs [][]float64) []float64 {
-	for _, x := range xs {
-		k.check(x)
-	}
-	flat := make([]float64, 0, len(xs)*k.nFeatures)
-	for _, x := range xs {
-		flat = append(flat, x...)
-	}
-	return flat
 }
 
 // dispatch fans query blocks across the worker pool. Each block's
@@ -347,7 +315,7 @@ func (k *Kernel) runBlock(s *kernelScratch, x []float64, b, rows int, mean, vari
 
 // predictBlock fills out[q0:q0+nq] with ensemble means for the tile.
 // Per-query sums accumulate in tree order, so the result repeats
-// Forest.Predict's float arithmetic exactly.
+// the reference walk's float arithmetic exactly.
 //
 //acclaim:zeroalloc
 func (k *Kernel) predictBlock(s *kernelScratch, x []float64, q0, nq int, out []float64) {
@@ -459,7 +427,11 @@ func (k *Kernel) workersFor(n int) int {
 	return w
 }
 
-// check panics exactly like Forest.check for a wrong-width query row.
+// dimPanicFormat is the dimensionality-mismatch panic of a wrong-width
+// query row, shared with the reference walk so both report one message.
+const dimPanicFormat = "forest: predicting with %d features, trained on %d"
+
+// check panics for a wrong-width query row.
 func (k *Kernel) check(x []float64) {
 	if len(x) != k.nFeatures {
 		panic(fmt.Sprintf(dimPanicFormat, len(x), k.nFeatures))

@@ -20,7 +20,7 @@ func trainedKernel(t testing.TB, cfg Config, nSamples, nQueries int) (*Forest, *
 		x[i] = []float64{rng.Float64() * 16, rng.Float64() * 8, rng.Float64() * 20, rng.Float64()}
 		y[i] = math.Log1p(x[i][0]*x[i][2]) + math.Sin(x[i][1]) + rng.NormFloat64()*0.05
 	}
-	f, err := Train(cfg, x, y)
+	f, err := trainRows(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,49 +43,48 @@ func flatten(xs [][]float64) []float64 {
 	return flat
 }
 
-// TestCompiledBitIdentical is the core contract: every compiled entry
-// point reproduces the reference pointer-walk results bit for bit, at
-// several Workers settings and batch sizes (crossing block boundaries
-// both ways).
+// TestCompiledBitIdentical is the core contract: every kernel entry
+// point reproduces the per-row reference walk bit for bit, at several
+// Workers settings and batch sizes (crossing block boundaries both
+// ways), and each Workers setting reproduces the Workers=1 outputs.
 func TestCompiledBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 0} {
+	type scores struct{ mean, vari []float64 }
+	serial := map[int]scores{} // Workers=1 outputs by batch size
+	for _, workers := range []int{1, 2, 3, 4, 0} {
 		for _, nq := range []int{1, 7, blockQ, blockQ + 1, 3*blockQ + 11} {
 			t.Run(fmt.Sprintf("workers=%d/nq=%d", workers, nq), func(t *testing.T) {
 				cfg := Config{NTrees: 12, MaxDepth: 8, Seed: 3, Workers: workers}
 				f, k, qs := trainedKernel(t, cfg, 400, nq)
+				wantP, wantV := oracleScores(f, qs)
 
-				wantP := f.PredictBatch(qs)
-				wantV := f.JackknifeVarianceBatch(qs)
-				gotP := k.PredictBatch(qs)
-				gotV := k.JackknifeVarianceBatch(qs)
-				for i := range qs {
-					if gotP[i] != wantP[i] {
-						t.Fatalf("PredictBatch[%d]: kernel %v != reference %v", i, gotP[i], wantP[i])
-					}
-					if gotV[i] != wantV[i] {
-						t.Fatalf("JackknifeVarianceBatch[%d]: kernel %v != reference %v", i, gotV[i], wantV[i])
-					}
-					if got := k.Predict(qs[i]); got != f.Predict(qs[i]) {
-						t.Fatalf("Predict[%d]: kernel %v != reference %v", i, got, f.Predict(qs[i]))
-					}
-				}
-
-				// The fused flat path must agree with both wrappers at once.
 				flat := flatten(qs)
 				mean := make([]float64, nq)
 				vari := make([]float64, nq)
 				k.ScoreFlat(flat, mean, vari)
+				out := make([]float64, nq)
+				k.PredictFlat(flat, out)
 				for i := range qs {
 					if mean[i] != wantP[i] || vari[i] != wantV[i] {
 						t.Fatalf("ScoreFlat[%d]: (%v, %v) != reference (%v, %v)",
 							i, mean[i], vari[i], wantP[i], wantV[i])
 					}
-				}
-				out := make([]float64, nq)
-				k.PredictFlat(flat, out)
-				for i := range qs {
 					if out[i] != wantP[i] {
 						t.Fatalf("PredictFlat[%d]: %v != %v", i, out[i], wantP[i])
+					}
+					if got := k.Predict(qs[i]); got != wantP[i] {
+						t.Fatalf("Predict[%d]: kernel %v != reference %v", i, got, wantP[i])
+					}
+				}
+
+				want, ok := serial[nq]
+				if !ok {
+					serial[nq] = scores{mean, vari}
+					return
+				}
+				for i := range qs {
+					if mean[i] != want.mean[i] || vari[i] != want.vari[i] {
+						t.Fatalf("ScoreFlat[%d]: (%v, %v) != Workers=1 (%v, %v)",
+							i, mean[i], vari[i], want.mean[i], want.vari[i])
 					}
 				}
 			})
@@ -98,7 +97,7 @@ func TestCompiledBitIdentical(t *testing.T) {
 func TestCompiledPureLeafTrees(t *testing.T) {
 	x := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	y := []float64{7, 7, 7}
-	f, err := Train(Config{NTrees: 5, Seed: 1}, x, y)
+	f, err := trainRows(Config{NTrees: 5, Seed: 1}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +109,10 @@ func TestCompiledPureLeafTrees(t *testing.T) {
 	if got, want := k.Predict(q), f.Predict(q); got != want {
 		t.Fatalf("Predict on pure-leaf kernel: %v != %v", got, want)
 	}
-	if got, want := k.JackknifeVarianceBatch([][]float64{q}), f.JackknifeVarianceBatch([][]float64{q}); got[0] != want[0] {
-		t.Fatalf("variance on pure-leaf kernel: %v != %v", got[0], want[0])
+	vari := make([]float64, 1)
+	k.ScoreFlat(q, nil, vari)
+	if want := f.JackknifeVariance(q); vari[0] != want {
+		t.Fatalf("variance on pure-leaf kernel: %v != %v", vari[0], want)
 	}
 }
 
@@ -120,8 +121,7 @@ func TestCompiledPureLeafTrees(t *testing.T) {
 func TestCompiledSingleTree(t *testing.T) {
 	cfg := Config{NTrees: 1, MaxDepth: 6, Seed: 9, Workers: 1}
 	f, k, qs := trainedKernel(t, cfg, 200, 50)
-	wantP := f.PredictBatch(qs)
-	wantV := f.JackknifeVarianceBatch(qs)
+	wantP, wantV := oracleScores(f, qs)
 	mean := make([]float64, len(qs))
 	vari := make([]float64, len(qs))
 	k.ScoreFlat(flatten(qs), mean, vari)
@@ -135,17 +135,12 @@ func TestCompiledSingleTree(t *testing.T) {
 	}
 }
 
-// TestCompiledEmptyBatch checks the zero-row cases on every entry
-// point.
+// TestCompiledEmptyBatch checks the zero-row cases on both batch entry
+// points: nothing to score, nothing to panic about.
 func TestCompiledEmptyBatch(t *testing.T) {
 	_, k, _ := trainedKernel(t, Config{NTrees: 4, Seed: 2}, 100, 0)
-	if got := k.PredictBatch(nil); len(got) != 0 {
-		t.Fatalf("PredictBatch(nil) returned %d rows", len(got))
-	}
-	if got := k.JackknifeVarianceBatch([][]float64{}); len(got) != 0 {
-		t.Fatalf("JackknifeVarianceBatch(empty) returned %d rows", len(got))
-	}
 	k.ScoreFlat(nil, nil, nil)
+	k.ScoreFlat([]float64{}, []float64{}, []float64{})
 	k.PredictFlat(nil, nil)
 }
 
@@ -167,8 +162,9 @@ func panicMessage(t *testing.T, fn func()) string {
 	return msg
 }
 
-// TestCompiledRaggedRowPanic asserts the compiled path panics with the
-// exact message the reference path uses for wrong-width rows.
+// TestCompiledRaggedRowPanic asserts the kernel panics with the exact
+// message the reference walk uses for a wrong-width row, and rejects
+// flat batches whose length does not match the row count.
 func TestCompiledRaggedRowPanic(t *testing.T) {
 	f, k, _ := trainedKernel(t, Config{NTrees: 3, Seed: 4}, 100, 0)
 	short := []float64{1, 2}
@@ -176,16 +172,6 @@ func TestCompiledRaggedRowPanic(t *testing.T) {
 
 	if got := panicMessage(t, func() { k.Predict(short) }); got != want {
 		t.Fatalf("Predict panic:\n got %q\nwant %q", got, want)
-	}
-	if got := panicMessage(t, func() { k.PredictBatch([][]float64{{1, 2, 3, 4}, short}) }); got != want {
-		t.Fatalf("PredictBatch panic:\n got %q\nwant %q", got, want)
-	}
-	if got := panicMessage(t, func() { k.JackknifeVarianceBatch([][]float64{short}) }); got != want {
-		t.Fatalf("JackknifeVarianceBatch panic:\n got %q\nwant %q", got, want)
-	}
-	refBatch := panicMessage(t, func() { f.JackknifeVarianceBatch([][]float64{short}) })
-	if refBatch != want {
-		t.Fatalf("reference batch panic drifted: %q vs %q", refBatch, want)
 	}
 
 	// The flat entry points reject length mismatches too (panicMessage
@@ -202,7 +188,7 @@ func TestCompiledRaggedRowPanic(t *testing.T) {
 func TestCompiledConcurrentScoring(t *testing.T) {
 	cfg := Config{NTrees: 10, MaxDepth: 8, Seed: 6, Workers: 2}
 	f, k, qs := trainedKernel(t, cfg, 300, 200)
-	want := f.JackknifeVarianceBatch(qs)
+	_, want := oracleScores(f, qs)
 	flat := flatten(qs)
 
 	var wg sync.WaitGroup

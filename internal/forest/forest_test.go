@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"acclaim/internal/featspace"
 )
 
 // grid2d builds a simple 2-feature dataset from a target function.
@@ -19,24 +21,34 @@ func grid2d(n int, fn func(a, b float64) float64) (x [][]float64, y []float64) {
 	return x, y
 }
 
+// TestTrainValidation: TrainMatrix rejects each malformed input with
+// its own error.
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(Config{}, nil, nil); err == nil {
-		t.Error("empty training set should fail")
-	}
-	if _, err := Train(Config{}, [][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := Train(Config{}, [][]float64{{}}, []float64{1}); err == nil {
-		t.Error("zero features should fail")
-	}
-	if _, err := Train(Config{}, [][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
-		t.Error("ragged rows should fail")
+	var noRows featspace.Matrix
+	noRows.Reset(2)
+	var twoRows featspace.Matrix
+	twoRows.AppendRow(1, 2)
+	twoRows.AppendRow(3, 4)
+	for _, tc := range []struct {
+		name string
+		m    *featspace.Matrix
+		y    []float64
+		want string
+	}{
+		{"zero rows", &noRows, nil, "forest: no training samples"},
+		{"target mismatch", &twoRows, []float64{1, 2, 3}, "forest: 2 samples but 3 targets"},
+		{"zero cols", &featspace.Matrix{}, nil, "forest: samples have no features"},
+	} {
+		_, err := TrainMatrix(Config{}, tc.m, tc.y)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: TrainMatrix error = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestConstantTarget(t *testing.T) {
 	x, y := grid2d(5, func(a, b float64) float64 { return 7 })
-	f, err := Train(Config{Seed: 1}, x, y)
+	f, err := trainRows(Config{Seed: 1}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +68,7 @@ func TestLearnsStepFunction(t *testing.T) {
 		}
 		return 20
 	})
-	f, err := Train(Config{Seed: 2}, x, y)
+	f, err := trainRows(Config{Seed: 2}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,7 @@ func TestLearnsInteraction(t *testing.T) {
 		}
 		return -1
 	})
-	f, err := Train(Config{Seed: 3, NTrees: 40}, x, y)
+	f, err := trainRows(Config{Seed: 3, NTrees: 40}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +106,7 @@ func TestLearnsInteraction(t *testing.T) {
 func TestRegressionQuality(t *testing.T) {
 	// Smooth target: forest should interpolate reasonably.
 	x, y := grid2d(12, func(a, b float64) float64 { return 3*a + 2*b })
-	f, err := Train(Config{Seed: 4, NTrees: 50}, x, y)
+	f, err := trainRows(Config{Seed: 4, NTrees: 50}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +123,15 @@ func TestRegressionQuality(t *testing.T) {
 
 func TestDeterministicTraining(t *testing.T) {
 	x, y := grid2d(6, func(a, b float64) float64 { return a * b })
-	f1, _ := Train(Config{Seed: 5}, x, y)
-	f2, _ := Train(Config{Seed: 5}, x, y)
+	f1, _ := trainRows(Config{Seed: 5}, x, y)
+	f2, _ := trainRows(Config{Seed: 5}, x, y)
 	for i := 0; i < 6; i++ {
 		in := []float64{float64(i), float64(i) / 2}
 		if f1.Predict(in) != f2.Predict(in) {
 			t.Fatal("same seed produced different forests")
 		}
 	}
-	f3, _ := Train(Config{Seed: 6}, x, y)
+	f3, _ := trainRows(Config{Seed: 6}, x, y)
 	diff := false
 	for i := 0; i < 36; i++ {
 		in := []float64{float64(i % 6), float64(i / 6)}
@@ -145,7 +157,7 @@ func TestVarianceHigherAwayFromData(t *testing.T) {
 		x = append(x, []float64{a, b})
 		y = append(y, math.Sin(a)+b*b/10+rng.NormFloat64()*0.05)
 	}
-	f, err := Train(Config{Seed: 8, NTrees: 50}, x, y)
+	f, err := trainRows(Config{Seed: 8, NTrees: 50}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +174,7 @@ func TestVarianceHigherAwayFromData(t *testing.T) {
 
 func TestTreePredictionsFeedJackknife(t *testing.T) {
 	x, y := grid2d(6, func(a, b float64) float64 { return a + b })
-	f, _ := Train(Config{Seed: 9, NTrees: 10}, x, y)
+	f, _ := trainRows(Config{Seed: 9, NTrees: 10}, x, y)
 	p := f.TreePredictions([]float64{2, 2})
 	if len(p) != 10 {
 		t.Fatalf("TreePredictions length = %d", len(p))
@@ -179,7 +191,7 @@ func TestTreePredictionsFeedJackknife(t *testing.T) {
 
 func TestMinLeafRespected(t *testing.T) {
 	x, y := grid2d(6, func(a, b float64) float64 { return a })
-	f, err := Train(Config{Seed: 10, MinLeaf: 36}, x, y) // leaf >= whole bootstrap
+	f, err := trainRows(Config{Seed: 10, MinLeaf: 36}, x, y) // leaf >= whole bootstrap
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +207,7 @@ func TestMinLeafRespected(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	x, y := grid2d(3, func(a, b float64) float64 { return a })
-	f, err := Train(Config{}, x, y)
+	f, err := trainRows(Config{}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +221,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestPredictDimensionPanic(t *testing.T) {
 	x, y := grid2d(3, func(a, b float64) float64 { return a })
-	f, _ := Train(Config{}, x, y)
+	f, _ := trainRows(Config{}, x, y)
 	defer func() {
 		if recover() == nil {
 			t.Error("wrong dimensionality should panic")
@@ -233,7 +245,7 @@ func TestPredictionBoundedProperty(t *testing.T) {
 			lo = math.Min(lo, y[i])
 			hi = math.Max(hi, y[i])
 		}
-		fr, err := Train(Config{Seed: seed, NTrees: 10}, x, y)
+		fr, err := trainRows(Config{Seed: seed, NTrees: 10}, x, y)
 		if err != nil {
 			return false
 		}
@@ -253,7 +265,7 @@ func TestPredictionBoundedProperty(t *testing.T) {
 // Property: jackknife variance is non-negative everywhere.
 func TestVarianceNonNegativeProperty(t *testing.T) {
 	x, y := grid2d(8, func(a, b float64) float64 { return a*b - a })
-	fr, _ := Train(Config{Seed: 11}, x, y)
+	fr, _ := trainRows(Config{Seed: 11}, x, y)
 	f := func(a, b float64) bool {
 		return fr.JackknifeVariance([]float64{math.Mod(math.Abs(a), 10), math.Mod(math.Abs(b), 10)}) >= 0
 	}
@@ -264,7 +276,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 
 func TestMTrySubsampling(t *testing.T) {
 	x, y := grid2d(8, func(a, b float64) float64 { return a + 2*b })
-	f, err := Train(Config{Seed: 12, MTry: 1, NTrees: 40}, x, y)
+	f, err := trainRows(Config{Seed: 12, MTry: 1, NTrees: 40}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +288,7 @@ func TestMTrySubsampling(t *testing.T) {
 
 // refTrain is a frozen copy of the original serial training loop (one
 // master RNG, trees grown strictly in order, builder RNG seeded from
-// the master stream after each bootstrap). The parallel Train must
+// the master stream after each bootstrap). The parallel TrainMatrix must
 // reproduce it bit for bit at every worker count.
 func refTrain(cfg Config, x [][]float64, y []float64) *Forest {
 	cfg = cfg.withDefaults(len(x[0]))
@@ -336,7 +348,7 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8, 33} {
 			c := cfg
 			c.Workers = workers
-			f, err := Train(c, x, y)
+			f, err := trainRows(c, x, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,52 +366,4 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBatchMatchesPointwise: the batched scorers must agree exactly
-// with their per-point counterparts at every worker count.
-func TestBatchMatchesPointwise(t *testing.T) {
-	x, y := grid2d(10, func(a, b float64) float64 { return a*a - 3*b })
-	rng := rand.New(rand.NewSource(31))
-	queries := make([][]float64, 157)
-	for i := range queries {
-		queries[i] = []float64{rng.Float64() * 12, rng.Float64() * 12}
-	}
-	for _, workers := range []int{0, 1, 4, 9} {
-		f, err := Train(Config{Seed: 30, NTrees: 20, Workers: workers}, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preds := f.PredictBatch(queries)
-		vars := f.JackknifeVarianceBatch(queries)
-		if len(preds) != len(queries) || len(vars) != len(queries) {
-			t.Fatalf("batch output lengths %d/%d, want %d", len(preds), len(vars), len(queries))
-		}
-		for i, q := range queries {
-			if preds[i] != f.Predict(q) {
-				t.Fatalf("Workers=%d PredictBatch[%d] = %v, Predict = %v", workers, i, preds[i], f.Predict(q))
-			}
-			if vars[i] != f.JackknifeVariance(q) {
-				t.Fatalf("Workers=%d JackknifeVarianceBatch[%d] = %v, JackknifeVariance = %v", workers, i, vars[i], f.JackknifeVariance(q))
-			}
-		}
-	}
-}
-
-// TestBatchEmptyAndPanic covers the degenerate batch inputs.
-func TestBatchEmptyAndPanic(t *testing.T) {
-	x, y := grid2d(4, func(a, b float64) float64 { return a })
-	f, _ := Train(Config{Seed: 33}, x, y)
-	if got := f.PredictBatch(nil); len(got) != 0 {
-		t.Errorf("PredictBatch(nil) = %v, want empty", got)
-	}
-	if got := f.JackknifeVarianceBatch([][]float64{}); len(got) != 0 {
-		t.Errorf("JackknifeVarianceBatch(empty) = %v, want empty", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong-dimension batch row should panic")
-		}
-	}()
-	f.PredictBatch([][]float64{{1, 2}, {1}})
 }

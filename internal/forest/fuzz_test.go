@@ -8,11 +8,11 @@ import (
 // FuzzTrainDifferential proves the compiled histogram trainer is
 // bit-identical to the reference builder: for arbitrary
 // hyperparameters and data (derived deterministically from the fuzzed
-// inputs), trainReference and Train must produce node-for-node equal
-// forests — and Train must produce that same forest at every worker
-// count. This is the training-side mirror of FuzzCompiledDifferential,
-// and the proof obligation behind swapping the trainer in as Train's
-// default path.
+// inputs), trainReference and TrainMatrix must produce node-for-node
+// equal forests — and TrainMatrix must produce that same forest at
+// every worker count. This is the training-side mirror of
+// FuzzCompiledDifferential, and the proof obligation behind the
+// trainer being TrainMatrix's only path.
 //
 // layout%3 picks the data: 2-5 continuous columns; 2-5 columns of four
 // values each, which flood nodes with ties; or the tuner's 7-column
@@ -75,14 +75,11 @@ func FuzzTrainDifferential(f *testing.F) {
 		}
 
 		cfg := Config{NTrees: nt, MaxDepth: md, MinLeaf: ml, MTry: mtry, Seed: seed, Workers: 1}
-		want, err := trainReference(cfg, x, y)
-		if err != nil {
-			t.Fatalf("training the reference forest: %v", err)
-		}
+		want := trainReference(cfg, x, y)
 		for _, workers := range []int{1, 2, 5, 13} {
 			c := cfg
 			c.Workers = workers
-			got, err := Train(c, x, y)
+			got, err := trainRows(c, x, y)
 			if err != nil {
 				t.Fatalf("training the compiled forest (workers=%d): %v", workers, err)
 			}
@@ -116,9 +113,9 @@ func fuzzTunerRow(rng *rand.Rand, card *[7]int, row []float64) {
 // FuzzCompiledDifferential proves Forest.Compile is observationally
 // identical to the reference pointer-walk path: for an arbitrary
 // trained forest (hyperparameters and data derived deterministically
-// from the fuzzed inputs) and an arbitrary query batch, the compiled
-// Predict / PredictBatch / JackknifeVarianceBatch must reproduce the
-// reference results bit for bit. Two Workers settings are compared per
+// from the fuzzed inputs) and an arbitrary query batch, the kernel's
+// Predict / PredictFlat / ScoreFlat must reproduce the per-row oracle
+// loop (oracleScores) bit for bit. Two Workers settings are compared per
 // input — trained forests are bit-identical across worker counts, so
 // the pair also pins kernel results to be worker-independent. Shapes
 // deliberately sweep the degenerate corners: single trees, pure-leaf
@@ -164,30 +161,30 @@ func FuzzCompiledDifferential(f *testing.F) {
 		}
 
 		cfg := Config{NTrees: nt, MaxDepth: md, Seed: seed, Workers: 1}
-		ref, err := Train(cfg, x, y)
+		ref, err := trainRows(cfg, x, y)
 		if err != nil {
 			t.Fatalf("training the reference forest: %v", err)
 		}
 		cfg.Workers = int(nQueries)%4 + 1
-		alt, err := Train(cfg, x, y) // bit-identical forest, different pool size
+		alt, err := trainRows(cfg, x, y) // bit-identical forest, different pool size
 		if err != nil {
 			t.Fatalf("training the alternate forest: %v", err)
 		}
 
-		wantP := ref.PredictBatch(qs)
-		wantV := ref.JackknifeVarianceBatch(qs)
+		wantP, wantV := oracleScores(ref, qs)
+		flat := flatten(qs)
 		for _, k := range []*Kernel{ref.Compile(), alt.Compile()} {
-			gotP := k.PredictBatch(qs)
-			gotV := k.JackknifeVarianceBatch(qs)
-			if len(gotP) != nq || len(gotV) != nq {
-				t.Fatalf("kernel returned %d/%d rows, want %d", len(gotP), len(gotV), nq)
-			}
+			gotP := make([]float64, nq)
+			gotV := make([]float64, nq)
+			k.ScoreFlat(flat, gotP, gotV)
+			predP := make([]float64, nq)
+			k.PredictFlat(flat, predP)
 			for i := range qs {
-				if gotP[i] != wantP[i] {
-					t.Fatalf("PredictBatch[%d]: kernel %v != reference %v (workers=%d)", i, gotP[i], wantP[i], cfg.Workers)
+				if gotP[i] != wantP[i] || predP[i] != wantP[i] {
+					t.Fatalf("mean[%d]: ScoreFlat %v, PredictFlat %v != reference %v (workers=%d)", i, gotP[i], predP[i], wantP[i], cfg.Workers)
 				}
 				if gotV[i] != wantV[i] {
-					t.Fatalf("JackknifeVarianceBatch[%d]: kernel %v != reference %v (workers=%d)", i, gotV[i], wantV[i], cfg.Workers)
+					t.Fatalf("variance[%d]: ScoreFlat %v != reference %v (workers=%d)", i, gotV[i], wantV[i], cfg.Workers)
 				}
 			}
 			for i := 0; i < nq && i < 5; i++ {

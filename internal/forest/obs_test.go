@@ -12,7 +12,7 @@ func TestTrainMetrics(t *testing.T) {
 		met := NewMetrics(reg)
 		x, y := grid2d(6, func(a, b float64) float64 { return a + b })
 
-		f, err := Train(Config{Seed: 9, NTrees: 12, Workers: workers, Metrics: met}, x, y)
+		f, err := trainRows(Config{Seed: 9, NTrees: 12, Workers: workers, Metrics: met}, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,12 +42,12 @@ func TestTrainMetrics(t *testing.T) {
 			t.Fatal("no forest")
 		}
 
-		// A second Train on the same metrics accumulates.
-		if _, err := Train(Config{Seed: 10, NTrees: 12, Workers: workers, Metrics: met}, x, y); err != nil {
+		// A second TrainMatrix on the same metrics accumulates.
+		if _, err := trainRows(Config{Seed: 10, NTrees: 12, Workers: workers, Metrics: met}, x, y); err != nil {
 			t.Fatal(err)
 		}
 		if got := met.Trains.Load(); got != 2 {
-			t.Errorf("workers=%d: trains_total after second Train = %d, want 2", workers, got)
+			t.Errorf("workers=%d: trains_total after second TrainMatrix = %d, want 2", workers, got)
 		}
 	}
 }
@@ -57,11 +57,11 @@ func TestTrainMetrics(t *testing.T) {
 // metrics, at any worker count.
 func TestTrainMetricsPreservesDeterminism(t *testing.T) {
 	x, y := grid2d(6, func(a, b float64) float64 { return a * b })
-	plain, err := Train(Config{Seed: 11, NTrees: 10, Workers: 1}, x, y)
+	plain, err := trainRows(Config{Seed: 11, NTrees: 10, Workers: 1}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Train(Config{Seed: 11, NTrees: 10, Workers: 4, Metrics: NewMetrics(obs.NewRegistry())}, x, y)
+	inst, err := trainRows(Config{Seed: 11, NTrees: 10, Workers: 4, Metrics: NewMetrics(obs.NewRegistry())}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}

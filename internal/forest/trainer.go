@@ -1,19 +1,19 @@
 // Compiled forest training: the histogram trainer lowers tree
 // *building* onto flat pre-binned feature columns the same way
 // compiled.go lowered inference onto flat node arrays. It is the
-// training counterpart of the inference Kernel and the default path
-// behind Train / TrainFlat / TrainMatrix; the pointer-chasing
-// reference builder in forest.go stays as the differential oracle.
+// training counterpart of the inference Kernel and the only path behind
+// TrainMatrix; the pointer-chasing reference builder in oracle_test.go
+// is its differential oracle.
 //
-// Binning. Train computes per-feature bin edges once per call: the
-// sorted distinct values of each column (a featspace.Matrix column in
-// the flat entry points). Every sample value is replaced by its bin
-// index — its rank among the column's distinct values — in one flat
-// column-major int32 matrix. Because the bins are exact (one bin per
-// distinct value, not a capped quantile sketch), nothing the reference
-// split scan can distinguish is lost: candidate thresholds live only
-// between adjacent distinct values, and the midpoint arithmetic reads
-// the original values back out of the edge table.
+// Binning. TrainMatrix computes per-feature bin edges once per call:
+// the sorted distinct values of each featspace.Matrix column. Every
+// sample value is replaced by its bin index — its rank among the
+// column's distinct values — in one flat column-major int32 matrix.
+// Because the bins are exact (one bin per distinct value, not a capped
+// quantile sketch), nothing the reference split scan can distinguish is
+// lost: candidate thresholds live only between adjacent distinct
+// values, and the midpoint arithmetic reads the original values back
+// out of the edge table.
 //
 // Split finding. The reference builder re-sorts the node's (value,
 // target) pairs for every feature of every node — the dominant cost of
@@ -75,7 +75,7 @@ import (
 )
 
 // binset is the pre-binned, read-only view of one training matrix,
-// shared by every trainer goroutine of a Train call.
+// shared by every trainer goroutine of a TrainMatrix call.
 type binset struct {
 	n, nf int
 
@@ -91,8 +91,8 @@ type binset struct {
 }
 
 // newBinset computes bin edges and binned columns for an n×nf matrix.
-// col must gather column f into dst[:n]. Called once per Train; the
-// result is immutable and safe to share across worker goroutines.
+// col must gather column f into dst[:n]. Called once per TrainMatrix;
+// the result is immutable and safe to share across worker goroutines.
 func newBinset(n, nf int, col func(f int, dst []float64)) *binset {
 	bs := &binset{
 		n:     n,
@@ -426,19 +426,20 @@ func meanSSE32(y []float64, idx []int32) (mean, sse float64) {
 	return mean, sse
 }
 
-// TrainFlat fits a forest on a flat row-major feature matrix (rows ×
-// cols, as produced by featspace.Matrix.Data) and y, without
-// materializing per-row slices. It trains the same forest Train does
-// on the equivalent rows: bin edges are computed once per call from
-// the matrix columns and shared across the worker pool.
-func TrainFlat(cfg Config, x []float64, cols int, y []float64) (*Forest, error) {
+// TrainMatrix fits a forest on an encoded featspace.Matrix (rows are
+// samples) and its targets y; all values must be finite. Bin edges are
+// computed once per call straight off the matrix columns and shared
+// across the worker pool. Training is deterministic for a given
+// Config.Seed: the bootstrap indices and per-tree seeds are drawn from
+// the master RNG stream up front, in tree order, exactly as a serial
+// loop would draw them, and only then are the trees grown on the pool —
+// so every Workers setting yields a bit-identical forest, node for node
+// the reference builder's (FuzzTrainDifferential).
+func TrainMatrix(cfg Config, m *featspace.Matrix, y []float64) (*Forest, error) {
+	rows, cols := m.Rows(), m.Cols()
 	if cols < 1 {
 		return nil, errors.New("forest: samples have no features")
 	}
-	if len(x)%cols != 0 {
-		return nil, fmt.Errorf("forest: flat matrix of %d values is not a multiple of %d columns", len(x), cols)
-	}
-	rows := len(x) / cols
 	if rows == 0 {
 		return nil, errors.New("forest: no training samples")
 	}
@@ -446,19 +447,8 @@ func TrainFlat(cfg Config, x []float64, cols int, y []float64) (*Forest, error) 
 		return nil, fmt.Errorf("forest: %d samples but %d targets", rows, len(y))
 	}
 	cfg = cfg.withDefaults(cols)
-	bs := newBinset(rows, cols, func(f int, dst []float64) {
-		for i := range dst {
-			dst[i] = x[i*cols+f]
-		}
-	})
+	bs := newBinset(rows, cols, m.Col)
 	return train(cfg, rows, cols, y, func() fitter {
 		return &trainer{bs: bs, y: y, cfg: cfg}
 	}), nil
-}
-
-// TrainMatrix fits a forest directly on an encoded featspace.Matrix —
-// the zero-copy training entry point for tuners that already assemble
-// their candidate pools into one flat buffer.
-func TrainMatrix(cfg Config, m *featspace.Matrix, y []float64) (*Forest, error) {
-	return TrainFlat(cfg, m.Data(), m.Cols(), y)
 }

@@ -41,11 +41,8 @@ func TestTrainerMatchesReference(t *testing.T) {
 		{Seed: 5, NTrees: 4, MTry: 2, MaxDepth: 5, MinLeaf: 2},
 	} {
 		cfg.Workers = 1
-		want, err := trainReference(cfg, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Train(cfg, x, y)
+		want := trainReference(cfg, x, y)
+		got, err := trainRows(cfg, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,8 +62,8 @@ func TestTrainerConstantTargets(t *testing.T) {
 		y[i] = -2.5
 	}
 	cfg := Config{Seed: 11, NTrees: 6, Workers: 1}
-	want, _ := trainReference(cfg, x, y)
-	got, err := Train(cfg, x, y)
+	want := trainReference(cfg, x, y)
+	got, err := trainRows(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +84,8 @@ func TestTrainerSingleSample(t *testing.T) {
 	x := [][]float64{{1.5, -3}}
 	y := []float64{42}
 	cfg := Config{Seed: 13, NTrees: 5, Workers: 1}
-	want, _ := trainReference(cfg, x, y)
-	got, err := Train(cfg, x, y)
+	want := trainReference(cfg, x, y)
+	got, err := trainRows(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +111,8 @@ func TestTrainerAllEqualFeature(t *testing.T) {
 		y[i] = x[i][1] + rng.NormFloat64()*0.1
 	}
 	cfg := Config{Seed: 19, NTrees: 8, MTry: 1, Workers: 1}
-	want, _ := trainReference(cfg, x, y)
-	got, err := Train(cfg, x, y)
+	want := trainReference(cfg, x, y)
+	got, err := trainRows(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +156,8 @@ func TestTrainerWideMatrix(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		cfg := Config{Seed: 73, NTrees: 6, Workers: workers}
-		want, err := trainReference(cfg, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Train(cfg, x, y)
+		want := trainReference(cfg, x, y)
+		got, err := trainRows(cfg, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,14 +186,14 @@ func TestTrainerWorkerCounts(t *testing.T) {
 	x, y := trainerData(23, 300, 5)
 	cfg := Config{Seed: 29, NTrees: 12, MTry: 3}
 	cfg.Workers = 1
-	want, err := Train(cfg, x, y)
+	want, err := trainRows(cfg, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 7, 16} {
 		c := cfg
 		c.Workers = w
-		got, err := Train(c, x, y)
+		got, err := trainRows(c, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +204,7 @@ func TestTrainerWorkerCounts(t *testing.T) {
 }
 
 // TestTrainSharedRace exercises the shared read-only binset from many
-// trainer goroutines at once — concurrent Train calls on the same
+// trainer goroutines at once — concurrent TrainMatrix calls on the same
 // rows, each with a multi-worker pool. Run under -race in CI, it
 // proves the trainer's sharing discipline: binset immutable, all
 // scratch goroutine-local.
@@ -222,7 +216,7 @@ func TestTrainSharedRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			f, err := Train(Config{Seed: 37, NTrees: 10, Workers: 4}, x, y)
+			f, err := trainRows(Config{Seed: 37, NTrees: 10, Workers: 4}, x, y)
 			if err != nil {
 				t.Error(err)
 				return
@@ -233,69 +227,54 @@ func TestTrainSharedRace(t *testing.T) {
 	wg.Wait()
 	for g := 1; g < len(forests); g++ {
 		if !forestsIdentical(forests[0], forests[g]) {
-			t.Fatalf("concurrent Train call %d produced a different forest", g)
+			t.Fatalf("concurrent TrainMatrix call %d produced a different forest", g)
 		}
 	}
 }
 
-// TestTrainFlatMatchesTrain: the flat entry points train the same
-// forest as the row-of-slices API on equivalent data.
-func TestTrainFlatMatchesTrain(t *testing.T) {
-	x, y := trainerData(41, 150, featspace.NumFeatures)
-	cfg := Config{Seed: 43, NTrees: 8, Workers: 1}
-	want, err := Train(cfg, x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	flat := make([]float64, 0, len(x)*featspace.NumFeatures)
-	var m featspace.Matrix
-	for _, row := range x {
-		flat = append(flat, row...)
-		m.AppendRow(row...)
-	}
-	got, err := TrainFlat(cfg, flat, featspace.NumFeatures, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !forestsIdentical(want, got) {
-		t.Fatal("TrainFlat forest differs from Train")
-	}
-	got2, err := TrainMatrix(cfg, &m, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !forestsIdentical(want, got2) {
-		t.Fatal("TrainMatrix forest differs from Train")
-	}
-}
-
+// TestTrainFlatValidation: a flat row-major buffer laid into a
+// featspace.Matrix row by row is rejected before it can train a
+// forest — a ragged buffer at assembly, the rest by TrainMatrix.
 func TestTrainFlatValidation(t *testing.T) {
+	flatMatrix := func(x []float64, cols int) *featspace.Matrix {
+		var m featspace.Matrix
+		if cols > 0 {
+			m.Reset(cols)
+			for i := 0; i < len(x); i += cols {
+				m.AppendRow(x[i:min(i+cols, len(x))]...)
+			}
+		}
+		return &m
+	}
 	for _, tc := range []struct {
 		name string
 		x    []float64
 		cols int
 		y    []float64
+		want string
 	}{
-		{"zero cols", []float64{1, 2}, 0, []float64{1}},
-		{"ragged flat", []float64{1, 2, 3}, 2, []float64{1}},
-		{"empty", nil, 2, nil},
-		{"target mismatch", []float64{1, 2, 3, 4}, 2, []float64{1, 2, 3}},
+		{"zero cols", []float64{1, 2}, 0, []float64{1}, "forest: samples have no features"},
+		{"empty", nil, 2, nil, "forest: no training samples"},
+		{"target mismatch", []float64{1, 2, 3, 4}, 2, []float64{1, 2, 3}, "forest: 2 samples but 3 targets"},
 	} {
-		if _, err := TrainFlat(Config{}, tc.x, tc.cols, tc.y); err == nil {
-			t.Errorf("%s: TrainFlat accepted invalid input", tc.name)
+		if _, err := TrainMatrix(Config{}, flatMatrix(tc.x, tc.cols), tc.y); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: TrainMatrix error = %v, want %q", tc.name, err, tc.want)
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ragged flat: matrix assembly accepted a short last row")
+			}
+		}()
+		flatMatrix([]float64{1, 2, 3}, 2)
+	}()
 }
 
 // TestBinsetRoundTrip: bins are value ranks, edges recover the value.
 func TestBinsetRoundTrip(t *testing.T) {
 	x, _ := trainerData(47, 90, 3)
-	bs := newBinset(len(x), 3, func(f int, dst []float64) {
-		for i, row := range x {
-			dst[i] = row[f]
-		}
-	})
+	bs := newBinset(len(x), 3, rowsMatrix(x).Col)
 	for f := 0; f < 3; f++ {
 		edges := bs.edges[f]
 		for j := 1; j < len(edges); j++ {
@@ -319,11 +298,7 @@ func TestBinsetRoundTrip(t *testing.T) {
 func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	x, y := trainerData(53, 220, 4)
 	cfg := Config{Seed: 59, NTrees: 1, Workers: 1}.withDefaults(4)
-	bs := newBinset(len(x), 4, func(f int, dst []float64) {
-		for i, row := range x {
-			dst[i] = row[f]
-		}
-	})
+	bs := newBinset(len(x), 4, rowsMatrix(x).Col)
 	tr := &trainer{bs: bs, y: y, cfg: cfg}
 	boot := make([]int, len(x))
 	for i := range boot {
