@@ -4,6 +4,11 @@
 // collective microbenchmarks on subsets of the allocation — one at a
 // time (the safe sequential strategy of prior work, Section III-D) or as
 // topology-scheduled parallel waves (ACCLAiM's strategy, Section IV-D).
+// RunParallel takes a whole batch: it plans every wave first, then
+// simulates all the batch's benchmarks on one pool of at most
+// GOMAXPROCS host workers. The waves still follow one another in
+// simulated time; only the host work overlaps, and every measurement is
+// the same as if the benchmarks ran one by one.
 //
 // All times are virtual microseconds from the simulator; the "wall
 // time" a measurement charges is the simulated machine time the
@@ -12,11 +17,12 @@
 package benchmark
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"acclaim/internal/cluster"
@@ -110,10 +116,6 @@ type Runner struct {
 	// Dragonfly — the scenario matrix sets it per cell.
 	Topology netmodel.Topology
 
-	// RackShareFactor inflates runs that illegally share a rack; used
-	// only when a wave violates the scheduler's constraints (ablations).
-	RackShareFactor float64
-
 	// Metrics, when non-nil, receives collection observability. All
 	// handles are concurrency-safe, so wave goroutines report directly.
 	Metrics *Metrics
@@ -131,13 +133,7 @@ func NewRunner(params netmodel.Params, env netmodel.Env, alloc cluster.Allocatio
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &Runner{
-		Params:          params,
-		Env:             env,
-		Alloc:           alloc,
-		Config:          cfg,
-		RackShareFactor: 1.6,
-	}, nil
+	return &Runner{Params: params, Env: env, Alloc: alloc, Config: cfg}, nil
 }
 
 // MaxNodes returns the largest benchmark this runner can host.
@@ -280,69 +276,22 @@ func (r *Runner) RunSequential(specs []Spec) ([]Measurement, float64, error) {
 	return out, total, nil
 }
 
-// RunWave executes one scheduler wave in parallel. The wave's machine
-// time is the maximum wall time across its placements. If the wave
-// violates the congestion constraints (only possible when callers
-// bypass sched.PlanWave), each offending run is inflated by
-// RackShareFactor.
-func (r *Runner) RunWave(wave []sched.Placement, specs map[int]Spec) ([]Measurement, float64, error) {
-	if len(wave) == 0 {
-		return nil, 0, errors.New("benchmark: empty wave")
-	}
-	shared := sched.CheckWave(r.Alloc, wave) != nil
-	out := make([]Measurement, len(wave))
-	errs := make([]error, len(wave))
-	var wg sync.WaitGroup
-	wg.Add(len(wave))
-	for i, p := range wave {
-		go func(i int, p sched.Placement) {
-			defer wg.Done()
-			spec, ok := specs[p.ID]
-			if !ok {
-				errs[i] = fmt.Errorf("benchmark: wave references unknown request %d", p.ID)
-				return
-			}
-			base, err := r.baseTime(spec, p.NodeIdx)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if shared {
-				base *= r.RackShareFactor
-			}
-			out[i] = r.measure(spec, base)
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	var waveTime float64
-	for _, m := range out {
-		if m.WallTime > waveTime {
-			waveTime = m.WallTime
-		}
-	}
-	if m := r.Metrics; m != nil {
-		m.WaveRuns.Add(uint64(len(wave)))
-	}
-	return out, waveTime, nil
-}
-
 // RunParallel schedules all specs with the topology-aware greedy
-// scheduler and executes wave by wave. Requests carry the given
+// scheduler and executes them wave by wave. Requests carry the given
 // priorities (higher first); priorities must be pre-sorted by the
 // caller if a specific order matters — RunParallel preserves input
-// order as the greedy order. It returns all measurements, the total
-// machine time (sum of wave maxima), and the per-wave parallelism.
+// order as the greedy order. It returns all measurements in wave order,
+// the total machine time (sum of wave maxima), and the per-wave
+// parallelism.
+//
+// Waves stay sequential in simulated time, but the host evaluates every
+// placement of every wave on one pool (see evaluate): a measurement
+// depends only on its spec and placement, so the results, the wave
+// maxima and their sum are the same at every GOMAXPROCS.
 func (r *Runner) RunParallel(specs []Spec) ([]Measurement, float64, []int, error) {
 	reqs := make([]sched.Request, len(specs))
-	byID := make(map[int]Spec, len(specs))
 	for i, s := range specs {
 		reqs[i] = sched.Request{ID: i, Nodes: s.Point.Nodes, Priority: float64(len(specs) - i)}
-		byID[i] = s
 	}
 	var schedMet *sched.Metrics
 	if r.Metrics != nil {
@@ -352,15 +301,69 @@ func (r *Runner) RunParallel(specs []Spec) ([]Measurement, float64, []int, error
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	var out []Measurement
-	var total float64
+	var flat []sched.Placement
 	for _, wave := range waves {
-		ms, waveTime, err := r.RunWave(wave, byID)
-		if err != nil {
-			return nil, 0, nil, err
+		flat = append(flat, wave...)
+	}
+	out, err := r.evaluate(specs, flat)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	var total float64
+	k := 0
+	for _, wave := range waves {
+		var waveTime float64
+		for _, m := range out[k : k+len(wave)] {
+			if m.WallTime > waveTime {
+				waveTime = m.WallTime
+			}
 		}
-		out = append(out, ms...)
 		total += waveTime
+		k += len(wave)
+	}
+	if m := r.Metrics; m != nil {
+		m.WaveRuns.Add(uint64(len(out)))
 	}
 	return out, total, sched.Parallelism(waves), nil
+}
+
+// evaluate measures every placement on a pool of at most GOMAXPROCS
+// workers that claim placements from an atomic counter; placement i's
+// measurement lands in slot i. After a failure no further placement is
+// claimed. Placements are claimed in slot order, so every slot before a
+// failed one was evaluated, and the error returned — the first in slot
+// order — does not depend on scheduling.
+func (r *Runner) evaluate(specs []Spec, ps []sched.Placement) ([]Measurement, error) {
+	out := make([]Measurement, len(ps))
+	errs := make([]error, len(ps))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ps)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(ps) {
+					return
+				}
+				spec := specs[ps[i].ID]
+				base, err := r.baseTime(spec, ps[i].NodeIdx)
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				out[i] = r.measure(spec, base)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -1,7 +1,12 @@
 package benchmark
 
 import (
+	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"acclaim/internal/cluster"
 	"acclaim/internal/coll"
@@ -153,38 +158,112 @@ func TestRunParallelSingleRackMatchesSequentialShape(t *testing.T) {
 	}
 }
 
-func TestRunWaveCongestionInflation(t *testing.T) {
-	// A hand-built wave that shares a rack must come out slower than
-	// the same benchmarks run legally.
-	r := testRunner(t, cluster.TopologySingleRack())
-	s := spec(coll.Bcast, "binomial", 2, 1, 65536)
-	legal, err := r.Run(s)
+// serialOracle is RunParallel without the pool: the same plan, then
+// baseTime + measure per placement in wave order, one after another.
+func serialOracle(t *testing.T, r *Runner, specs []Spec) ([]Measurement, float64, []int) {
+	t.Helper()
+	reqs := make([]sched.Request, len(specs))
+	for i, s := range specs {
+		reqs[i] = sched.Request{ID: i, Nodes: s.Point.Nodes, Priority: float64(len(specs) - i)}
+	}
+	waves, err := sched.PlanAll(r.Alloc, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave := []sched.Placement{
-		{Request: sched.Request{ID: 0, Nodes: 2}, NodeIdx: []int{0, 1}},
-		{Request: sched.Request{ID: 1, Nodes: 2}, NodeIdx: []int{2, 3}},
+	var out []Measurement
+	var total float64
+	for _, wave := range waves {
+		var waveTime float64
+		for _, p := range wave {
+			base, err := r.baseTime(specs[p.ID], p.NodeIdx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := r.measure(specs[p.ID], base)
+			out = append(out, m)
+			if m.WallTime > waveTime {
+				waveTime = m.WallTime
+			}
+		}
+		total += waveTime
 	}
-	ms, _, err := r.RunWave(wave, map[int]Spec{0: s, 1: s})
-	if err != nil {
-		t.Fatal(err)
+	return out, total, sched.Parallelism(waves)
+}
+
+// TestRunParallelBitIdentical pins the pool's determinism: on the
+// max-parallel topology, where waves hold several placements of mixed
+// sizes, RunParallel equals the serial oracle bit for bit at every
+// GOMAXPROCS.
+func TestRunParallelBitIdentical(t *testing.T) {
+	r := testRunner(t, cluster.TopologyMaxParallel())
+	var specs []Spec
+	for i, nodes := range []int{16, 2, 8, 4, 2, 16, 8, 32, 4, 2, 8} {
+		c := coll.Collectives()[i%len(coll.Collectives())]
+		algs := coll.AlgorithmNames(c)
+		specs = append(specs, spec(c, algs[i%len(algs)], nodes, 1+i%2, 64<<(i%6)))
 	}
-	for _, m := range ms {
-		if m.MeanTime <= legal.MeanTime {
-			t.Errorf("congested run %v not slower than legal %v", m.MeanTime, legal.MeanTime)
+	want, wantTotal, wantPar := serialOracle(t, r, specs)
+	if slices.Max(wantPar) < 2 {
+		t.Fatalf("parallelism %v: no wave holds several placements", wantPar)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, total, par, err := r.RunParallel(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d measurements, want %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Spec != w.Spec || math.Float64bits(g.MeanTime) != math.Float64bits(w.MeanTime) ||
+				math.Float64bits(g.WallTime) != math.Float64bits(w.WallTime) {
+				t.Errorf("GOMAXPROCS=%d slot %d: %+v, want %+v", procs, i, g, w)
+			}
+		}
+		if math.Float64bits(total) != math.Float64bits(wantTotal) {
+			t.Errorf("GOMAXPROCS=%d: total %v, want %v", procs, total, wantTotal)
+		}
+		if !slices.Equal(par, wantPar) {
+			t.Errorf("GOMAXPROCS=%d: parallelism %v, want %v", procs, par, wantPar)
 		}
 	}
 }
 
-func TestRunWaveErrors(t *testing.T) {
-	r := testRunner(t, cluster.TopologySingleRack())
-	if _, _, err := r.RunWave(nil, nil); err == nil {
-		t.Error("empty wave should fail")
+// TestRunParallelError pins the failure path: a batch with one
+// unsimulatable spec returns that spec's error, and the pool's workers
+// are gone when RunParallel returns.
+func TestRunParallelError(t *testing.T) {
+	r := testRunner(t, cluster.TopologyMaxParallel())
+	var specs []Spec
+	for i := 0; i < 12; i++ {
+		specs = append(specs, spec(coll.Bcast, "binomial", 4, 1, 512<<i))
 	}
-	wave := []sched.Placement{{Request: sched.Request{ID: 9, Nodes: 2}, NodeIdx: []int{0, 1}}}
-	if _, _, err := r.RunWave(wave, map[int]Spec{}); err == nil {
-		t.Error("unknown request ID should fail")
+	specs[5].Alg = "missing"
+	base := runtime.NumGoroutine()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ms, total, par, err := r.RunParallel(specs)
+	if err == nil || !strings.Contains(err.Error(), `"missing"`) {
+		t.Fatalf("err = %v, want the unknown-algorithm error", err)
+	}
+	if ms != nil || total != 0 || par != nil {
+		t.Errorf("failed batch returned %d measurements, total %v, parallelism %v", len(ms), total, par)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed batch, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestRunParallelEmpty(t *testing.T) {
+	r := testRunner(t, cluster.TopologySingleRack())
+	ms, total, par, err := r.RunParallel(nil)
+	if err != nil || len(ms) != 0 || total != 0 || len(par) != 0 {
+		t.Errorf("empty batch: %d measurements, total %v, parallelism %v, err %v", len(ms), total, par, err)
 	}
 }
 

@@ -36,31 +36,57 @@ func (r *Result) Select(p featspace.Point) string {
 	return coll.AlgorithmNames(r.Coll)[0]
 }
 
-// Tune benchmarks every algorithm at every scenario and records the
-// winners. The machine time charged is the full cross product — the
-// cost that makes this strategy impractical at scale (Section I).
-func Tune(backend autotune.Backend, c coll.Collective, scenarios []featspace.Point,
+// Tune benchmarks every algorithm at every feasible scenario and
+// records the winners: the lowest mean time, ties going to the first
+// algorithm in registry order. The whole (scenario × algorithm) cross
+// product goes to the backend as one batch, a single MeasureWave, so a
+// live backend simulates it on all its host workers. A live backend
+// places each benchmark where its scheduler puts it, as it does the
+// tuner's own waves; a scenario that spans the whole allocation, like
+// cmd/acclaim's job cell, has only one placement.
+//
+// The machine time charged is not the batch's wave total but the sum
+// of every benchmark's wall time, in (scenario, algorithm) order: the
+// full cross product run one by one, the cost that makes this strategy
+// impractical at scale (Section I).
+func Tune(backend autotune.WaveBackend, c coll.Collective, scenarios []featspace.Point,
 	fallback func(featspace.Point) string) (*Result, error) {
 
 	res := &Result{Coll: c, Best: make(map[featspace.Point]string, len(scenarios)), Fallback: fallback}
+	algs := coll.AlgorithmNames(c)
+	var specs []benchmark.Spec
 	for _, p := range scenarios {
 		if !p.Valid() || p.Nodes > backend.MaxNodes() {
 			continue
 		}
+		for _, alg := range algs {
+			specs = append(specs, benchmark.Spec{Coll: c, Alg: alg, Point: p})
+		}
+	}
+	if len(specs) == 0 {
+		return res, nil
+	}
+	ms, _, err := backend.MeasureWave(specs)
+	if err != nil {
+		return nil, fmt.Errorf("exhaustive: %w", err)
+	}
+	bySpec := make(map[benchmark.Spec]benchmark.Measurement, len(ms))
+	for _, m := range ms {
+		bySpec[m.Spec] = m
+	}
+	for i := 0; i < len(specs); i += len(algs) {
 		bestAlg, bestT := "", 0.0
-		for _, alg := range coll.AlgorithmNames(c) {
-			m, err := backend.Measure(benchmark.Spec{Coll: c, Alg: alg, Point: p})
-			if err != nil {
-				return nil, fmt.Errorf("exhaustive: %w", err)
+		for _, s := range specs[i : i+len(algs)] {
+			m, ok := bySpec[s]
+			if !ok {
+				return nil, fmt.Errorf("exhaustive: backend returned no measurement for %v", s)
 			}
 			res.Ledger.Collection += m.WallTime
 			if bestAlg == "" || m.MeanTime < bestT {
-				bestAlg, bestT = alg, m.MeanTime
+				bestAlg, bestT = s.Alg, m.MeanTime
 			}
 		}
-		if bestAlg != "" {
-			res.Best[p] = bestAlg
-		}
+		res.Best[specs[i].Point] = bestAlg
 	}
 	return res, nil
 }
