@@ -1,8 +1,10 @@
 package acclaim_test
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"acclaim/internal/autotune"
@@ -10,6 +12,7 @@ import (
 	"acclaim/internal/cluster"
 	"acclaim/internal/coll"
 	"acclaim/internal/core"
+	"acclaim/internal/exhaustive"
 	"acclaim/internal/featspace"
 	"acclaim/internal/forest"
 	"acclaim/internal/heuristic"
@@ -141,4 +144,89 @@ func TestTraceDrivenCollectiveList(t *testing.T) {
 			t.Errorf("recommended %v, which AMG does not use", c)
 		}
 	}
+}
+
+// TestLiveJobDeterministic is the tuner-level determinism gate: a small
+// live job, as cmd/acclaim runs it (core.Tuner.Tune per collective,
+// exhaustive.Tune on the job cell, then the rule file), writes the same
+// bytes and charges the same machine time at GOMAXPROCS 1 and 2 and at
+// forest Workers 1, 2 and 4.
+func TestLiveJobDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	var wantMachine float64
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 4} {
+			got, machine := liveJob(t, workers)
+			if want == nil {
+				want, wantMachine = got, machine
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("GOMAXPROCS=%d Workers=%d: rule file differs", procs, workers)
+			}
+			if math.Float64bits(machine) != math.Float64bits(wantMachine) {
+				t.Errorf("GOMAXPROCS=%d Workers=%d: machine time %v, want %v", procs, workers, machine, wantMachine)
+			}
+		}
+	}
+}
+
+// liveJob tunes two collectives on an 8-node x 4-ppn allocation, verifies
+// the job cell exhaustively, and returns the rule file's bytes and the
+// machine time charged.
+func liveJob(t *testing.T, workers int) ([]byte, float64) {
+	t.Helper()
+	const nodes, ppn, seed = 8, 4, 5
+	rng := newSeededRand(seed)
+	alloc, err := cluster.BestEffort(cluster.Theta(), rng, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.SampleEnv(rng, alloc), alloc, benchmark.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := autotune.LiveBackend{Runner: runner}
+	space := featspace.P2Grid(nodes, ppn, 8, 1<<16)
+	tuner := core.New(core.Config{
+		Space:         space,
+		Forest:        forest.Config{NTrees: 20, Seed: seed, Workers: workers},
+		Seed:          seed,
+		Parallel:      true,
+		BatchSize:     4,
+		MaxIterations: 12,
+	}, backend)
+	cell := make([]featspace.Point, 0, len(space.Msgs))
+	for _, msg := range space.Msgs {
+		cell = append(cell, featspace.Point{Nodes: nodes, PPN: ppn, MsgBytes: msg})
+	}
+	file := rules.NewFile("determinism")
+	var machine float64
+	for _, c := range []coll.Collective{coll.Bcast, coll.Allreduce} {
+		res, err := tuner.Tune(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := exhaustive.Tune(backend, c, cell, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine += res.Ledger.Collection + ex.Ledger.Collection
+		file.Tables[c.String()] = rules.BuildTable(c.String(), space, func(p featspace.Point) string {
+			if alg, ok := ex.Best[p]; ok {
+				return alg
+			}
+			return res.Model.Select(p)
+		})
+	}
+	if err := file.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := file.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), machine
 }
