@@ -170,16 +170,7 @@ func main() {
 		}
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.WriteJSON(w); err != nil {
+	if err := writeReport(rep, *out); err != nil {
 		fatal(err)
 	}
 	if *bench != "" {
@@ -195,6 +186,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "acclaim-loadgen:   offered %9.0f qps -> achieved %9.0f qps, p99 %.0fns\n",
 			p.OfferedQPS, p.AchievedQPS, p.P99Ns)
 	}
+}
+
+// writeReport writes the JSON load report to path, or to stdout when
+// path is empty. A failed close is an error like a failed write: it can
+// be the first sign that the report never reached the disk.
+func writeReport(rep *loadgen.Report, path string) error {
+	if path == "" {
+		return rep.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func parseMix(collectives, nodes, ppn string, msgExp int) (loadgen.Mix, error) {

@@ -23,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,24 +49,37 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "acclaim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. Every failure returns through it, so the
+// deferred flush and close of the event log run on every path and a
+// run that fails mid-tuning still leaves the lines written so far.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("acclaim", flag.ExitOnError)
 	var (
-		nodes     = flag.Int("nodes", 32, "job node count")
-		ppn       = flag.Int("ppn", 4, "processes per node")
-		app       = flag.String("app", "", "application name (derives the collective list from its trace)")
-		collList  = flag.String("collectives", "", "comma-separated collective list (overrides -app)")
-		out       = flag.String("out", "tuned.json", "output selection file")
-		seed      = flag.Int64("seed", 1, "job seed (allocation + environment)")
-		maxMsg    = flag.Int("maxmsg", 1<<20, "maximum tuned message size in bytes")
-		runReport = flag.String("run-report", "", "write the tuning run's span timeline, convergence series, and metric snapshot to this JSON file")
-		eventLog  = flag.String("event-log", "", "stream spans and events as JSONL to this file while the run executes (bounded; see obs.EventLog)")
-		topoName  = flag.String("topology", "dragonfly", "interconnect topology: dragonfly, fat-tree, or torus")
-		scenario  = flag.String("scenario", "baseline", "environment scenario: baseline, degraded-links, congestion-storm, or hetero-nodes")
+		nodes     = fs.Int("nodes", 32, "job node count")
+		ppn       = fs.Int("ppn", 4, "processes per node")
+		app       = fs.String("app", "", "application name (derives the collective list from its trace)")
+		collList  = fs.String("collectives", "", "comma-separated collective list (overrides -app)")
+		out       = fs.String("out", "tuned.json", "output selection file")
+		seed      = fs.Int64("seed", 1, "job seed (allocation + environment)")
+		maxMsg    = fs.Int("maxmsg", 1<<20, "maximum tuned message size in bytes")
+		runReport = fs.String("run-report", "", "write the tuning run's span timeline, convergence series, and metric snapshot to this JSON file")
+		eventLog  = fs.String("event-log", "", "stream spans as JSONL to this file while the run executes (bounded; see obs.EventLog)")
+		topoName  = fs.String("topology", "dragonfly", "interconnect topology: dragonfly, fat-tree, or torus")
+		scenario  = fs.String("scenario", "baseline", "environment scenario: baseline, degraded-links, congestion-storm, or hetero-nodes")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	colls, err := collectiveList(*app, *collList)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// --- Observability: one registry for every pipeline stage, one
@@ -75,16 +89,14 @@ func main() {
 	reg := obs.NewRegistry()
 	trace := obs.NewTrace()
 	var recorder obs.Recorder = trace
-	var events *obs.EventLog
+	var events *eventLogFile
 	if *eventLog != "" {
 		f, err := os.Create(*eventLog)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
-		bw := bufio.NewWriterSize(f, 1<<16)
-		defer bw.Flush()
-		events = obs.NewEventLog(bw, 0)
+		events = newEventLogFile(f)
+		defer events.close() // error paths; success checks close below
 		events.Register(reg)
 		recorder = obs.Tee(trace, events)
 	}
@@ -95,23 +107,23 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	alloc, err := cluster.BestEffortObs(machine, rng, *nodes, cluster.NewMetrics(reg))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	topo, err := netmodel.TopologyByName(*topoName, machine)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	scen, err := benchmark.ParseScenario(*scenario)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	env := scen.Apply(netmodel.SampleEnv(rng, alloc))
-	fmt.Printf("allocation: %d nodes across %d racks (%d pairs), %s topology, %v scenario, latency factor %.2f\n",
+	fmt.Fprintf(stdout, "allocation: %d nodes across %d racks (%d pairs), %s topology, %v scenario, latency factor %.2f\n",
 		alloc.Size(), alloc.RackSpan(), alloc.PairSpan(), topo.Name(), scen, env.LatencyFactor)
 
 	runner, err := benchmark.NewRunner(netmodel.DefaultParams(), env, alloc, benchmark.Config{Seed: *seed})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	runner.Topology = topo
 	runner.Metrics = benchmark.NewMetrics(reg)
@@ -138,14 +150,14 @@ func main() {
 	for _, c := range colls {
 		res, err := tuner.Tune(c)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		results[c] = res
 		machineTime += res.Ledger.Collection
-		fmt.Printf("trained %-10v %3d samples, %6.2f s machine time, converged=%v\n",
+		fmt.Fprintf(stdout, "trained %-10v %3d samples, %6.2f s machine time, converged=%v\n",
 			c, len(res.Order), res.Ledger.Collection/1e6, res.Converged)
 	}
-	fmt.Printf("total training: %.2f s machine time (%.1f s wall on this host)\n",
+	fmt.Fprintf(stdout, "total training: %.2f s machine time (%.1f s wall on this host)\n",
 		machineTime/1e6, time.Since(wall).Seconds())
 
 	// --- Observability report: per-phase breakdown table now, full
@@ -153,21 +165,24 @@ func main() {
 	report := core.BuildRunReport("theta-sim", results, trace, reg)
 	report.Topology = topo.Name()
 	report.Scenario = scen.String()
-	if err := report.WriteSummary(os.Stdout); err != nil {
-		fatal(err)
+	if err := report.WriteSummary(stdout); err != nil {
+		return err
 	}
 	if *runReport != "" {
 		if err := report.WriteFile(*runReport); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote run report %s (%d spans, %d metrics)\n",
+		fmt.Fprintf(stdout, "wrote run report %s (%d spans, %d metrics)\n",
 			*runReport, len(report.Spans), len(report.Metrics))
 	}
 	if events != nil {
-		fmt.Printf("event log %s: %d lines, %d dropped\n", *eventLog, events.Events(), events.Dropped())
-		if err := events.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "acclaim: event log write error: %v\n", err)
+		// Tuning has ended and nothing records into the log any more:
+		// flush and close it first, so the counts below are lines that
+		// reached the file.
+		if err := events.close(); err != nil {
+			return fmt.Errorf("event log %s: %w", *eventLog, err)
 		}
+		fmt.Fprintf(stdout, "event log %s: %d lines, %d dropped\n", *eventLog, events.Events(), events.Dropped())
 	}
 
 	// --- Job-cell verification: the tool knows the job's exact
@@ -185,7 +200,7 @@ func main() {
 	for _, c := range colls {
 		ex, err := exhaustive.Tune(autotune.LiveBackend{Runner: runner}, c, cellPts, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		exact[c] = ex
 		machineTime += ex.Ledger.Collection
@@ -207,17 +222,17 @@ func main() {
 			return model.Select(p)
 		})
 		if err := table.Validate(); err != nil {
-			fatal(err)
+			return err
 		}
 		file.Tables[c.String()] = table
 	}
 	if err := file.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := file.WriteFile(*out); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s (%d tables, job cell verified exhaustively)\n", *out, len(file.Tables))
+	fmt.Fprintf(stdout, "wrote %s (%d tables, job cell verified exhaustively)\n", *out, len(file.Tables))
 
 	// --- Application execution: replay the application's collective
 	// calls under tuned vs default selections.
@@ -227,9 +242,10 @@ func main() {
 	}
 	tuned, def, err := replayApp(runner, file, appName, *nodes, *ppn, *seed, colls)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	reportSpeedup(os.Stdout, appName, tuned, def, machineTime)
+	reportSpeedup(stdout, appName, tuned, def, machineTime)
+	return nil
 }
 
 // reportSpeedup prints the application-level outcome: collective time
@@ -316,7 +332,27 @@ func replayApp(runner *benchmark.Runner, file *rules.File, app string, nodes, pp
 	return tuned, def, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "acclaim:", err)
-	os.Exit(1)
+// eventLogFile is the -event-log destination: an obs.EventLog writing
+// through a 64 KiB buffer into w.
+type eventLogFile struct {
+	*obs.EventLog
+	bw     *bufio.Writer
+	w      io.WriteCloser
+	closed bool
+}
+
+func newEventLogFile(w io.WriteCloser) *eventLogFile {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	return &eventLogFile{EventLog: obs.NewEventLog(bw, 0), bw: bw, w: w}
+}
+
+// close flushes the buffer and closes w. It reports the log's first
+// write error, the flush error and the close error; a second call does
+// nothing and returns nil.
+func (e *eventLogFile) close() error {
+	if e.closed {
+		return nil
+	}
+	e.closed = true
+	return errors.Join(e.Err(), e.bw.Flush(), e.w.Close())
 }

@@ -12,6 +12,7 @@ import (
 	"acclaim/internal/cluster"
 	"acclaim/internal/coll"
 	"acclaim/internal/core"
+	"acclaim/internal/dataset"
 	"acclaim/internal/exhaustive"
 	"acclaim/internal/featspace"
 	"acclaim/internal/forest"
@@ -120,16 +121,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestTraceDrivenCollectiveList checks the profiler-based user input
-// path: a trace recommends the collectives worth tuning.
+// TestTraceDrivenCollectiveList checks the user-input path of
+// cmd/acclaim -app: the collectives traces.Collectives names for an
+// application cover every collective its synthesised trace calls, so
+// replaying the trace never falls back to an untuned collective.
 func TestTraceDrivenCollectiveList(t *testing.T) {
 	tr, err := traces.Synthesize("AMG", 64, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rec := traces.RecommendedCollectives(tr, 0.10)
-	if len(rec) == 0 {
-		t.Fatal("profiler recommended nothing")
 	}
 	want, err := traces.Collectives("AMG")
 	if err != nil {
@@ -139,37 +138,53 @@ func TestTraceDrivenCollectiveList(t *testing.T) {
 	for _, c := range want {
 		wantSet[c] = true
 	}
-	for _, c := range rec {
+	shares := tr.CollectiveShare()
+	if len(shares) == 0 {
+		t.Fatal("trace calls no collectives")
+	}
+	for c := range shares {
 		if !wantSet[c] {
-			t.Errorf("recommended %v, which AMG does not use", c)
+			t.Errorf("trace calls %v, which traces.Collectives(\"AMG\") omits", c)
 		}
 	}
 }
 
-// TestLiveJobDeterministic is the tuner-level determinism gate: a small
-// live job, as cmd/acclaim runs it (core.Tuner.Tune per collective,
-// exhaustive.Tune on the job cell, then the rule file), writes the same
-// bytes and charges the same machine time at GOMAXPROCS 1 and 2 and at
-// forest Workers 1, 2 and 4.
+// TestLiveJobDeterministic is the tuner-level determinism gate. Each
+// row is one small job: "live" as cmd/acclaim runs it (core.Tuner.Tune
+// per collective, exhaustive.Tune on the job cell, then the rule file),
+// "replay" as a tuning service runs it over a precollected dataset
+// (core.Tuner.TuneAll on a dataset.Replay, then BuildRulesFile). Each
+// job writes the same bytes and charges the same machine time at
+// GOMAXPROCS 1 and 2 and at forest Workers 1, 2 and 4.
 func TestLiveJobDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want []byte
-	var wantMachine float64
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 2, 4} {
-			got, machine := liveJob(t, workers)
-			if want == nil {
-				want, wantMachine = got, machine
-				continue
+	for _, job := range []struct {
+		name string
+		run  func(t *testing.T, workers int) ([]byte, float64)
+	}{
+		{"live", liveJob},
+		{"replay", replayJob},
+	} {
+		t.Run(job.name, func(t *testing.T) {
+			var want []byte
+			var wantMachine float64
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for _, workers := range []int{1, 2, 4} {
+					got, machine := job.run(t, workers)
+					if want == nil {
+						want, wantMachine = got, machine
+						continue
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("GOMAXPROCS=%d Workers=%d: rule file differs", procs, workers)
+					}
+					if math.Float64bits(machine) != math.Float64bits(wantMachine) {
+						t.Errorf("GOMAXPROCS=%d Workers=%d: machine time %v, want %v", procs, workers, machine, wantMachine)
+					}
+				}
 			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("GOMAXPROCS=%d Workers=%d: rule file differs", procs, workers)
-			}
-			if math.Float64bits(machine) != math.Float64bits(wantMachine) {
-				t.Errorf("GOMAXPROCS=%d Workers=%d: machine time %v, want %v", procs, workers, machine, wantMachine)
-			}
-		}
+		})
 	}
 }
 
@@ -222,6 +237,52 @@ func liveJob(t *testing.T, workers int) ([]byte, float64) {
 		})
 	}
 	if err := file.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := file.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), machine
+}
+
+// replayJob collects a dataset on the TopologyTwoPairs allocation,
+// tunes two collectives over its replay with TuneAll, and returns the
+// bytes of the rule file BuildRulesFile emits and the machine time
+// charged.
+func replayJob(t *testing.T, workers int) ([]byte, float64) {
+	t.Helper()
+	const seed = 5
+	alloc := cluster.TopologyTwoPairs()
+	runner, err := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, benchmark.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := featspace.P2Grid(16, 2, 8, 1<<12)
+	ds, err := dataset.Collect(runner, space.Points(), dataset.CollectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner := core.New(core.Config{
+		Space:  space,
+		Forest: forest.Config{NTrees: 20, Seed: seed, Workers: workers},
+		// The replay holds only the grid's P2 points.
+		NonP2Every:    -1,
+		Seed:          seed,
+		Parallel:      true,
+		BatchSize:     4,
+		MaxIterations: 12,
+	}, &dataset.Replay{DS: ds, Alloc: alloc})
+	results, err := tuner.TuneAll([]coll.Collective{coll.Bcast, coll.Allreduce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var machine float64
+	for _, c := range []coll.Collective{coll.Bcast, coll.Allreduce} {
+		machine += results[c].Ledger.Collection
+	}
+	file, err := tuner.BuildRulesFile(results, "determinism")
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -423,9 +423,6 @@ type Ledger struct {
 	Testing    float64 // machine time spent collecting test data (us)
 }
 
-// Total returns collection plus testing time.
-func (l Ledger) Total() float64 { return l.Collection + l.Testing }
-
 // TracePoint records one training iteration's state, feeding the
 // time-series figures (7, 10, 12).
 type TracePoint struct {

@@ -119,6 +119,10 @@ func TestFillMatrixMatchesMatrix(t *testing.T) {
 			AlgIdx: i % 3,
 		}, float64(100+i*7), 700)
 	}
+	row := func(m *featspace.Matrix, i int) []float64 {
+		c := m.Cols()
+		return m.Data()[i*c : (i+1)*c]
+	}
 	sameRow := func(got, want []float64) bool {
 		if len(got) != len(want) {
 			return false
@@ -137,8 +141,8 @@ func TestFillMatrixMatchesMatrix(t *testing.T) {
 		t.Fatalf("FillMatrix shape %dx%d with %d targets, want %dx%d", m.Rows(), m.Cols(), len(y), ts.Len(), featspace.NumFeatures)
 	}
 	for i, s := range ts.Samples {
-		if want := featspace.Features(s.Candidate.Point, s.Candidate.AlgIdx); !sameRow(m.Row(i), want) {
-			t.Fatalf("FillMatrix row %d = %v, want %v", i, m.Row(i), want)
+		if want := featspace.Features(s.Candidate.Point, s.Candidate.AlgIdx); !sameRow(row(&m, i), want) {
+			t.Fatalf("FillMatrix row %d = %v, want %v", i, row(&m, i), want)
 		}
 		if y[i] != math.Log(s.Mean) {
 			t.Fatalf("FillMatrix target %d = %v, want %v", i, y[i], math.Log(s.Mean))
@@ -158,8 +162,8 @@ func TestFillMatrixMatchesMatrix(t *testing.T) {
 				alg, m.Rows(), len(ya), len(want))
 		}
 		for i, s := range want {
-			if w := featspace.Features(s.Candidate.Point); !sameRow(m.Row(i), w) {
-				t.Fatalf("%s: per-alg row %d = %v, want %v", alg, i, m.Row(i), w)
+			if w := featspace.Features(s.Candidate.Point); !sameRow(row(&m, i), w) {
+				t.Fatalf("%s: per-alg row %d = %v, want %v", alg, i, row(&m, i), w)
 			}
 			if ya[i] != math.Log(s.Mean) {
 				t.Fatalf("%s: per-alg target %d differs", alg, i)
@@ -297,13 +301,6 @@ func TestEvalSlowdownErrors(t *testing.T) {
 	badSel := SelectorFunc(func(featspace.Point) string { return "no_such_alg" })
 	if _, err := EvalSlowdown(ds, coll.Bcast, tinySpace().Points(), badSel); err == nil {
 		t.Error("unpriceable selection should error")
-	}
-}
-
-func TestLedger(t *testing.T) {
-	l := Ledger{Collection: 10, Testing: 60}
-	if l.Total() != 70 {
-		t.Errorf("Total = %v", l.Total())
 	}
 }
 

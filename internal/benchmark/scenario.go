@@ -52,11 +52,11 @@ func ParseScenario(name string) (Scenario, error) {
 			return s, nil
 		}
 	}
-	return 0, fmt.Errorf("benchmark: unknown scenario %q (valid: %v)", name, Scenarios())
+	return 0, fmt.Errorf("benchmark: unknown scenario %q (valid: %v)", name, allScenarios())
 }
 
-// Scenarios returns all scenarios in stable order.
-func Scenarios() []Scenario {
+// allScenarios returns all scenarios in stable order.
+func allScenarios() []Scenario {
 	ss := make([]Scenario, numScenarios)
 	for i := range ss {
 		ss[i] = Scenario(i)
@@ -135,7 +135,7 @@ func RunMatrix(cfg MatrixConfig) ([]CellResult, error) {
 	}
 	scenarios := cfg.Scenarios
 	if scenarios == nil {
-		scenarios = Scenarios()
+		scenarios = allScenarios()
 	}
 	var out []CellResult
 	for _, topoName := range topologies {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestScenarioRoundTrip(t *testing.T) {
-	for _, s := range Scenarios() {
+	for _, s := range allScenarios() {
 		got, err := ParseScenario(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseScenario(%q) = %v, %v", s.String(), got, err)
@@ -38,7 +38,7 @@ func TestScenarioApply(t *testing.T) {
 		t.Errorf("hetero-nodes env = %+v", hetero)
 	}
 	// Every derived environment must be constructible.
-	for _, s := range Scenarios() {
+	for _, s := range allScenarios() {
 		if err := s.Apply(base).Validate(); err != nil {
 			t.Errorf("%v env invalid: %v", s, err)
 		}
@@ -83,7 +83,7 @@ func TestRunMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	algs := coll.NumAlgorithms(coll.Alltoall) + coll.NumAlgorithms(coll.Gather)
-	want := algs * len(netmodel.TopologyNames()) * len(Scenarios())
+	want := algs * len(netmodel.TopologyNames()) * len(allScenarios())
 	if len(results) != want {
 		t.Fatalf("matrix = %d cells, want %d", len(results), want)
 	}

@@ -51,11 +51,6 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// Racks returns the number of racks (the last one may be partial).
-func (m Machine) Racks() int {
-	return (m.Nodes + m.NodesPerRack - 1) / m.NodesPerRack
-}
-
 // RackOf returns the rack index holding the given physical node.
 func (m Machine) RackOf(node int) int { return node / m.NodesPerRack }
 
@@ -97,12 +92,6 @@ func (a Allocation) Validate() error {
 
 // Size returns the number of allocated nodes.
 func (a Allocation) Size() int { return len(a.Nodes) }
-
-// NodeOfRank maps an MPI rank to its physical node under block placement
-// with the given processes-per-node count.
-func (a Allocation) NodeOfRank(rank, ppn int) int {
-	return a.Nodes[rank/ppn]
-}
 
 // RackSpan returns how many distinct racks the allocation touches.
 func (a Allocation) RackSpan() int {
@@ -168,10 +157,10 @@ func Contiguous(m Machine, start, n int) (Allocation, error) {
 	return Allocation{Machine: m, Nodes: nodes}, nil
 }
 
-// Strided allocates n nodes starting at start with the given stride,
+// strided allocates n nodes starting at start with the given stride,
 // used to construct the paper's Figure 13 "Max Parallel" topology
 // (single nodes on racks from separate pairs).
-func Strided(m Machine, start, n, stride int) (Allocation, error) {
+func strided(m Machine, start, n, stride int) (Allocation, error) {
 	if n <= 0 || stride <= 0 {
 		return Allocation{}, errors.New("cluster: non-positive size or stride")
 	}
@@ -306,7 +295,7 @@ func TopologyMaxParallel() Allocation {
 	// One node per rack, every other rack, so consecutive allocation
 	// nodes are in different rack pairs.
 	m := Machine{Nodes: 512, NodesPerRack: 2, CoresPerNode: 64}
-	a, err := Strided(m, 0, 64, 4) // stride of two racks = one pair
+	a, err := strided(m, 0, 64, 4) // stride of two racks = one pair
 	if err != nil {
 		panic(err)
 	}

@@ -8,9 +8,6 @@ import (
 
 func TestMachineRackMath(t *testing.T) {
 	m := Machine{Nodes: 100, NodesPerRack: 16, CoresPerNode: 64}
-	if got := m.Racks(); got != 7 { // 6 full racks + 1 partial
-		t.Errorf("Racks() = %d, want 7", got)
-	}
 	if got := m.RackOf(0); got != 0 {
 		t.Errorf("RackOf(0) = %d", got)
 	}
@@ -66,28 +63,15 @@ func TestContiguous(t *testing.T) {
 
 func TestStrided(t *testing.T) {
 	m := Machine{Nodes: 512, NodesPerRack: 2, CoresPerNode: 64}
-	a, err := Strided(m, 0, 10, 4)
+	a, err := strided(m, 0, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Nodes[1] != 4 || a.Nodes[9] != 36 {
 		t.Errorf("strided nodes = %v", a.Nodes)
 	}
-	if _, err := Strided(m, 0, 1000, 4); err == nil {
+	if _, err := strided(m, 0, 1000, 4); err == nil {
 		t.Error("overlong stride should fail")
-	}
-}
-
-func TestNodeOfRank(t *testing.T) {
-	a, _ := Contiguous(Bebop(), 0, 4)
-	// ppn=2: ranks 0,1 -> node 0; ranks 2,3 -> node 1; ...
-	cases := []struct{ rank, ppn, node int }{
-		{0, 2, 0}, {1, 2, 0}, {2, 2, 1}, {7, 2, 3}, {0, 1, 0}, {3, 1, 3},
-	}
-	for _, c := range cases {
-		if got := a.NodeOfRank(c.rank, c.ppn); got != c.node {
-			t.Errorf("NodeOfRank(%d, ppn=%d) = %d, want %d", c.rank, c.ppn, got, c.node)
-		}
 	}
 }
 

@@ -118,11 +118,6 @@ func AlgorithmNames(c Collective) []string { return algorithmNames[c] }
 // NumAlgorithms returns how many algorithms a collective has.
 func NumAlgorithms(c Collective) int { return len(algorithmNames[c]) }
 
-// TotalAlgorithms is the number of (collective, algorithm) pairs: the
-// paper's "total of 10 algorithms" plus the nine schedules of the four
-// scenario-diversity collectives.
-const TotalAlgorithms = 19
-
 // AlgIndex returns the feature index of an algorithm name.
 func AlgIndex(c Collective, name string) (int, bool) {
 	for i, n := range algorithmNames[c] {
@@ -139,17 +134,6 @@ func AlgIndex(c Collective, name string) (int, bool) {
 func Rooted(c Collective) bool {
 	switch c {
 	case Bcast, Reduce, Gather, Scatter:
-		return true
-	default:
-		return false
-	}
-}
-
-// Reducing reports whether the collective applies a reduction operator
-// (allreduce, reduce, reduce_scatter), i.e. whether Options.Op matters.
-func Reducing(c Collective) bool {
-	switch c {
-	case Allreduce, Reduce, ReduceScatter:
 		return true
 	default:
 		return false
@@ -234,31 +218,12 @@ func execOutputs(model *netmodel.Model, c Collective, alg string, msgBytes int, 
 
 // AlgSource answers "which algorithm should this collective call use"
 // at collective-call time. It is the seam between the execution layer
-// and a tuned selection source: *ruleserver.Server implements it over a
-// lock-free rule-file snapshot, and tests implement it with fixtures.
+// and a tuned selection source: *ruleserver.Index implements it over a
+// compiled rule file, *ruleserver.Server over a lock-free snapshot of
+// one, and tests implement it with fixtures.
 // A false return means the source has no rule for the query.
 type AlgSource interface {
 	Lookup(c Collective, nodes, ppn, msg int) (string, bool)
-}
-
-// ExecSelected runs a collective the way a tuned MPI library would: it
-// consults the source at call time with the job's shape (the model's
-// node count and ppn) and the message size, then executes the selected
-// algorithm. It returns the chosen algorithm alongside the result. An
-// error is returned if the source has no rule for the call — a
-// complete, validated rule file cannot decline, so a miss means the
-// caller wired an untuned collective.
-func ExecSelected(model *netmodel.Model, c Collective, src AlgSource, msgBytes int, opts Options) (simmpi.Result, string, error) {
-	if src == nil {
-		return simmpi.Result{}, "", errors.New("coll: nil algorithm source")
-	}
-	alg, ok := src.Lookup(c, model.Alloc.Size(), model.PPN, msgBytes)
-	if !ok {
-		return simmpi.Result{}, "", fmt.Errorf("coll: no selection rule for %v at nodes=%d ppn=%d msg=%d",
-			c, model.Alloc.Size(), model.PPN, msgBytes)
-	}
-	res, err := Exec(model, c, alg, msgBytes, opts)
-	return res, alg, err
 }
 
 // newBuf allocates a buffer, with backing bytes only in data mode.

@@ -271,8 +271,8 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("AlgIndex(%v, missing) should be false", c)
 		}
 	}
-	if total != TotalAlgorithms {
-		t.Errorf("total algorithms = %d, want %d (the paper's 10 plus the 9 scenario-diversity schedules)", total, TotalAlgorithms)
+	if total != 19 {
+		t.Errorf("total algorithms = %d, want 19 (the paper's 10 plus the 9 scenario-diversity schedules)", total)
 	}
 }
 

@@ -88,7 +88,8 @@ func TestServeEndToEnd(t *testing.T) {
 // produce a complete rule table whose served selections are always
 // algorithms the collective actually registers. This is the acceptance
 // gate that the new collectives and the new machine models compose
-// through the unchanged AlgSource/ExecSelected seam.
+// through the unchanged AlgSource seam that Runner.RunSelected
+// consults and Index.Lookup implements.
 func TestServeTopologyEndToEnd(t *testing.T) {
 	cases := []struct {
 		topo string

@@ -13,9 +13,9 @@ import (
 	"acclaim/internal/stats"
 )
 
-// DefaultFractions is the training-data-fraction axis of the learning
+// defaultFractions is the training-data-fraction axis of the learning
 // curve figures (3, 5, 11), as shares of the candidate pool.
-var DefaultFractions = []float64{0.02, 0.05, 0.10, 0.20, 0.40, 0.60}
+var defaultFractions = []float64{0.02, 0.05, 0.10, 0.20, 0.40, 0.60}
 
 // hunoldTuner builds the Hunold baseline over the lab.
 func (l *Lab) hunoldTuner() *hunold.Tuner {
@@ -72,7 +72,7 @@ type Fig3Row struct {
 // far less training data than Hunold's random sampling needs.
 func Fig3(l *Lab, fracs []float64) ([]Fig3Row, error) {
 	if fracs == nil {
-		fracs = DefaultFractions
+		fracs = defaultFractions
 	}
 	maxFrac := fracs[len(fracs)-1]
 	sums := make([]Fig3Row, len(fracs))
@@ -131,7 +131,7 @@ type Fig5Series struct {
 // it never saw.
 func Fig5(l *Lab, fracs []float64) ([]Fig5Series, error) {
 	if fracs == nil {
-		fracs = DefaultFractions
+		fracs = defaultFractions
 	}
 	const c = coll.Bcast
 	maxFrac := fracs[len(fracs)-1]
@@ -182,7 +182,7 @@ type Fig11Series struct {
 // (every 5th point) keeps both low — the "Goldilocks" balance.
 func Fig11(l *Lab, fracs []float64) ([]Fig11Series, error) {
 	if fracs == nil {
-		fracs = DefaultFractions
+		fracs = defaultFractions
 	}
 	const c = coll.Bcast
 	pool := len(autotune.Candidates(c, l.Space, l.Backend().MaxNodes()))

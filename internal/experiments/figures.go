@@ -238,8 +238,8 @@ type Fig13Row struct {
 	AvgParallelism float64
 }
 
-// Topologies returns the four Figure 13 layouts by name.
-func Topologies() map[string]cluster.Allocation {
+// topologies returns the four Figure 13 layouts by name.
+func topologies() map[string]cluster.Allocation {
 	return map[string]cluster.Allocation{
 		"Single Rack":  cluster.TopologySingleRack(),
 		"Rack Pair":    cluster.TopologyRackPair(),
@@ -248,8 +248,8 @@ func Topologies() map[string]cluster.Allocation {
 	}
 }
 
-// TopologyOrder gives a stable presentation order.
-func TopologyOrder() []string {
+// topologyOrder gives a stable presentation order.
+func topologyOrder() []string {
 	return []string{"Single Rack", "Rack Pair", "Two Pairs", "Max Parallel"}
 }
 
@@ -272,8 +272,8 @@ func Fig13(l *Lab) ([]Fig13Row, error) {
 			specs[i] = s.Candidate.Spec(c)
 			seq += s.Wall
 		}
-		for _, name := range TopologyOrder() {
-			alloc := Topologies()[name]
+		for _, name := range topologyOrder() {
+			alloc := topologies()[name]
 			rp := &dataset.Replay{DS: l.DS, Alloc: alloc}
 			_, par, err := rp.MeasureWave(specs)
 			if err != nil {

@@ -86,9 +86,9 @@ func containsInt(xs []int, v int) bool {
 	return i < len(xs) && xs[i] == v
 }
 
-// P2Values returns the powers of two in [lo, hi], inclusive. lo and hi
+// p2Values returns the powers of two in [lo, hi], inclusive. lo and hi
 // need not themselves be powers of two.
-func P2Values(lo, hi int) []int {
+func p2Values(lo, hi int) []int {
 	var vs []int
 	for v := 1; v <= hi; v *= 2 {
 		if v >= lo {
@@ -106,19 +106,11 @@ func P2Values(lo, hi int) []int {
 // message sizes in [minMsg, maxMsg], all powers of two.
 func P2Grid(maxNodes, maxPPN, minMsg, maxMsg int) Space {
 	return Space{
-		Nodes: P2Values(2, maxNodes),
-		PPNs:  P2Values(1, maxPPN),
-		Msgs:  P2Values(minMsg, maxMsg),
+		Nodes: p2Values(2, maxNodes),
+		PPNs:  p2Values(1, maxPPN),
+		Msgs:  p2Values(minMsg, maxMsg),
 	}
 }
-
-// PaperGrid returns the grid matching the paper's precollected dataset:
-// up to 64 nodes, up to 32 processes per node, message sizes 8 B–1 MiB.
-func PaperGrid() Space { return P2Grid(64, 32, 8, 1<<20) }
-
-// ProductionGrid returns the grid for the paper's Theta experiments:
-// up to 128 nodes, 16 processes per node, message sizes up to 1 MiB.
-func ProductionGrid() Space { return P2Grid(128, 16, 8, 1<<20) }
 
 // ProductionSpace returns a production grid scaled to the given bounds
 // (message sizes stay at 8 B–1 MiB).
@@ -146,11 +138,11 @@ func NextP2(v int) int {
 	return 1 << bits.Len(uint(v))
 }
 
-// P2Frac measures how far v sits above its floor power of two, as a
+// p2Frac measures how far v sits above its floor power of two, as a
 // fraction in [0, 1): 0 for exact powers of two, approaching 1 just
 // below the next power of two. It is used as a derived model feature so
 // regressors can distinguish P2 from non-P2 values.
-func P2Frac(v int) float64 {
+func p2Frac(v int) float64 {
 	if v < 1 {
 		return 0
 	}
@@ -158,8 +150,8 @@ func P2Frac(v int) float64 {
 	return float64(v-p) / float64(p)
 }
 
-// Log2 returns log2(v) as a float64 for feature encoding.
-func Log2(v int) float64 { return math.Log2(float64(v)) }
+// log2 returns log2(v) as a float64 for feature encoding.
+func log2(v int) float64 { return math.Log2(float64(v)) }
 
 // NonP2Near returns a random non-power-of-two value "near" the
 // power-of-two value v, following the paper's Section IV-B rule: the
@@ -204,22 +196,22 @@ func NonP2Near(rng *rand.Rand, v int) int {
 // as constant zero and cannot exploit them, reproducing the failure
 // mode in Figure 5 of the paper.
 func Features(pt Point, algIdx ...int) []float64 {
-	return AppendFeatures(make([]float64, 0, NumFeatures), pt, algIdx...)
+	return appendFeatures(make([]float64, 0, NumFeatures), pt, algIdx...)
 }
 
-// AppendFeatures appends the Features encoding of pt (and optional
+// appendFeatures appends the Features encoding of pt (and optional
 // algorithm indices) to dst and returns the extended slice. It is the
 // allocation-free form used on the scoring hot path: candidate pools
 // are encoded into one reused flat buffer per round instead of one
 // fresh slice per point.
-func AppendFeatures(dst []float64, pt Point, algIdx ...int) []float64 {
+func appendFeatures(dst []float64, pt Point, algIdx ...int) []float64 {
 	dst = append(dst,
 		float64(pt.Nodes),
 		float64(pt.PPN),
-		Log2(pt.MsgBytes),
-		Log2(pt.Ranks()),
-		P2Frac(pt.MsgBytes),
-		P2Frac(pt.Nodes),
+		log2(pt.MsgBytes),
+		log2(pt.Ranks()),
+		p2Frac(pt.MsgBytes),
+		p2Frac(pt.Nodes),
 	)
 	for _, a := range algIdx {
 		dst = append(dst, float64(a))
@@ -255,7 +247,7 @@ func (m *Matrix) Reset(cols int) {
 // panics if the encoding width differs from the matrix's row width.
 func (m *Matrix) AppendPoint(pt Point, algIdx ...int) {
 	start := len(m.data)
-	m.data = AppendFeatures(m.data, pt, algIdx...)
+	m.data = appendFeatures(m.data, pt, algIdx...)
 	if len(m.data)-start != m.cols {
 		panic(fmt.Sprintf("featspace: encoded %d features into a %d-column matrix", len(m.data)-start, m.cols))
 	}
@@ -263,8 +255,8 @@ func (m *Matrix) AppendPoint(pt Point, algIdx ...int) {
 
 // AppendRow appends one raw feature row. Its first use fixes the row
 // width if no Reset has; afterwards it panics on a width mismatch,
-// like AppendPoint. Training-set assembly uses it to lay measured
-// points straight into the flat buffer forest.TrainMatrix consumes.
+// like AppendPoint. Tests use it to build raw training matrices for
+// forest.TrainMatrix.
 func (m *Matrix) AppendRow(vals ...float64) {
 	if m.cols == 0 {
 		m.Reset(len(vals))
@@ -304,9 +296,6 @@ func (m *Matrix) Cols() int { return m.cols }
 // Data returns the row-major backing slice, aliased until the next
 // Reset or AppendPoint.
 func (m *Matrix) Data() []float64 { return m.data }
-
-// Row returns row i, aliased into the backing slice.
-func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
 // SetCol overwrites column j in every row. The unified-model selector
 // uses it to re-target the trailing algorithm-index feature without

@@ -8,27 +8,27 @@ import (
 )
 
 func TestP2Values(t *testing.T) {
-	got := P2Values(2, 64)
+	got := p2Values(2, 64)
 	want := []int{2, 4, 8, 16, 32, 64}
 	if len(got) != len(want) {
-		t.Fatalf("P2Values(2,64) = %v, want %v", got, want)
+		t.Fatalf("p2Values(2,64) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("P2Values(2,64) = %v, want %v", got, want)
+			t.Fatalf("p2Values(2,64) = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestP2ValuesNonP2Bounds(t *testing.T) {
-	got := P2Values(3, 60)
+	got := p2Values(3, 60)
 	want := []int{4, 8, 16, 32}
 	if len(got) != len(want) {
-		t.Fatalf("P2Values(3,60) = %v, want %v", got, want)
+		t.Fatalf("p2Values(3,60) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("P2Values(3,60)[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("p2Values(3,60)[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -61,14 +61,14 @@ func TestPrevNextP2(t *testing.T) {
 }
 
 func TestP2Frac(t *testing.T) {
-	if f := P2Frac(8); f != 0 {
-		t.Errorf("P2Frac(8) = %v, want 0", f)
+	if f := p2Frac(8); f != 0 {
+		t.Errorf("p2Frac(8) = %v, want 0", f)
 	}
-	if f := P2Frac(12); f != 0.5 {
-		t.Errorf("P2Frac(12) = %v, want 0.5", f)
+	if f := p2Frac(12); f != 0.5 {
+		t.Errorf("p2Frac(12) = %v, want 0.5", f)
 	}
-	if f := P2Frac(15); f != 7.0/8.0 {
-		t.Errorf("P2Frac(15) = %v, want 7/8", f)
+	if f := p2Frac(15); f != 7.0/8.0 {
+		t.Errorf("p2Frac(15) = %v, want 7/8", f)
 	}
 }
 
@@ -141,22 +141,6 @@ func TestSpaceEnumeration(t *testing.T) {
 	}
 }
 
-func TestPaperGrid(t *testing.T) {
-	g := PaperGrid()
-	if g.Nodes[len(g.Nodes)-1] != 64 {
-		t.Errorf("max nodes = %d, want 64", g.Nodes[len(g.Nodes)-1])
-	}
-	if g.PPNs[len(g.PPNs)-1] != 32 {
-		t.Errorf("max ppn = %d, want 32", g.PPNs[len(g.PPNs)-1])
-	}
-	if g.Msgs[len(g.Msgs)-1] != 1<<20 {
-		t.Errorf("max msg = %d, want 1 MiB", g.Msgs[len(g.Msgs)-1])
-	}
-	if g.Msgs[0] != 8 {
-		t.Errorf("min msg = %d, want 8", g.Msgs[0])
-	}
-}
-
 func TestPointValidAndRanks(t *testing.T) {
 	if (Point{1, 1, 8}).Valid() {
 		t.Error("single-rank point should be invalid")
@@ -196,7 +180,7 @@ func TestFeatures(t *testing.T) {
 	if f[0] != 12 || f[1] != 4 {
 		t.Errorf("nodes/ppn features = %v/%v", f[0], f[1])
 	}
-	if f[3] != Log2(48) { // ranks = 12*4
+	if f[3] != log2(48) { // ranks = 12*4
 		t.Errorf("log2(ranks) = %v, want log2(48)", f[3])
 	}
 	if f[4] != 0.5 { // 24 is halfway between 16 and 32

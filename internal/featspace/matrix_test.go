@@ -11,14 +11,14 @@ func TestMatrixAppendPointAndRow(t *testing.T) {
 	if m.Rows() != 2 || m.Cols() != NumFeatures {
 		t.Fatalf("matrix shape %dx%d, want 2x%d", m.Rows(), m.Cols(), NumFeatures)
 	}
-	want := Features(pt, 2)
-	for j, v := range want {
-		if m.Row(0)[j] != v {
-			t.Errorf("row 0 col %d = %v, want %v", j, m.Row(0)[j], v)
+	row0, row1 := m.Data()[:NumFeatures], m.Data()[NumFeatures:]
+	for j, v := range Features(pt, 2) {
+		if row0[j] != v {
+			t.Errorf("row 0 col %d = %v, want %v", j, row0[j], v)
 		}
 	}
-	if m.Row(1)[NumFeatures-1] != 3 {
-		t.Errorf("row 1 alg index = %v, want 3", m.Row(1)[NumFeatures-1])
+	if row1[NumFeatures-1] != 3 {
+		t.Errorf("row 1 alg index = %v, want 3", row1[NumFeatures-1])
 	}
 }
 
@@ -69,7 +69,7 @@ func TestMatrixSetColAndReset(t *testing.T) {
 	m.AppendRow(1, 5)
 	m.AppendRow(2, 5)
 	m.SetCol(1, 9)
-	if m.Row(0)[1] != 9 || m.Row(1)[1] != 9 {
+	if d := m.Data(); d[1] != 9 || d[3] != 9 {
 		t.Error("SetCol did not overwrite the column")
 	}
 	m.Reset(4)

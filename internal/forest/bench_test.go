@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"acclaim/internal/stats"
 )
 
 // testingBenchTime times one call of fn in seconds.
@@ -244,7 +242,7 @@ func BenchmarkKernelPredictFlat(b *testing.B) {
 func BenchmarkKernelSpeedup(b *testing.B) {
 	f, k, qs, flat := kernelBench(b)
 	vari := make([]float64, len(qs))
-	preds := make([]float64, f.NumTrees())
+	preds := make([]float64, len(f.trees))
 	k.ScoreFlat(flat, nil, vari) // warm the scratch pool
 	var speedup float64
 	for i := 0; i < b.N; i++ {
@@ -252,7 +250,7 @@ func BenchmarkKernelSpeedup(b *testing.B) {
 			for r := 0; r < 8; r++ {
 				for _, q := range qs {
 					f.treePredictInto(q, preds)
-					_ = stats.JackknifeVariance(preds)
+					_ = jackknifeVariance(preds)
 				}
 			}
 		})

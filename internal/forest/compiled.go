@@ -28,10 +28,10 @@
 // Determinism. For each query, per-tree predictions are accumulated in
 // tree order (the tile loops keep t ascending for every fixed q), and
 // the mean / jackknife arithmetic repeats the reference expressions of
-// the per-row pointer walk (oracle_test.go) and stats.JackknifeVariance
-// operation for operation, so kernel results are bit-identical to that
-// oracle at every Workers count — FuzzCompiledDifferential holds that
-// line.
+// the per-row pointer walk and jackknifeVariance (both in
+// oracle_test.go) operation for operation, so kernel results are
+// bit-identical to that oracle at every Workers count —
+// FuzzCompiledDifferential holds that line.
 package forest
 
 import (
@@ -162,15 +162,9 @@ func nodeDepth(nodes []node, i int) int {
 	return l + 1
 }
 
-// NumTrees returns the ensemble size.
-func (k *Kernel) NumTrees() int { return k.nTrees }
-
 // NumFeatures returns the feature dimensionality the source forest was
 // trained on.
 func (k *Kernel) NumFeatures() int { return k.nFeatures }
-
-// NumNodes returns the total node count across all trees.
-func (k *Kernel) NumNodes() int { return len(k.feature) }
 
 // walk traverses one tree from node i for the query row x and returns
 // its leaf prediction.
@@ -340,8 +334,8 @@ func (k *Kernel) predictBlock(s *kernelScratch, x []float64, q0, nq int, out []f
 // every tree over the block, filling the tree-major prediction tile
 // and per-query sums; pass two streams the tile again to accumulate
 // the jackknife deviations. Both passes keep t ascending per query, so
-// every float operation matches stats.JackknifeVariance's reference
-// loop bit for bit.
+// every float operation matches the reference loop of jackknifeVariance
+// (oracle_test.go) bit for bit.
 //
 //acclaim:zeroalloc
 func (k *Kernel) scoreBlock(s *kernelScratch, x []float64, q0, nq int, mean, vari []float64) {
@@ -363,7 +357,7 @@ func (k *Kernel) scoreBlock(s *kernelScratch, x []float64, q0, nq int, mean, var
 	}
 	if nt < 2 {
 		// Degenerate ensemble: a single prediction carries no spread
-		// (stats.JackknifeVariance returns 0 for n < 2).
+		// (jackknifeVariance in oracle_test.go returns 0 for n < 2).
 		for q := 0; q < nq; q++ {
 			if mean != nil {
 				mean[q0+q] = sums[q] / float64(nt)

@@ -102,8 +102,8 @@ func TestCompiledPureLeafTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := f.Compile()
-	if k.NumNodes() != 5 {
-		t.Fatalf("pure-leaf forest compiled to %d nodes, want 5", k.NumNodes())
+	if len(k.feature) != 5 {
+		t.Fatalf("pure-leaf forest compiled to %d nodes, want 5", len(k.feature))
 	}
 	q := []float64{100, -3}
 	if got, want := k.Predict(q), f.Predict(q); got != want {
@@ -256,17 +256,17 @@ func TestCompileLayout(t *testing.T) {
 	for i := range f.trees {
 		total += len(f.trees[i].nodes)
 	}
-	if k.NumNodes() != total {
-		t.Fatalf("kernel has %d nodes, forest has %d", k.NumNodes(), total)
+	if len(k.feature) != total {
+		t.Fatalf("kernel has %d nodes, forest has %d", len(k.feature), total)
 	}
-	if k.NumTrees() != f.NumTrees() || k.NumFeatures() != f.NumFeatures() {
+	if k.nTrees != len(f.trees) || k.NumFeatures() != f.NumFeatures() {
 		t.Fatalf("kernel shape (%d trees, %d features) != forest (%d, %d)",
-			k.NumTrees(), k.NumFeatures(), f.NumTrees(), f.NumFeatures())
+			k.nTrees, k.NumFeatures(), len(f.trees), f.NumFeatures())
 	}
-	for ti := 0; ti < k.NumTrees(); ti++ {
+	for ti := 0; ti < k.nTrees; ti++ {
 		lo := int(k.roots[ti])
-		hi := k.NumNodes()
-		if ti+1 < k.NumTrees() {
+		hi := len(k.feature)
+		if ti+1 < k.nTrees {
 			hi = int(k.roots[ti+1])
 		}
 		for j := lo; j < hi; j++ {

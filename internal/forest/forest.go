@@ -239,6 +239,3 @@ func fillPerm(rng *rand.Rand, perm []int, mtry int) []int {
 // NumFeatures returns the feature dimensionality the forest was trained
 // on.
 func (f *Forest) NumFeatures() int { return f.nFeatures }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }

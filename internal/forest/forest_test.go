@@ -211,8 +211,8 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != 30 {
-		t.Errorf("default NTrees = %d, want 30", f.NumTrees())
+	if len(f.trees) != 30 {
+		t.Errorf("default NTrees = %d, want 30", len(f.trees))
 	}
 	if f.NumFeatures() != 2 {
 		t.Errorf("NumFeatures = %d", f.NumFeatures())

@@ -1,20 +1,24 @@
 package forest
 
 // The reference oracles behind the differential tests: the
-// sort-per-node tree builder the histogram trainer replaced, and the
-// per-row pointer walk the compiled Kernel replaced. Production code
-// has one path per operation (TrainMatrix, Kernel); these stay here so
-// FuzzTrainDifferential and FuzzCompiledDifferential can prove that
-// path bit-identical to the straightforward one, and so the
-// train_speedup and kernel_speedup benchmarks have a denominator.
+// sort-per-node tree builder the histogram trainer replaced, the
+// per-row pointer walk the compiled Kernel replaced, and the paper's
+// literal jackknife variance formula the Kernel's fused scoring pass
+// reproduces. Production code has one path per operation (TrainMatrix,
+// Kernel); these stay here so FuzzTrainDifferential and
+// FuzzCompiledDifferential can prove that path bit-identical to the
+// straightforward one, and so the train_speedup and kernel_speedup
+// benchmarks have a denominator.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"testing"
+	"testing/quick"
 
 	"acclaim/internal/featspace"
-	"acclaim/internal/stats"
 )
 
 // rowsMatrix appends row-of-slices data to a featspace.Matrix.
@@ -253,7 +257,7 @@ func (f *Forest) treePredictInto(x []float64, dst []float64) {
 // predictions at x: the model's uncertainty there (Section IV-A,
 // following Wager et al.).
 func (f *Forest) JackknifeVariance(x []float64) float64 {
-	return stats.JackknifeVariance(f.TreePredictions(x))
+	return jackknifeVariance(f.TreePredictions(x))
 }
 
 func (f *Forest) check(x []float64) {
@@ -273,7 +277,110 @@ func oracleScores(f *Forest, qs [][]float64) (mean, vari []float64) {
 	for i, q := range qs {
 		mean[i] = f.Predict(q)
 		f.treePredictInto(q, preds)
-		vari[i] = stats.JackknifeVariance(preds)
+		vari[i] = jackknifeVariance(preds)
 	}
 	return mean, vari
+}
+
+// jackknifeVariance computes the jackknife variance of the values p
+// exactly as laid out in Section IV-A of the paper:
+//
+//	x_p   = mean(p)
+//	x_i   = mean of p with p_i removed
+//	sigma² = Σ (x_p − x_i)² / (n − 1)
+//
+// For n < 2 the variance is 0 (a single prediction carries no spread).
+//
+// In ACCLAiM, p holds the per-tree predictions of a random-forest
+// regressor at one candidate point (Wager et al.), so sigma² measures the
+// model's uncertainty there.
+func jackknifeVariance(p []float64) float64 {
+	n := len(p)
+	if n < 2 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range p {
+		sum += v
+	}
+	xp := sum / float64(n)
+	var acc float64
+	for _, v := range p {
+		// Mean with v removed: (sum - v)/(n-1). The deviation from the
+		// full mean simplifies to (v - xp)/(n-1), but we follow the
+		// paper's formulation literally for clarity.
+		xi := (sum - v) / float64(n-1)
+		d := xp - xi
+		acc += d * d
+	}
+	return acc / float64(n-1)
+}
+
+func closeTo(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+func TestJackknifeVarianceKnown(t *testing.T) {
+	// For p = (0, 2): xp = 1, x1 = 2, x2 = 0; sigma^2 = ((1-2)^2 + (1-0)^2)/1 = 2.
+	if v := jackknifeVariance([]float64{0, 2}); !closeTo(v, 2, 1e-12) {
+		t.Errorf("jackknifeVariance(0,2) = %v, want 2", v)
+	}
+	// Identical predictions carry zero variance.
+	if v := jackknifeVariance([]float64{5, 5, 5, 5}); v != 0 {
+		t.Errorf("constant variance = %v, want 0", v)
+	}
+	if v := jackknifeVariance([]float64{7}); v != 0 {
+		t.Errorf("singleton variance = %v, want 0", v)
+	}
+	if v := jackknifeVariance(nil); v != 0 {
+		t.Errorf("empty variance = %v, want 0", v)
+	}
+}
+
+// The jackknife deviation simplifies algebraically: x_p - x_i = (p_i - x_p)/(n-1),
+// so sigma^2 = sum (p_i - x_p)^2 / (n-1)^3. Check the implementation against
+// this closed form on random inputs.
+func TestJackknifeVarianceClosedForm(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = rng.NormFloat64() * 10
+		}
+		got := jackknifeVariance(p)
+		var xp float64
+		for _, v := range p {
+			xp += v
+		}
+		xp /= float64(n)
+		var ss float64
+		for _, v := range p {
+			ss += (v - xp) * (v - xp)
+		}
+		want := ss / math.Pow(float64(n-1), 3)
+		return closeTo(got, want, 1e-9*(1+want))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: jackknife variance is translation invariant and scales with c^2.
+func TestJackknifeVarianceScaling(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(20)
+		p := make([]float64, n)
+		q := make([]float64, n)
+		r := make([]float64, n)
+		for i := range p {
+			p[i] = rng.NormFloat64()
+			q[i] = p[i] + 100
+			r[i] = 3 * p[i]
+		}
+		vp, vq, vr := jackknifeVariance(p), jackknifeVariance(q), jackknifeVariance(r)
+		return closeTo(vp, vq, 1e-9*(1+vp)) && closeTo(vr, 9*vp, 1e-9*(1+vr))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }

@@ -29,7 +29,6 @@ var zeroAllocManifest = map[string][]string{
 		"HDRHistogram.Observe",
 		"HDRHistogram.ObserveNs",
 		"HDRRecorder.Record",
-		"HDRRecorder.RecordSince",
 		"Histogram.Observe",
 		"NowNs",
 		"hdrIndex",

@@ -20,8 +20,7 @@ var (
 // metric name.
 var registrationMethods = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true,
-	"Func": true, "HistogramFunc": true,
-	"HDR": true, "HDRFunc": true,
+	"Func": true, "HDR": true, "HDRFunc": true,
 }
 
 // MetricName returns the metricname analyzer. At every obs metric
@@ -32,7 +31,7 @@ var registrationMethods = map[string]bool{
 //     sees that the runtime segments keep the scheme;
 //   - the name matches ^[a-z][a-z0-9_.]*$ (spans may also use ':');
 //   - a Registry.Histogram registered with the default bounds — host
-//     nanoseconds, DefTimeBuckets — ends in _ns: the golden run-report
+//     nanoseconds, obs's defTimeBuckets — ends in _ns: the golden run-report
 //     normalisation keys on exactly that suffix, so a host-time
 //     histogram under any other name produces flaky goldens;
 //   - no two registration sites in a package bind the same name (the

@@ -360,7 +360,7 @@ func TestWriteBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rep.WriteBench(&buf, "LoadSmoke"); err != nil {
+	if err := rep.WriteBenchPrefixed(&buf, "LoadSmoke", ""); err != nil {
 		t.Fatal(err)
 	}
 	line := buf.String()

@@ -86,21 +86,17 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteBench renders the run as one Go-testing-style benchmark line,
+// WriteBenchPrefixed renders the run as one Go-testing-style
+// benchmark line,
 //
-//	Benchmark<name> 1 <duration> ns/op <qps> throughput_qps <p99> p99_ns
+//	Benchmark<name> 1 <duration> ns/op <qps> <prefix>throughput_qps <p99> <prefix>p99_ns
 //
 // which cmd/benchguard parses like any `go test -bench` output: the CI
 // load-smoke job pipes this into benchguard with a throughput_qps
-// floor and a p99_ns ceiling to gate serving-path SLOs.
-func (r *Report) WriteBench(w io.Writer, name string) error {
-	return r.WriteBenchPrefixed(w, name, "")
-}
-
-// WriteBenchPrefixed is WriteBench with the custom metric units
-// prefixed (e.g. prefix "tcp_" emits tcp_throughput_qps and
-// tcp_p99_ns), so one benchguard invocation can gate several transport
-// runs with distinct -floor/-ceiling bounds.
+// floor and a p99_ns ceiling to gate serving-path SLOs. A non-empty
+// prefix (e.g. "tcp_" emits tcp_throughput_qps and tcp_p99_ns) lets
+// one benchguard invocation gate several transport runs with distinct
+// -floor/-ceiling bounds.
 func (r *Report) WriteBenchPrefixed(w io.Writer, name, prefix string) error {
 	_, err := fmt.Fprintf(w, "Benchmark%s 1 %d ns/op %.2f %sthroughput_qps %.0f %sp99_ns\n",
 		name, r.DurationNs, r.ThroughputQPS, prefix, r.Latency.P99Ns, prefix)

@@ -223,7 +223,7 @@ func NewWithTopology(params Params, env Env, alloc cluster.Allocation, ppn int, 
 		return nil, fmt.Errorf("netmodel: ppn %d exceeds %d cores per node", ppn, alloc.Machine.CoresPerNode)
 	}
 	if topo == nil {
-		topo = Dragonfly(alloc.Machine)
+		topo = dragonfly{alloc.Machine}
 	}
 	for _, node := range alloc.Nodes {
 		if node >= topo.Nodes() {
@@ -265,9 +265,6 @@ func (m *Model) Topology() Topology { return m.topo }
 
 // Ranks returns the total number of ranks in the job.
 func (m *Model) Ranks() int { return len(m.nodeOf) }
-
-// NodeOf returns the physical node hosting a rank.
-func (m *Model) NodeOf(rank int) int { return m.nodeOf[rank] }
 
 // Classify returns the path class between two ranks.
 func (m *Model) Classify(a, b int) PathClass {
@@ -336,15 +333,4 @@ func (m *Model) CopyCost(bytes int) float64 {
 		rate /= m.Params.NonP2Penalty
 	}
 	return float64(bytes) / rate
-}
-
-// Noise draws one multiplicative noise factor (mean 1) for a measured
-// time, using the job's noise sigma. Not safe for concurrent use of the
-// same rng.
-func (m *Model) Noise(rng *rand.Rand) float64 {
-	f := 1 + rng.NormFloat64()*m.Env.NoiseSigma
-	if f < 0.5 {
-		f = 0.5
-	}
-	return f
 }

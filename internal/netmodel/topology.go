@@ -28,14 +28,12 @@ type Topology interface {
 	ClassBetween(a, b int) PathClass
 }
 
-// dragonfly is the paper's simplified Aries machine: racks form layer 1,
+// dragonfly is the paper's simplified Aries machine, the Figure 8
+// three-layer classification of a cluster.Machine: racks form layer 1,
 // paired racks share a layer-2 link, and rack pairs meet on the global
-// layer. It reproduces Model's historical classification exactly.
+// layer. It is the default topology of New and reproduces Model's
+// historical classification exactly.
 type dragonfly struct{ m cluster.Machine }
-
-// Dragonfly wraps a cluster.Machine in the Figure 8 three-layer
-// classification. It is the default topology of New.
-func Dragonfly(m cluster.Machine) Topology { return dragonfly{m} }
 
 func (d dragonfly) Name() string { return "dragonfly" }
 func (d dragonfly) Nodes() int   { return d.m.Nodes }
@@ -64,9 +62,9 @@ type fatTree struct {
 	perPod  int // nodes per pod = perLeaf * leavesPerPod
 }
 
-// FatTree builds a fat-tree over the given node count with nodesPerLeaf
+// newFatTree builds a fat-tree over the given node count with nodesPerLeaf
 // nodes under each leaf switch and leavesPerPod leaves in each pod.
-func FatTree(nodes, nodesPerLeaf, leavesPerPod int) (Topology, error) {
+func newFatTree(nodes, nodesPerLeaf, leavesPerPod int) (Topology, error) {
 	if nodes <= 0 || nodesPerLeaf <= 0 || leavesPerPod <= 0 {
 		return nil, errors.New("netmodel: fat-tree dimensions must be positive")
 	}
@@ -96,9 +94,9 @@ func (f fatTree) ClassBetween(a, b int) PathClass {
 // hierarchies above.
 type torus3D struct{ x, y, z int }
 
-// Torus3D builds an x×y×z torus. All dimensions must be positive and
+// newTorus3D builds an x×y×z torus. All dimensions must be positive and
 // the torus must have at least two nodes.
-func Torus3D(x, y, z int) (Topology, error) {
+func newTorus3D(x, y, z int) (Topology, error) {
 	if x <= 0 || y <= 0 || z <= 0 {
 		return nil, errors.New("netmodel: torus dimensions must be positive")
 	}
@@ -152,15 +150,15 @@ func TopologyNames() []string { return []string{"dragonfly", "fat-tree", "torus"
 func TopologyByName(name string, m cluster.Machine) (Topology, error) {
 	switch name {
 	case "dragonfly", "":
-		return Dragonfly(m), nil
+		return dragonfly{m}, nil
 	case "fat-tree", "fattree":
-		return FatTree(m.Nodes, m.NodesPerRack, 4)
+		return newFatTree(m.Nodes, m.NodesPerRack, 4)
 	case "torus", "torus3d":
 		side := 1
 		for side*side*side < m.Nodes {
 			side++
 		}
-		return Torus3D(side, side, side)
+		return newTorus3D(side, side, side)
 	default:
 		return nil, fmt.Errorf("netmodel: unknown topology %q (valid: %v)", name, TopologyNames())
 	}

@@ -10,7 +10,7 @@ import (
 
 func mustFatTree(t *testing.T, nodes, perLeaf, leavesPerPod int) Topology {
 	t.Helper()
-	topo, err := FatTree(nodes, perLeaf, leavesPerPod)
+	topo, err := newFatTree(nodes, perLeaf, leavesPerPod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func mustFatTree(t *testing.T, nodes, perLeaf, leavesPerPod int) Topology {
 
 func mustTorus(t *testing.T, x, y, z int) Topology {
 	t.Helper()
-	topo, err := Torus3D(x, y, z)
+	topo, err := newTorus3D(x, y, z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTorusClasses(t *testing.T) {
 func TestClassBetweenSymmetry(t *testing.T) {
 	mach := cluster.Machine{Nodes: 64, NodesPerRack: 4, CoresPerNode: 64}
 	topos := []Topology{
-		Dragonfly(mach),
+		dragonfly{mach},
 		mustFatTree(t, 64, 4, 4),
 		mustTorus(t, 4, 4, 4),
 	}
@@ -111,7 +111,7 @@ func TestClassBetweenSymmetry(t *testing.T) {
 // must classify every node pair exactly like the Dragonfly model.
 func TestFatTreeDragonflyParity(t *testing.T) {
 	mach := cluster.Machine{Nodes: 48, NodesPerRack: 4, CoresPerNode: 64}
-	df := Dragonfly(mach)
+	df := dragonfly{mach}
 	ft := mustFatTree(t, mach.Nodes, mach.NodesPerRack, 2)
 	for a := 0; a < mach.Nodes; a++ {
 		for b := 0; b < mach.Nodes; b++ {
@@ -205,16 +205,16 @@ func TestTopologyByName(t *testing.T) {
 }
 
 func TestTopologyConstructorValidation(t *testing.T) {
-	if _, err := FatTree(0, 4, 2); err == nil {
+	if _, err := newFatTree(0, 4, 2); err == nil {
 		t.Error("fat-tree with no nodes should fail")
 	}
-	if _, err := FatTree(16, -1, 2); err == nil {
+	if _, err := newFatTree(16, -1, 2); err == nil {
 		t.Error("negative leaf size should fail")
 	}
-	if _, err := Torus3D(0, 4, 4); err == nil {
+	if _, err := newTorus3D(0, 4, 4); err == nil {
 		t.Error("zero torus dimension should fail")
 	}
-	if _, err := Torus3D(1, 1, 1); err == nil {
+	if _, err := newTorus3D(1, 1, 1); err == nil {
 		t.Error("single-node torus should fail")
 	}
 }
@@ -241,7 +241,7 @@ func TestDragonflyDefaultParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewWithTopology(DefaultParams(), DefaultEnv(), alloc, 2, Dragonfly(mach))
+	b, err := NewWithTopology(DefaultParams(), DefaultEnv(), alloc, 2, dragonfly{mach})
 	if err != nil {
 		t.Fatal(err)
 	}

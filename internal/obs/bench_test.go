@@ -23,7 +23,7 @@ func BenchmarkGaugeAdd(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(DefTimeBuckets...)
+	h := newHistogram(defTimeBuckets...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 100000))

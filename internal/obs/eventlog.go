@@ -6,11 +6,12 @@ import (
 	"sync"
 )
 
-// EventLog is a bounded structured trace exporter: spans and events are
-// written as one JSON object per line (JSONL) the moment they happen,
-// so traces leave the process while it runs instead of living only in
-// the -run-report snapshot. It implements Recorder, so it can replace —
-// or, through Tee, ride alongside — the in-memory Trace.
+// EventLog is a bounded structured trace exporter: span starts, span
+// attributes and span ends are written as one JSON object per line
+// (JSONL) the moment they happen, so traces leave the process while it
+// runs instead of living only in the -run-report snapshot. It
+// implements Recorder, so it can replace — or, through Tee, ride
+// alongside — the in-memory Trace.
 //
 // Three properties shape it:
 //
@@ -41,32 +42,26 @@ type EventLog struct {
 	dropped Counter // lines dropped (size cap or write error)
 }
 
-// DefaultEventLogBytes is the size cap NewEventLog applies when the
+// defaultEventLogBytes is the size cap NewEventLog applies when the
 // caller passes maxBytes <= 0: large enough for any tuning run, small
 // enough that a forgotten event log cannot fill a disk.
-const DefaultEventLogBytes = 64 << 20
+const defaultEventLogBytes = 64 << 20
 
 // NewEventLog returns an event log writing to w, capped at maxBytes
-// (DefaultEventLogBytes if <= 0), stamping lines with the host
+// (defaultEventLogBytes if <= 0), stamping lines with the host
 // instrumentation clock.
 func NewEventLog(w io.Writer, maxBytes int64) *EventLog {
-	return NewEventLogWithClock(w, maxBytes, NowNs)
+	return newEventLogWithClock(w, maxBytes, NowNs)
 }
 
-// NewEventLogWithClock is NewEventLog with a caller-supplied clock
+// newEventLogWithClock is NewEventLog with a caller-supplied clock
 // (nanoseconds since an arbitrary epoch) — tests inject a deterministic
 // tick so the exported bytes are stable.
-func NewEventLogWithClock(w io.Writer, maxBytes int64, now func() int64) *EventLog {
+func newEventLogWithClock(w io.Writer, maxBytes int64, now func() int64) *EventLog {
 	if maxBytes <= 0 {
-		maxBytes = DefaultEventLogBytes
+		maxBytes = defaultEventLogBytes
 	}
 	return &EventLog{w: w, now: now, max: maxBytes}
-}
-
-// Attr is one key/value attribute on an event line.
-type Attr struct {
-	Key   string
-	Value float64
 }
 
 // StartSpan implements Recorder: emits a span_start line and returns
@@ -123,26 +118,6 @@ func (l *EventLog) SetAttr(id SpanID, key string, value float64) {
 	l.buf = strconv.AppendQuote(l.buf, key)
 	l.buf = append(l.buf, `,"value":`...)
 	l.buf = appendJSONFloat(l.buf, value)
-	l.buf = append(l.buf, '}', '\n')
-	l.flushLine()
-}
-
-// Event emits an instantaneous event line with the given attributes,
-// in argument order (caller-fixed order keeps the bytes stable).
-func (l *EventLog) Event(name string, attrs ...Attr) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, `{"ev":"event","t_ns":`...)
-	l.buf = strconv.AppendInt(l.buf, l.now(), 10)
-	l.buf = append(l.buf, `,"name":`...)
-	l.buf = strconv.AppendQuote(l.buf, name)
-	for _, a := range attrs {
-		l.buf = append(l.buf, ',')
-		l.buf = strconv.AppendQuote(l.buf, a.Key)
-		l.buf = append(l.buf, ':')
-		l.buf = appendJSONFloat(l.buf, a.Value)
-	}
 	l.buf = append(l.buf, '}', '\n')
 	l.flushLine()
 }

@@ -17,20 +17,19 @@ func tickClock(step int64) func() int64 {
 	}
 }
 
-// TestEventLogByteStable pins the exact bytes a span timeline and an
-// event produce under the injected clock — the exporter's whole value
-// is that these lines are diffable across runs.
+// TestEventLogByteStable pins the exact bytes a span timeline produces
+// under the injected clock — the exporter's whole value is that these
+// lines are diffable across runs.
 func TestEventLogByteStable(t *testing.T) {
 	run := func() string {
 		var b strings.Builder
-		l := NewEventLogWithClock(&b, 1<<20, tickClock(10))
+		l := newEventLogWithClock(&b, 1<<20, tickClock(10))
 		root := l.StartSpan("tune:bcast", NoSpan)
 		child := l.StartSpan("fit", root)
 		l.SetAttr(child, "trees", 60)
 		l.EndSpan(child)
 		l.SetAttr(root, "variance", 0.25)
 		l.EndSpan(root)
-		l.Event("swap", Attr{"version", 2}, Attr{"rules", 128})
 		return b.String()
 	}
 	got := run()
@@ -40,7 +39,6 @@ func TestEventLogByteStable(t *testing.T) {
 {"ev":"span_end","t_ns":30,"id":2}
 {"ev":"attr","id":1,"key":"variance","value":0.25}
 {"ev":"span_end","t_ns":40,"id":1}
-{"ev":"event","t_ns":50,"name":"swap","version":2,"rules":128}
 `
 	if got != want {
 		t.Errorf("event log bytes:\n%q\nwant:\n%q", got, want)
@@ -55,9 +53,9 @@ func TestEventLogByteStable(t *testing.T) {
 // (whole lines only, never a truncated one).
 func TestEventLogSizeCap(t *testing.T) {
 	var b strings.Builder
-	l := NewEventLogWithClock(&b, 120, tickClock(1))
+	l := newEventLogWithClock(&b, 120, tickClock(1))
 	for i := 0; i < 10; i++ {
-		l.Event("fill")
+		l.StartSpan("fill", NoSpan)
 	}
 	if l.Dropped() == 0 {
 		t.Fatal("no lines dropped despite cap")
@@ -86,9 +84,9 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestEventLogWriteError(t *testing.T) {
-	l := NewEventLogWithClock(&failWriter{n: 2}, 1<<20, tickClock(1))
+	l := newEventLogWithClock(&failWriter{n: 2}, 1<<20, tickClock(1))
 	for i := 0; i < 5; i++ {
-		l.Event("e")
+		l.StartSpan("e", NoSpan)
 	}
 	if l.Events() != 2 || l.Dropped() != 3 {
 		t.Errorf("events %d / dropped %d, want 2 / 3", l.Events(), l.Dropped())
@@ -100,10 +98,10 @@ func TestEventLogWriteError(t *testing.T) {
 
 func TestEventLogRegister(t *testing.T) {
 	var b strings.Builder
-	l := NewEventLogWithClock(&b, 1<<20, tickClock(1))
+	l := newEventLogWithClock(&b, 1<<20, tickClock(1))
 	reg := NewRegistry()
 	l.Register(reg)
-	l.Event("e")
+	l.StartSpan("e", NoSpan)
 	snap := reg.Snapshot()
 	if snap["eventlog.lines_total"] != 1.0 || snap["eventlog.dropped_total"] != 0.0 {
 		t.Errorf("registry view = %#v", snap)
@@ -126,13 +124,12 @@ func TestEventLogConcurrent(t *testing.T) {
 				id := l.StartSpan("s", NoSpan)
 				l.SetAttr(id, "k", float64(i))
 				l.EndSpan(id)
-				l.Event("e", Attr{"i", float64(i)})
 			}
 		}()
 	}
 	wg.Wait()
-	if got := l.Events(); got != 8*200*4 {
-		t.Errorf("events = %d, want %d", got, 8*200*4)
+	if got := l.Events(); got != 8*200*3 {
+		t.Errorf("events = %d, want %d", got, 8*200*3)
 	}
 	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
 		if !strings.HasPrefix(line, `{"ev":`) || !strings.HasSuffix(line, "}") {
@@ -161,7 +158,7 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 func TestTeeRecorder(t *testing.T) {
 	trace := NewTraceWithClock(tickClock(1))
 	var b strings.Builder
-	l := NewEventLogWithClock(&b, 1<<20, tickClock(10))
+	l := newEventLogWithClock(&b, 1<<20, tickClock(10))
 	rec := Tee(trace, l)
 
 	root := rec.StartSpan("root", NoSpan)

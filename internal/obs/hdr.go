@@ -103,9 +103,6 @@ type HDRHistogram struct {
 	dropped atomic.Uint64
 }
 
-// NewHDRHistogram returns an empty histogram.
-func NewHDRHistogram() *HDRHistogram { return &HDRHistogram{} }
-
 // ObserveNs records one non-negative integer observation (nanoseconds
 // on latency paths). Negative values are dropped and counted.
 //
@@ -400,17 +397,6 @@ func (r *HDRRecorder) Record(startNs, latencyNs int64) {
 		return
 	}
 	h.counts[hdrIndex(latencyNs)].Add(1)
-}
-
-// RecordSince records NowNs()-startNs — the convenience bracket for
-// callers timing with the obs clock.
-//
-//acclaim:zeroalloc
-func (r *HDRRecorder) RecordSince(startNs int64) {
-	if r == nil {
-		return
-	}
-	r.Record(startNs, NowNs()-startNs)
 }
 
 // Count returns total accepted observations across shards.

@@ -66,7 +66,7 @@ func TestHDRQuantileDifferential(t *testing.T) {
 	for name, gen := range distributions {
 		t.Run(name, func(t *testing.T) {
 			samples := gen(20000)
-			h := NewHDRHistogram()
+			h := &HDRHistogram{}
 			for _, v := range samples {
 				h.ObserveNs(v)
 			}
@@ -127,7 +127,7 @@ func TestHDRIndexRoundTrip(t *testing.T) {
 	// At and above the 2^hdrMaxExp boundary the accuracy contract ends:
 	// everything lands in the overflow bucket, whose reported upper
 	// bound is MaxInt64.
-	h := NewHDRHistogram()
+	h := &HDRHistogram{}
 	h.ObserveNs(1 << hdrMaxExp)
 	if got := h.Quantile(1); got != float64(math.MaxInt64) {
 		t.Errorf("overflow quantile = %v, want MaxInt64", got)
@@ -135,7 +135,7 @@ func TestHDRIndexRoundTrip(t *testing.T) {
 }
 
 func TestHDRDropsBadInputs(t *testing.T) {
-	h := NewHDRHistogram()
+	h := &HDRHistogram{}
 	h.Observe(math.NaN())
 	h.Observe(-1)
 	h.ObserveNs(-5)
@@ -156,7 +156,7 @@ func TestHDRDropsBadInputs(t *testing.T) {
 		t.Errorf("count after +Inf = %d, want 2", got)
 	}
 
-	boundedPtr := NewHistogram(1, 2, 3)
+	boundedPtr := newHistogram(1, 2, 3)
 	boundedPtr.Observe(math.NaN())
 	boundedPtr.Observe(-0.5)
 	boundedPtr.Observe(2)
@@ -172,8 +172,8 @@ func TestHDRDropsBadInputs(t *testing.T) {
 }
 
 func TestHDRMerge(t *testing.T) {
-	a, b := NewHDRHistogram(), NewHDRHistogram()
-	whole := NewHDRHistogram()
+	a, b := &HDRHistogram{}, &HDRHistogram{}
+	whole := &HDRHistogram{}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 5000; i++ {
 		v := rng.Int63n(1 << 30)
@@ -241,7 +241,6 @@ func TestHDRNilSafety(t *testing.T) {
 	h.Observe(1)
 	h.ObserveNs(1)
 	rec.Record(0, 1)
-	rec.RecordSince(0)
 	if h.Count() != 0 || h.Sum() != 0 || h.Dropped() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Mean() != 0 {
 		t.Error("nil histogram must read as zero")
 	}
@@ -260,7 +259,7 @@ func TestHDRNilSafety(t *testing.T) {
 }
 
 func TestHDRZeroAlloc(t *testing.T) {
-	h := NewHDRHistogram()
+	h := &HDRHistogram{}
 	rec := NewHDRRecorder(4)
 	if n := testing.AllocsPerRun(1000, func() {
 		h.ObserveNs(12345)
@@ -271,7 +270,6 @@ func TestHDRZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		rec.Record(42, 12345)
-		rec.RecordSince(NowNs())
 	}); n != 0 {
 		t.Errorf("HDRRecorder record allocates %v/op", n)
 	}

@@ -68,8 +68,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %v\n", pn, pn, m())
 		case *Histogram:
 			err = writePromHist(w, pn, m.Snapshot())
-		case histFunc:
-			err = writePromHist(w, pn, m().Snapshot())
 		case *HDRRecorder:
 			err = writePromHDR(w, pn, m.Snapshot())
 		case hdrFunc:

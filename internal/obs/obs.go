@@ -107,15 +107,15 @@ func (g *Gauge) Load() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// DefTimeBuckets are the default histogram bounds for host durations in
+// defTimeBuckets are the default histogram bounds for host durations in
 // nanoseconds: decades from 100 ns to 100 s. Observations above the
 // last bound land in the overflow bucket.
-var DefTimeBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
+var defTimeBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
 
 // Histogram is a bounded histogram: fixed ascending upper bounds plus
 // an overflow bucket, with an exact observation count and sum. All
 // methods are safe for concurrent use, allocation-free, and nil
-// receivers no-op. Construct with NewHistogram or Registry.Histogram.
+// receivers no-op. Construct with Registry.Histogram.
 //
 //acclaim:frozen
 type Histogram struct {
@@ -126,11 +126,11 @@ type Histogram struct {
 	dropped atomic.Uint64
 }
 
-// NewHistogram builds a histogram with the given ascending upper
-// bounds (DefTimeBuckets if none are given).
-func NewHistogram(bounds ...float64) *Histogram {
+// newHistogram builds a histogram with the given ascending upper
+// bounds (defTimeBuckets if none are given).
+func newHistogram(bounds ...float64) *Histogram {
 	if len(bounds) == 0 {
-		bounds = DefTimeBuckets
+		bounds = defTimeBuckets
 	}
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds must be ascending")
@@ -232,12 +232,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// funcMetric reads a scalar on demand (gauge semantics); histFunc and
-// hdrFunc read a whole histogram on demand. All three let external
-// state — like the rule server's per-epoch snapshot counters — surface
-// through the registry without being owned by it.
+// funcMetric reads a scalar on demand (gauge semantics); hdrFunc reads
+// a whole HDR histogram on demand. Both let external state — like the
+// rule server's per-epoch snapshot counters — surface through the
+// registry without being owned by it.
 type funcMetric func() float64
-type histFunc func() *Histogram
 type hdrFunc func() *HDRRecorder
 
 // Registry is a named collection of metrics. Handle getters are
@@ -318,13 +317,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it
-// with the given bounds (DefTimeBuckets if none) on first use. Bounds
+// with the given bounds (defTimeBuckets if none) on first use. Bounds
 // on later calls are ignored.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, func() any { return NewHistogram(bounds...) })
+	m := r.lookup(name, func() any { return newHistogram(bounds...) })
 	h, ok := m.(*Histogram)
 	if !ok {
 		panic("obs: " + name + " is not a histogram")
@@ -368,15 +367,6 @@ func (r *Registry) Func(name string, fn func() float64) {
 	r.lookup(name, func() any { return funcMetric(fn) })
 }
 
-// HistogramFunc registers a histogram read on demand; fn may return
-// nil, which renders as an empty histogram.
-func (r *Registry) HistogramFunc(name string, fn func() *Histogram) {
-	if r == nil {
-		return
-	}
-	r.lookup(name, func() any { return histFunc(fn) })
-}
-
 // Snapshot renders every metric to a JSON-marshalable value: counters
 // as uint64, gauges and func metrics as float64, histograms as
 // HistSnapshot, HDR recorders as HDRSnapshot. The map is fresh on
@@ -404,8 +394,6 @@ func (r *Registry) Snapshot() map[string]any {
 			out[name] = m()
 		case *Histogram:
 			out[name] = m.Snapshot()
-		case histFunc:
-			out[name] = m().Snapshot()
 		case *HDRRecorder:
 			out[name] = m.Snapshot()
 		case hdrFunc:

@@ -56,7 +56,7 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 
 func TestHistogramConcurrent(t *testing.T) {
 	const goroutines, perG = 8, 5000
-	h := NewHistogram(1, 10, 100)
+	h := newHistogram(1, 10, 100)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -115,7 +115,6 @@ func TestNilHandles(t *testing.T) {
 		t.Error("nil registry must hand out nil handles")
 	}
 	r.Func("x", func() float64 { return 1 })
-	r.HistogramFunc("x", func() *Histogram { return nil })
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot must be nil")
 	}
@@ -169,7 +168,6 @@ func TestSnapshotShapes(t *testing.T) {
 	r.Gauge("g").Set(2.5)
 	r.Histogram("h.ns", 10, 20).Observe(15)
 	r.Func("f", func() float64 { return 42 })
-	r.HistogramFunc("hf", func() *Histogram { return nil })
 
 	s := r.Snapshot()
 	if s["c.total"] != uint64(3) {
@@ -218,17 +216,11 @@ func TestPrometheusOutput(t *testing.T) {
 }
 
 // TestPrometheusEdgeCases covers the rendering paths the main output
-// test does not: histFunc-backed histograms (the rule server's
-// read-on-demand latency view), zero-count histograms (a registered
-// metric that never saw traffic must still render a complete, parseable
-// histogram), and metric names whose characters need promName
-// flattening.
+// test does not: zero-count histograms (a registered metric that never
+// saw traffic must still render a complete, parseable histogram), and
+// metric names whose characters need promName flattening.
 func TestPrometheusEdgeCases(t *testing.T) {
 	r := NewRegistry()
-	backing := NewHistogram(10, 100)
-	backing.Observe(50)
-	r.HistogramFunc("serve.lat.backed_ns", func() *Histogram { return backing })
-	r.HistogramFunc("serve.lat.nil_ns", func() *Histogram { return nil })
 	r.Histogram("serve.lat.empty_ns", 10, 100)
 	r.Counter("9weird-name.total")
 	r.Gauge("mixed:Case.metric")
@@ -239,16 +231,6 @@ func TestPrometheusEdgeCases(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		// histFunc-backed: buckets reflect the backing histogram's state.
-		"# TYPE serve_lat_backed_ns histogram",
-		`serve_lat_backed_ns_bucket{le="10"} 0`,
-		`serve_lat_backed_ns_bucket{le="100"} 1`,
-		`serve_lat_backed_ns_bucket{le="+Inf"} 1`,
-		"serve_lat_backed_ns_sum 50",
-		"serve_lat_backed_ns_count 1",
-		// histFunc returning nil renders as empty, not a panic.
-		`serve_lat_nil_ns_bucket{le="+Inf"} 0`,
-		"serve_lat_nil_ns_count 0",
 		// Zero-count histogram: every bucket present at 0.
 		`serve_lat_empty_ns_bucket{le="10"} 0`,
 		`serve_lat_empty_ns_bucket{le="100"} 0`,

@@ -210,7 +210,7 @@ func compareGolden(t *testing.T, path string, got []byte) {
 }
 
 // TestGoldenRoundTrip pins the on-disk JSON format: the serialization
-// of each fixture must match its golden byte-for-byte, Read(Write(f))
+// of each fixture must match its golden byte-for-byte, read(Write(f))
 // must reproduce the file deep-equal, and re-serializing the read-back
 // copy must reproduce the golden again (so Read loses nothing Write
 // needs).
@@ -222,15 +222,15 @@ func TestGoldenRoundTrip(t *testing.T) {
 			raw := marshal(t, f)
 			compareGolden(t, filepath.Join(dir, name+".json"), raw)
 
-			back, err := Read(bytes.NewReader(raw))
+			back, err := read(bytes.NewReader(raw))
 			if err != nil {
-				t.Fatalf("Read(Write(f)): %v", err)
+				t.Fatalf("read(Write(f)): %v", err)
 			}
 			if !reflect.DeepEqual(f, back) {
-				t.Errorf("Read(Write(f)) != f\ngot:  %+v\nwant: %+v", back, f)
+				t.Errorf("read(Write(f)) != f\ngot:  %+v\nwant: %+v", back, f)
 			}
 			if again := marshal(t, back); !bytes.Equal(raw, again) {
-				t.Errorf("Write(Read(Write(f))) not byte-stable")
+				t.Errorf("Write(read(Write(f))) not byte-stable")
 			}
 		})
 	}
@@ -314,7 +314,7 @@ func FuzzReadRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"version":1,"tables":{}}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		file, err := Read(bytes.NewReader(raw))
+		file, err := read(bytes.NewReader(raw))
 		if err != nil {
 			return // invalid inputs just need to be rejected cleanly
 		}
@@ -322,9 +322,9 @@ func FuzzReadRoundTrip(f *testing.F) {
 		if err := file.Write(&buf); err != nil {
 			t.Fatalf("Write after successful Read: %v", err)
 		}
-		back, err := Read(bytes.NewReader(buf.Bytes()))
+		back, err := read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("Read(Write(f)) failed for accepted input: %v", err)
+			t.Fatalf("read(Write(f)) failed for accepted input: %v", err)
 		}
 		if !reflect.DeepEqual(file, back) {
 			t.Fatalf("round trip not lossless\ngot:  %+v\nwant: %+v", back, file)

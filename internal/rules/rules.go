@@ -266,8 +266,8 @@ func (f *File) WriteFile(path string) error {
 	return f.Write(out)
 }
 
-// Read decodes a selection file and validates it.
-func Read(r io.Reader) (*File, error) {
+// read decodes a selection file and validates it.
+func read(r io.Reader) (*File, error) {
 	var f File
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("rules: decode: %w", err)
@@ -285,5 +285,5 @@ func ReadFile(path string) (*File, error) {
 		return nil, err
 	}
 	defer in.Close()
-	return Read(in)
+	return read(in)
 }

@@ -145,7 +145,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,10 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestFileReadRejectsInvalid(t *testing.T) {
 	bad := bytes.NewBufferString(`{"version":1,"tables":{"bcast":{"collective":"bcast","node_buckets":[]}}}`)
-	if _, err := Read(bad); err == nil {
+	if _, err := read(bad); err == nil {
 		t.Error("invalid file accepted")
 	}
-	if _, err := Read(bytes.NewBufferString("not json")); err == nil {
+	if _, err := read(bytes.NewBufferString("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
 	if err := NewFile("m").Validate(); err == nil {

@@ -109,7 +109,8 @@ func BenchmarkRuleServerSelect(b *testing.B) {
 
 // BenchmarkRuleServerLookupCounted measures the fully counted per-call
 // path (atomic snapshot load + hit/miss accounting + sampled latency):
-// what coll.ExecSelected pays per collective call.
+// what benchmark.Runner.RunSelected pays per collective call when its
+// source is a Server, over the bare Index.Lookup measured above.
 func BenchmarkRuleServerLookupCounted(b *testing.B) {
 	srv, err := ruleserver.NewFromFile(benchFile())
 	if err != nil {

@@ -485,7 +485,6 @@ type WireClient struct {
 	br   io.Reader
 
 	tenants []TenantKey
-	found   []bool
 	collID  [coll.NumCollectives]int32 // local enum -> wire id; -1 if the server lacks it
 
 	algs []string // wire alg id -> name; index 0 = miss sentinel
@@ -548,7 +547,8 @@ func NewWireClient(conn net.Conn, tenants []TenantKey) (*WireClient, error) {
 }
 
 // parseHelloAck consumes the handshake response: collective id table
-// and per-tenant found flags.
+// and per-tenant found flags. The client does not keep the flags: a
+// tenant the registry lacked simply misses on every lookup.
 func (c *WireClient) parseHelloAck(ack []byte) error {
 	if ack[0] == frameError {
 		msg, _, err := getString(ack, 1)
@@ -589,17 +589,7 @@ func (c *WireClient) parseHelloAck(ack []byte) error {
 	if nTenants != len(c.tenants) || off+nTenants != len(ack) {
 		return errors.New("ruleserver: wire: hello ack tenant count mismatch")
 	}
-	c.found = make([]bool, nTenants)
-	for i := 0; i < nTenants; i++ {
-		c.found[i] = ack[off+i] == 1
-	}
 	return nil
-}
-
-// TenantFound reports whether the registry knew tenant i at handshake
-// time.
-func (c *WireClient) TenantFound(i int) bool {
-	return i >= 0 && i < len(c.found) && c.found[i]
 }
 
 // LookupBatch resolves len(qs) queries in one request frame — one

@@ -76,6 +76,25 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireHelloAckFoundFlags pins the tail of the hello ack: one flag
+// byte per hello tenant, in hello order, 1 where the registry knew the
+// tenant and 0 where it did not.
+func TestWireHelloAckFoundFlags(t *testing.T) {
+	reg := NewRegistry()
+	reg.Ensure(TenantKey{Cluster: "a", JobClass: "b", MPIVer: "c"})
+	hello := []byte{frameHello, 'A', 'C', 'L', 'M', WireVersion, 2, 0,
+		1, 0, 'x', 1, 0, 'y', 1, 0, 'z',
+		1, 0, 'a', 1, 0, 'b', 1, 0, 'c'}
+	sc := &serverConn{algID: map[string]uint32{}}
+	if err := sc.handleHello(reg, hello); err != nil {
+		t.Fatal(err)
+	}
+	ack := sc.helloAck()
+	if tail := ack[len(ack)-4:]; tail[0] != 2 || tail[1] != 0 || tail[2] != 0 || tail[3] != 1 {
+		t.Fatalf("hello ack tenant count and flags = % x, want 02 00 00 01", tail)
+	}
+}
+
 // FuzzWireRoundTrip drives the three frame decoders — server hello,
 // server batch, client hello-ack and batch-response — with arbitrary
 // payload bytes. Every input must either decode or return an error;

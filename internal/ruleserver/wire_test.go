@@ -51,13 +51,6 @@ func TestWireClientRoundTrip(t *testing.T) {
 	unknown := ruleserver.TenantKey{Cluster: "ghost", JobClass: "x", MPIVer: "y"}
 	c := pipeClient(t, reg, append(tenants, unknown))
 
-	if !c.TenantFound(0) || !c.TenantFound(1) {
-		t.Fatal("known tenants not flagged found in hello ack")
-	}
-	if c.TenantFound(2) || c.TenantFound(99) || c.TenantFound(-1) {
-		t.Fatal("unknown or out-of-range tenant flagged found")
-	}
-
 	// Batches across tenants and collectives must answer exactly as
 	// direct registry lookups, over several batches so the dictionary
 	// delta path (first batch) and warm path (later batches) both run.

@@ -12,7 +12,7 @@ func TestPlanWaveObsMetrics(t *testing.T) {
 	met := NewMetrics(reg)
 	alloc := cluster.TopologySingleRack() // one rack: everything after the first request stalls
 
-	wave, rest := PlanWaveObs(alloc, reqs(4, 4, 4), met)
+	wave, rest := planWaveObs(alloc, reqs(4, 4, 4), met)
 	if len(wave) != 1 || len(rest) != 2 {
 		t.Fatalf("wave/rest = %d/%d, want 1/2", len(wave), len(rest))
 	}
@@ -54,7 +54,7 @@ func TestPlanAllObsCountsEveryWave(t *testing.T) {
 func TestPlanWaveObsNilMetrics(t *testing.T) {
 	alloc := cluster.TopologyMaxParallel()
 	w1, r1 := PlanWave(alloc, reqs(4, 4))
-	w2, r2 := PlanWaveObs(alloc, reqs(4, 4), nil)
+	w2, r2 := planWaveObs(alloc, reqs(4, 4), nil)
 	if len(w1) != len(w2) || len(r1) != len(r2) {
 		t.Errorf("nil-metrics plan differs: %d/%d vs %d/%d", len(w1), len(r1), len(w2), len(r2))
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // Metrics are the scheduler's registry handles. Build with NewMetrics;
-// pass them to PlanWaveObs/PlanAllObs (nil disables recording).
+// pass them to PlanAllObs (nil disables recording).
 type Metrics struct {
 	Waves    *obs.Counter   // sched.waves_total: planned waves
 	WaveSize *obs.Histogram // sched.wave_size: benchmarks packed per wave
@@ -73,13 +73,13 @@ func (p Placement) PhysicalNodes(alloc cluster.Allocation) []int {
 //     racks they touch — as used, and repeat.
 //  4. If it does not fit, stop and run the wave.
 func PlanWave(alloc cluster.Allocation, reqs []Request) (wave []Placement, unplaced []Request) {
-	return PlanWaveObs(alloc, reqs, nil)
+	return planWaveObs(alloc, reqs, nil)
 }
 
-// PlanWaveObs is PlanWave with observability: when met is non-nil it
+// planWaveObs is PlanWave with observability: when met is non-nil it
 // records the wave's size and counts the requests stalled past the
 // wave boundary by the congestion constraints.
-func PlanWaveObs(alloc cluster.Allocation, reqs []Request, met *Metrics) (wave []Placement, unplaced []Request) {
+func planWaveObs(alloc cluster.Allocation, reqs []Request, met *Metrics) (wave []Placement, unplaced []Request) {
 	wave, unplaced = planWave(alloc, reqs)
 	if met != nil {
 		met.Waves.Inc()
@@ -149,7 +149,7 @@ func PlanAllObs(alloc cluster.Allocation, reqs []Request, met *Metrics) ([][]Pla
 	var waves [][]Placement
 	pending := append([]Request(nil), reqs...)
 	for len(pending) > 0 {
-		wave, rest := PlanWaveObs(alloc, pending, met)
+		wave, rest := planWaveObs(alloc, pending, met)
 		if len(wave) == 0 {
 			return nil, fmt.Errorf("sched: request for %d nodes cannot fit on %d-node allocation",
 				rest[0].Nodes, alloc.Size())

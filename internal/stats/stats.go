@@ -1,12 +1,11 @@
-// Package stats implements the statistical machinery of the ACCLAiM
-// paper: the jackknife variance estimate (Section IV-A, after Efron &
-// Stein), the average-slowdown autotuner quality metric (Section II-C2)
-// with its default convergence bound, and the stall detector that stops
-// training on ACCLAiM's cumulative-variance criterion (Section VI-C).
+// Package stats implements the statistics the tuners share: mean and
+// median, the paper's default average-slowdown convergence bound
+// (Section II-C2), and the stall detector that stops training on
+// ACCLAiM's cumulative-variance criterion (Section VI-C). The jackknife
+// variance estimate (Section IV-A) is computed by forest.Kernel.ScoreFlat.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -24,34 +23,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Median returns the median of xs (average of the two central elements
 // for even lengths). It panics on an empty slice.
 func Median(xs []float64) float64 {
@@ -65,65 +36,6 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// JackknifeVariance computes the jackknife variance of the values p
-// exactly as laid out in Section IV-A of the paper:
-//
-//	x_p   = mean(p)
-//	x_i   = mean of p with p_i removed
-//	sigma² = Σ (x_p − x_i)² / (n − 1)
-//
-// For n < 2 the variance is 0 (a single prediction carries no spread).
-//
-// In ACCLAiM, p holds the per-tree predictions of a random-forest
-// regressor at one candidate point (Wager et al.), so sigma² measures the
-// model's uncertainty there.
-func JackknifeVariance(p []float64) float64 {
-	n := len(p)
-	if n < 2 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	xp := sum / float64(n)
-	var acc float64
-	for _, v := range p {
-		// Mean with v removed: (sum - v)/(n-1). The deviation from the
-		// full mean simplifies to (v - xp)/(n-1), but we follow the
-		// paper's formulation literally for clarity.
-		xi := (sum - v) / float64(n-1)
-		d := xp - xi
-		acc += d * d
-	}
-	return acc / float64(n-1)
-}
-
-// ErrMismatch is returned when paired slices differ in length.
-var ErrMismatch = errors.New("stats: mismatched slice lengths")
-
-// AvgSlowdown computes the paper's autotuner quality metric. selected[i]
-// is the execution time of the algorithm the autotuner chose for test
-// scenario i; optimal[i] is the execution time of the best algorithm for
-// that scenario. The result is mean(selected/optimal) and is >= 1 when
-// optimal really is optimal; 1.0 means every selection was perfect.
-func AvgSlowdown(selected, optimal []float64) (float64, error) {
-	if len(selected) != len(optimal) {
-		return 0, ErrMismatch
-	}
-	if len(selected) == 0 {
-		return 0, errors.New("stats: AvgSlowdown of empty inputs")
-	}
-	var s float64
-	for i := range selected {
-		if optimal[i] <= 0 {
-			return 0, errors.New("stats: non-positive optimal time")
-		}
-		s += selected[i] / optimal[i]
-	}
-	return s / float64(len(selected)), nil
 }
 
 // ConvergenceCriterion is the paper's default average-slowdown bound: a
@@ -198,58 +110,4 @@ func (d *StallDetector) Converged() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.converged
-}
-
-// History returns a copy of all observed samples in order.
-func (d *StallDetector) History() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]float64(nil), d.history...)
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics. It panics on empty input.
-func Summarize(xs []float64) Summary {
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	std := 0.0
-	if len(xs) > 1 {
-		std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   m,
-		Std:    std,
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
-	}
-}
-
-// GeoMean returns the geometric mean of strictly positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

@@ -69,8 +69,8 @@ func Apps() []string {
 	return out
 }
 
-// Scales returns the two job scales of Figure 4.
-func Scales() []int { return []int{64, 1024} }
+// scales returns the two job scales of Figure 4.
+func scales() []int { return []int{64, 1024} }
 
 // ErrUnavailable is returned when the corpus lacks a trace (Figure 4:
 // "1024-node trace data is unavailable on ParaDis").
@@ -168,23 +168,6 @@ func (t *Trace) CollectiveShare() map[coll.Collective]float64 {
 	return out
 }
 
-// RecommendedCollectives derives a tuning list from a measured trace —
-// what a profiler like Intel APS would report for users who do not know
-// their application's collective mix (Section V, User Input). It
-// returns the collectives responsible for at least minShare of the
-// trace's collective calls, ordered by share descending.
-func RecommendedCollectives(t *Trace, minShare float64) []coll.Collective {
-	shares := t.CollectiveShare()
-	var out []coll.Collective
-	for _, c := range coll.Collectives() {
-		if shares[c] >= minShare {
-			out = append(out, c)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return shares[out[i]] > shares[out[j]] })
-	return out
-}
-
 // ProfileRow is one bar of Figure 4.
 type ProfileRow struct {
 	App        string
@@ -198,7 +181,7 @@ type ProfileRow struct {
 func ProfileAll(seed int64) []ProfileRow {
 	var rows []ProfileRow
 	for _, app := range Apps() {
-		for _, scale := range Scales() {
+		for _, scale := range scales() {
 			tr, err := Synthesize(app, scale, seed)
 			if err != nil {
 				rows = append(rows, ProfileRow{App: app, Nodes: scale})

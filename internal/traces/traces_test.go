@@ -13,8 +13,8 @@ func TestAppsAndScales(t *testing.T) {
 	if len(Apps()) != 4 {
 		t.Fatalf("apps = %v, want 4 (the Figure 4 applications)", Apps())
 	}
-	if len(Scales()) != 2 {
-		t.Fatalf("scales = %v", Scales())
+	if len(scales()) != 2 {
+		t.Fatalf("scales = %v", scales())
 	}
 }
 
@@ -171,31 +171,5 @@ func TestP2CallsExist(t *testing.T) {
 	}
 	if p2 == 0 {
 		t.Error("no P2 call sites at all")
-	}
-}
-
-func TestRecommendedCollectives(t *testing.T) {
-	tr, err := Synthesize("ParaDis", 64, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := RecommendedCollectives(tr, 0.05)
-	if len(rec) == 0 {
-		t.Fatal("no recommendations")
-	}
-	shares := tr.CollectiveShare()
-	for i := 1; i < len(rec); i++ {
-		if shares[rec[i]] > shares[rec[i-1]] {
-			t.Error("recommendations not ordered by share")
-		}
-	}
-	for _, c := range rec {
-		if shares[c] < 0.05 {
-			t.Errorf("%v below the share threshold", c)
-		}
-	}
-	// A 100% threshold recommends nothing.
-	if got := RecommendedCollectives(tr, 1.01); len(got) != 0 {
-		t.Errorf("impossible threshold returned %v", got)
 	}
 }
