@@ -33,6 +33,7 @@ import (
 	"acclaim/internal/obs"
 	"acclaim/internal/sched"
 	"acclaim/internal/simmpi"
+	"acclaim/internal/stats"
 )
 
 // Metrics are the collection layer's registry handles: how much
@@ -199,12 +200,30 @@ func (r *Runner) specSeed(spec Spec) int64 {
 	return int64(h.Sum64())
 }
 
+// noiseRand is a reusable per-spec noise stream: a stats.Source reseeded
+// for each measurement and the rand.Rand that draws from it.
+type noiseRand struct {
+	src stats.Source
+	rng *rand.Rand
+}
+
+// noiseRands hands each concurrent measure call its own noiseRand, so
+// a measurement allocates no generator.
+var noiseRands = sync.Pool{New: func() any {
+	n := new(noiseRand)
+	n.rng = rand.New(&n.src)
+	return n
+}}
+
 // measure converts a base time into a Measurement by applying
 // per-iteration noise analytically (the simulator is deterministic, so
 // repeated executions would be identical; real repetitions differ by
 // measurement noise).
 func (r *Runner) measure(spec Spec, base float64) Measurement {
-	rng := rand.New(rand.NewSource(r.specSeed(spec)))
+	nr := noiseRands.Get().(*noiseRand)
+	defer noiseRands.Put(nr)
+	nr.src.Seed(r.specSeed(spec))
+	rng := nr.rng
 	noise := func() float64 {
 		f := 1 + rng.NormFloat64()*r.Env.NoiseSigma
 		if f < 0.5 {

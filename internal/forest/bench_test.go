@@ -144,12 +144,12 @@ func BenchmarkTrainSplitScan(b *testing.B) {
 	x, y := benchData(2000)
 	cfg := Config{NTrees: 1, Seed: 7, Workers: 1}.withDefaults(len(x[0]))
 	bs := newBinset(len(x), len(x[0]), rowsMatrix(x).Col)
-	tr := &trainer{bs: bs, y: y, cfg: cfg}
+	tr := newTrainer(bs, y, cfg)
 	boot := make([]int, len(x))
 	for i := range boot {
 		boot[i] = i
 	}
-	tr.fitTree(7, boot) // warm every scratch buffer
+	tr.fitTree(7, boot, new(packed)) // warm every scratch buffer
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -242,14 +242,15 @@ func BenchmarkKernelPredictFlat(b *testing.B) {
 func BenchmarkKernelSpeedup(b *testing.B) {
 	f, k, qs, flat := kernelBench(b)
 	vari := make([]float64, len(qs))
-	preds := make([]float64, len(f.trees))
+	trees := f.unpack()
+	preds := make([]float64, len(trees))
 	k.ScoreFlat(flat, nil, vari) // warm the scratch pool
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		tRef := testingBenchTime(func() {
 			for r := 0; r < 8; r++ {
 				for _, q := range qs {
-					f.treePredictInto(q, preds)
+					treePredictInto(trees, q, preds)
 					_ = jackknifeVariance(preds)
 				}
 			}

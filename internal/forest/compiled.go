@@ -1,20 +1,23 @@
-// Compiled forest inference: Forest.Compile lowers a trained forest
-// into a structure-of-arrays Kernel, the only scorer of a forest. Its
-// flat batch entry points are the scoring hot path of every autotuner
-// round (the jackknife sweep over the candidate pool, Section IV-A) and
-// of the rule-extraction and evaluation sweeps.
+// Compiled forest inference: the Kernel that Forest.Compile returns is
+// the only scorer of a forest, a structure-of-arrays walk over the
+// forest's packed node arrays. Its flat batch entry points are the
+// scoring hot path of every autotuner round (the jackknife sweep over
+// the candidate pool, Section IV-A) and of the rule-extraction and
+// evaluation sweeps.
 //
-// Layout. The per-tree []node arenas are concatenated into flat
-// per-forest slices — feature[], thresh[], left[], right[], value[] —
-// plus roots[] / depths[] offsets per tree, plus a packed steering
-// word meta[] = right<<32 | feature for the batch walk. There is no
-// per-node struct and no per-tree slice header: a batch descent step
-// loads only one 8-byte steering word and one 8-byte threshold
-// instead of copying a 40-byte node struct. Leaves are encoded as
-// feature == -1 and lowered as self-loops (left == right == self,
-// steering word self<<32, thresh == NaN so the descent compare never
-// fires) — the batch walk needs no leaf special case; left children
-// sit at parent+1 by the builder's arena order.
+// Layout. A trained forest is stored once, in the layout the kernel
+// walks: three per-node arrays in tree order (the packed type) —
+// steering word meta[] = right<<32 | feature, thresh[] and value[] —
+// plus roots[] / depths[] per tree. That is 24 bytes per node. There is
+// no per-node struct, no per-tree slice header and no separate left,
+// right or feature array: the left child is always i+1 (trees are laid
+// out parent, left subtree, right subtree), and the right child and the
+// feature are the two halves of the steering word, so a descent step
+// loads one 8-byte word and one 8-byte threshold. A leaf is a
+// self-loop: its steering word points at itself (feature slot 0) and
+// its threshold is NaN, so the batch walk's compare never fires and
+// needs no leaf test. TrainMatrix writes these arrays once; Compile
+// wraps them in a Kernel without copying.
 //
 // Tiling. Batch calls walk tree x query tiles: queries are cut into
 // blocks of blockQ rows, and within a block the kernel iterates trees
@@ -36,7 +39,6 @@ package forest
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,21 +61,9 @@ type Kernel struct {
 	nFeatures int
 	workers   int // Config.Workers of the source forest
 
-	// Structure-of-arrays node storage. Leaves have feature == -1 and
-	// their prediction in value; internal nodes hold global (already
-	// tree-offset) child indices in left/right.
-	feature []int32
-	thresh  []float64
-	left    []int32
-	right   []int32
-	value   []float64
-	roots   []int32 // per-tree root offset into the node arrays
-	depths  []int32 // per-tree depth, bounds the level-synchronous batch walk
-
-	// meta packs each node's batch-walk steering word:
-	// right-child index << 32 | feature index (leaf: self << 32 | 0).
-	// One load per descent step replaces separate feature/right loads.
-	meta []int64
+	packed         // node arrays, shared read-only with the source Forest
+	roots  []int32 // per-tree root offset into the node arrays
+	depths []int32 // per-tree depth, bounds the level-synchronous batch walk
 
 	pool sync.Pool // *kernelScratch, reused across batch calls
 }
@@ -88,78 +78,28 @@ type kernelScratch struct {
 	idx   []int32   // per-query node cursor for the level-synchronous walk
 }
 
-// Compile lowers the trained forest into its SoA inference kernel.
-// The kernel shares no state with the forest and inherits its Workers
-// setting for batch fan-out.
-func (f *Forest) Compile() *Kernel {
-	total := 0
-	for i := range f.trees {
-		total += len(f.trees[i].nodes)
-	}
-	k := &Kernel{
-		nTrees:    len(f.trees),
-		nFeatures: f.nFeatures,
-		workers:   f.cfg.Workers,
-		feature:   make([]int32, total),
-		thresh:    make([]float64, total),
-		left:      make([]int32, total),
-		right:     make([]int32, total),
-		value:     make([]float64, total),
-		meta:      make([]int64, total),
-		roots:     make([]int32, len(f.trees)),
-		depths:    make([]int32, len(f.trees)),
-	}
-	base := 0
-	for ti := range f.trees {
-		k.roots[ti] = int32(base)
-		k.depths[ti] = int32(nodeDepth(f.trees[ti].nodes, 0))
-		for ni, n := range f.trees[ti].nodes {
-			j := base + ni
-			k.value[j] = n.value
-			if n.left == -1 {
-				// Leaves self-loop with a NaN threshold: x <= NaN is
-				// false for every x (including +-Inf and NaN), so the
-				// batch walk's compare never fires, its steering word
-				// sends the cursor back to itself, and no leaf test is
-				// needed at all. The scalar walk still stops on
-				// feature == -1.
-				k.feature[j] = -1
-				k.thresh[j] = math.NaN()
-				k.left[j] = int32(j)
-				k.right[j] = int32(j)
-				k.meta[j] = int64(j) << 32 // feature slot 0: any in-range column
-				continue
-			}
-			if n.left != ni+1 {
-				// The batch walk derives the left child as i+1 instead of
-				// loading it; the builder's arena order (parent, left
-				// subtree, right subtree) guarantees the adjacency.
-				panic("forest: tree arena violates left-child adjacency")
-			}
-			k.feature[j] = int32(n.feature)
-			k.thresh[j] = n.thresh
-			k.left[j] = int32(base + n.left)
-			k.right[j] = int32(base + n.right)
-			k.meta[j] = int64(base+n.right)<<32 | int64(uint32(n.feature))
-		}
-		base += len(f.trees[ti].nodes)
-	}
-	return k
+// packed is node storage in the kernel's layout (see the file
+// comment). Indices in meta are absolute positions in the arrays.
+type packed struct {
+	// meta is each node's steering word: right-child index << 32 |
+	// feature index; a leaf's word is its own index << 32.
+	meta   []int64
+	thresh []float64 // split threshold; NaN for a leaf
+	value  []float64 // node mean; a leaf's prediction
 }
 
-// nodeDepth returns the edge depth of the subtree rooted at i: 0 for a
-// leaf. Tree depth is bounded by Config.MaxDepth, so recursion is safe.
-func nodeDepth(nodes []node, i int) int {
-	n := nodes[i]
-	if n.left == -1 {
-		return 0
+// Compile returns the forest's inference kernel. The kernel reads the
+// forest's node arrays in place — both are immutable — and inherits its
+// Workers setting for batch fan-out.
+func (f *Forest) Compile() *Kernel {
+	return &Kernel{
+		nTrees:    len(f.roots),
+		nFeatures: f.nFeatures,
+		workers:   f.cfg.Workers,
+		packed:    f.packed,
+		roots:     f.roots,
+		depths:    f.depths,
 	}
-	l := nodeDepth(nodes, n.left)
-	r := nodeDepth(nodes, n.right)
-	if r > l {
-		l = r
-	}
-	return l + 1
 }
 
 // NumFeatures returns the feature dimensionality the source forest was
@@ -167,21 +107,23 @@ func nodeDepth(nodes []node, i int) int {
 func (k *Kernel) NumFeatures() int { return k.nFeatures }
 
 // walk traverses one tree from node i for the query row x and returns
-// its leaf prediction.
+// its leaf prediction. A node whose steering word points at itself is
+// a leaf; otherwise the walk goes to i+1 when x[feature] <= thresh and
+// to the right child else (NaN descends right).
 //
 //acclaim:zeroalloc
 func (k *Kernel) walk(i int, x []float64) float64 {
-	feat, thresh := k.feature, k.thresh
-	left, right := k.left, k.right
+	meta, thresh := k.meta, k.thresh
 	for {
-		f := feat[i]
-		if f < 0 {
+		m := meta[i]
+		r := int(m >> 32)
+		if r == i {
 			return k.value[i]
 		}
-		if x[f] <= thresh[i] {
-			i = int(left[i])
+		if x[int32(m)] <= thresh[i] {
+			i++
 		} else {
-			i = int(right[i])
+			i = r
 		}
 	}
 }
@@ -193,7 +135,7 @@ func (k *Kernel) walk(i int, x []float64) float64 {
 // chain and a 50/50 descent branch; here the tile's loads within one
 // level are all independent (blockQ load chains in flight) and the
 // descent is a branchless conditional move over the packed steering
-// word — the left child is the arena-adjacent i+1 (no left[] load),
+// word — the left child is the adjacent i+1 (no load at all),
 // and a leaf's self-loop steering with NaN threshold parks finished
 // queries in place with no leaf test at all. The <= compare keeps the
 // reference path's NaN polarity (NaN descends right). Each cursor

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -102,8 +103,8 @@ func TestCompiledPureLeafTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := f.Compile()
-	if len(k.feature) != 5 {
-		t.Fatalf("pure-leaf forest compiled to %d nodes, want 5", len(k.feature))
+	if len(k.meta) != 5 {
+		t.Fatalf("pure-leaf forest compiled to %d nodes, want 5", len(k.meta))
 	}
 	q := []float64{100, -3}
 	if got, want := k.Predict(q), f.Predict(q); got != want {
@@ -247,54 +248,69 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCompileLayout sanity-checks the SoA lowering: node counts match,
-// every leaf is feature==-1, and child indices stay inside the tree's
-// node range.
+// TestCompileLayout checks the packed layout Compile serves: the node
+// count is the trees' total, every leaf is a self-loop with a NaN
+// threshold, every internal node's right child lies inside its own tree
+// after the adjacent left child i+1, and the kernel holds 24 bytes per
+// node, in arrays shared with the forest rather than copied.
 func TestCompileLayout(t *testing.T) {
 	f, k, _ := trainedKernel(t, Config{NTrees: 6, MaxDepth: 6, Seed: 8}, 300, 0)
 	total := 0
-	for i := range f.trees {
-		total += len(f.trees[i].nodes)
+	for _, tr := range f.unpack() {
+		total += len(tr.nodes)
 	}
-	if len(k.feature) != total {
-		t.Fatalf("kernel has %d nodes, forest has %d", len(k.feature), total)
+	if len(k.meta) != total || len(k.thresh) != total || len(k.value) != total {
+		t.Fatalf("kernel arrays hold %d/%d/%d nodes, forest trees hold %d",
+			len(k.meta), len(k.thresh), len(k.value), total)
 	}
-	if k.nTrees != len(f.trees) || k.NumFeatures() != f.NumFeatures() {
+	if k.nTrees != len(f.roots) || k.NumFeatures() != f.NumFeatures() {
 		t.Fatalf("kernel shape (%d trees, %d features) != forest (%d, %d)",
-			k.nTrees, k.NumFeatures(), len(f.trees), f.NumFeatures())
+			k.nTrees, k.NumFeatures(), len(f.roots), f.NumFeatures())
+	}
+	if &k.meta[0] != &f.meta[0] || &k.thresh[0] != &f.thresh[0] || &k.value[0] != &f.value[0] {
+		t.Fatal("Compile copied the node arrays")
 	}
 	for ti := 0; ti < k.nTrees; ti++ {
 		lo := int(k.roots[ti])
-		hi := len(k.feature)
+		hi := total
 		if ti+1 < k.nTrees {
 			hi = int(k.roots[ti+1])
 		}
 		for j := lo; j < hi; j++ {
-			if m, want := k.meta[j], steeringWord(k, j); m != want {
-				t.Fatalf("node %d steering word %#x, want %#x", j, m, want)
-			}
-			if k.feature[j] < 0 {
-				if int(k.left[j]) != j || int(k.right[j]) != j || !math.IsNaN(k.thresh[j]) {
-					t.Fatalf("leaf node %d is not a self-loop with NaN threshold", j)
+			m := k.meta[j]
+			r, feat := int(m>>32), int(int32(m))
+			if r == j {
+				if feat != 0 || !math.IsNaN(k.thresh[j]) {
+					t.Fatalf("leaf node %d: feature slot %d, threshold %v; want a self-loop on slot 0 with a NaN threshold", j, feat, k.thresh[j])
 				}
 				continue
 			}
-			if int(k.left[j]) != j+1 {
-				t.Fatalf("node %d left child %d breaks arena adjacency", j, k.left[j])
+			if r <= j+1 || r >= hi {
+				t.Fatalf("node %d right child %d is not after its left child %d inside tree %d's range [%d, %d)", j, r, j+1, ti, lo, hi)
 			}
-			if int(k.left[j]) < lo || int(k.left[j]) >= hi || int(k.right[j]) < lo || int(k.right[j]) >= hi {
-				t.Fatalf("node %d children escape tree %d's range [%d, %d)", j, ti, lo, hi)
+			if feat < 0 || feat >= k.NumFeatures() || math.IsNaN(k.thresh[j]) {
+				t.Fatalf("internal node %d: feature %d, threshold %v", j, feat, k.thresh[j])
 			}
 		}
 	}
-}
 
-// steeringWord recomputes the packed batch-walk word for node j from
-// the unpacked arrays: right<<32 | feature, with a leaf steering to
-// itself through feature slot 0.
-func steeringWord(k *Kernel, j int) int64 {
-	if k.feature[j] < 0 {
-		return int64(j) << 32
+	// Every per-node array of the kernel, found by reflection so a new
+	// one cannot slip in unnoticed, adds up to 24 bytes a node.
+	perNode := 0
+	var sum func(v reflect.Value)
+	sum = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			fv := v.Field(i)
+			switch {
+			case fv.Kind() == reflect.Struct:
+				sum(fv)
+			case fv.Kind() == reflect.Slice && fv.Len() == total:
+				perNode += int(fv.Type().Elem().Size())
+			}
+		}
 	}
-	return int64(k.right[j])<<32 | int64(uint32(k.feature[j]))
+	sum(reflect.ValueOf(k).Elem())
+	if perNode != 24 {
+		t.Fatalf("kernel holds %d bytes per node, want 24", perNode)
+	}
 }

@@ -7,10 +7,11 @@
 // learning uses to pick training points.
 //
 // There is one path per operation. TrainMatrix fits a forest on a flat
-// featspace.Matrix with the histogram trainer (trainer.go), and
-// Forest.Compile lowers it to the Kernel every sweep scores through
-// (compiled.go). The reference tree builder and pointer walk they
-// replaced live in oracle_test.go as differential oracles.
+// featspace.Matrix with the histogram trainer (trainer.go) and stores
+// it once, in the packed node layout that Forest.Compile's Kernel —
+// the scorer every sweep goes through — reads in place (compiled.go).
+// The reference tree builder and pointer walk they replaced live in
+// oracle_test.go as differential oracles.
 //
 // Training and batch scoring run on a bounded worker pool
 // (Config.Workers). The per-tree RNG state is drawn from the master
@@ -26,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"acclaim/internal/obs"
+	"acclaim/internal/stats"
 )
 
 // Config holds the forest hyperparameters. Zero fields take defaults.
@@ -105,33 +107,60 @@ func (c Config) workers(n int) int {
 	return w
 }
 
-// node is one tree node in a flat arena. Leaves have left == -1.
-type node struct {
-	feature int
-	thresh  float64
-	left    int
-	right   int
-	value   float64
-}
-
-// tree is a CART regression tree.
-type tree struct {
-	nodes []node
-}
-
 // Forest is a trained random-forest regressor. It is immutable; score
-// it through Compile.
+// it through Compile. Its trees are stored once, in the packed layout
+// the Kernel walks (compiled.go).
 type Forest struct {
 	cfg       Config
-	trees     []tree
 	nFeatures int
+
+	packed         // every tree's nodes, tree after tree
+	roots  []int32 // per-tree root offset into the node arrays
+	depths []int32 // per-tree edge depth: 0 for a single leaf
 }
 
 // fitter grows one tree at a time. train instantiates one fitter per
 // worker goroutine so scratch buffers are reused across the trees that
-// worker grows; the returned arena is retained by the Forest.
+// worker grows.
 type fitter interface {
-	fitTree(seed int64, boot []int) []node
+	// fitTree appends one tree, grown from seed and the bootstrap
+	// sample boot, to dst in the packed layout (node indices absolute
+	// in dst, left child adjacent) and returns its edge depth.
+	fitTree(seed int64, boot []int, dst *packed) (depth int)
+}
+
+// grownTree locates one grown tree: nodes [start, end) of its
+// worker's arena.
+type grownTree struct {
+	arena             *packed
+	start, end, depth int
+}
+
+// reserve makes room in arena a for one more tree of up to maxNodes
+// nodes, so growing the tree never reallocates. It at least doubles
+// the capacity when it must grow, which bounds the copies it leaves
+// behind at one arena's worth; node indices are offsets into the
+// arena, so they survive the move.
+func reserve(a *packed, maxNodes int) {
+	if cap(a.meta)-len(a.meta) >= maxNodes {
+		return
+	}
+	n := max(2*cap(a.meta), len(a.meta)+maxNodes)
+	a.meta = append(make([]int64, 0, n), a.meta...)
+	a.thresh = append(make([]float64, 0, n), a.thresh...)
+	a.value = append(make([]float64, 0, n), a.value...)
+}
+
+// maxTreeNodes bounds the node count of one tree grown on a bootstrap
+// of n samples: a split leaves at least MinLeaf samples on each side,
+// depth caps a tree at 2^MaxDepth leaves, and a binary tree with L
+// leaves has 2L-1 nodes.
+func (c Config) maxTreeNodes(n int) int {
+	leaves := max(1, n/c.MinLeaf)
+	if c.MaxDepth < 30 {
+		leaves = min(leaves, 1<<c.MaxDepth)
+	}
+	return 2*leaves - 1
 }
 
 // train is the training loop behind TrainMatrix and the test-only
@@ -139,11 +168,13 @@ type fitter interface {
 // every tree's random inputs serially from the master stream —
 // O(NTrees·nSamples) cheap RNG calls, negligible next to tree growth —
 // which is what makes parallel training reproduce the serial forest
-// bit for bit at every Workers count.
+// bit for bit at every Workers count. Each worker appends its trees to
+// its own arena; the arenas are then concatenated once, in tree order,
+// into the forest's node arrays.
 func train(cfg Config, nSamples, nFeatures int, y []float64, newFitter func() fitter) *Forest {
-	f := &Forest{cfg: cfg, trees: make([]tree, cfg.NTrees), nFeatures: nFeatures}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	var master stats.Source
+	master.Seed(cfg.Seed)
+	rng := rand.New(&master)
 	boots := make([][]int, cfg.NTrees)
 	seeds := make([]int64, cfg.NTrees)
 	flat := make([]int, cfg.NTrees*nSamples) // one allocation for all bootstraps
@@ -165,48 +196,89 @@ func train(cfg Config, nSamples, nFeatures int, y []float64, newFitter func() fi
 	if met != nil {
 		t0 = obs.NowNs()
 	}
-	grow := func(b fitter, ti int) {
-		if met == nil {
-			f.trees[ti] = tree{nodes: b.fitTree(seeds[ti], boots[ti])}
-			return
+	workers := cfg.workers(cfg.NTrees)
+	arenas := make([]packed, workers)
+	maxNodes := cfg.maxTreeNodes(nSamples)
+	grown := make([]grownTree, cfg.NTrees)
+	grow := func(b fitter, a *packed, ti int) {
+		reserve(a, maxNodes)
+		g := grownTree{arena: a, start: len(a.meta)}
+		var s0 int64
+		if met != nil {
+			s0 = obs.NowNs()
 		}
-		s0 := obs.NowNs()
-		f.trees[ti] = tree{nodes: b.fitTree(seeds[ti], boots[ti])}
-		d := float64(obs.NowNs() - s0)
-		met.TreeFitNs.Observe(d)
-		met.PoolBusyNs.Add(d)
+		g.depth = b.fitTree(seeds[ti], boots[ti], a)
+		if met != nil {
+			d := float64(obs.NowNs() - s0)
+			met.TreeFitNs.Observe(d)
+			met.PoolBusyNs.Add(d)
+		}
+		g.end = len(a.meta)
+		grown[ti] = g
 	}
 
-	workers := cfg.workers(cfg.NTrees)
 	if workers == 1 {
 		b := newFitter()
-		for ti := range f.trees {
-			grow(b, ti)
+		for ti := range grown {
+			grow(b, &arenas[0], ti)
 		}
-		trainDone(met, t0, cfg.NTrees, 1)
-		return f
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One fitter per worker: its scratch buffers are reused
-			// across every tree the worker grows.
-			b := newFitter()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= cfg.NTrees {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := range arenas {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// One fitter per worker: its scratch buffers are reused
+				// across every tree the worker grows.
+				b := newFitter()
+				for {
+					ti := int(next.Add(1)) - 1
+					if ti >= cfg.NTrees {
+						return
+					}
+					grow(b, &arenas[w], ti)
 				}
-				grow(b, ti)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	f := &Forest{cfg: cfg, nFeatures: nFeatures}
+	f.concat(grown)
 	trainDone(met, t0, cfg.NTrees, workers)
 	return f
+}
+
+// concat lays the grown trees out in tree order in right-sized node
+// arrays. Moving a tree from arena offset start to forest offset base
+// shifts every index in its steering words — right children and leaf
+// self-references alike, all in the high half — by base-start; the
+// feature in the low half is untouched.
+func (f *Forest) concat(grown []grownTree) {
+	total := 0
+	for _, g := range grown {
+		total += g.end - g.start
+	}
+	f.packed = packed{
+		meta:   make([]int64, total),
+		thresh: make([]float64, total),
+		value:  make([]float64, total),
+	}
+	f.roots = make([]int32, len(grown))
+	f.depths = make([]int32, len(grown))
+	base := 0
+	for ti, g := range grown {
+		a := g.arena
+		shift := int64(base-g.start) << 32
+		for j, m := range a.meta[g.start:g.end] {
+			f.meta[base+j] = m + shift
+		}
+		copy(f.thresh[base:], a.thresh[g.start:g.end])
+		copy(f.value[base:], a.value[g.start:g.end])
+		f.roots[ti] = int32(base)
+		f.depths[ti] = int32(g.depth)
+		base += g.end - g.start
+	}
 }
 
 // trainDone records the end-of-training metrics. t0 is the obs.NowNs

@@ -211,8 +211,8 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.trees) != 30 {
-		t.Errorf("default NTrees = %d, want 30", len(f.trees))
+	if len(f.roots) != 30 {
+		t.Errorf("default NTrees = %d, want 30", len(f.roots))
 	}
 	if f.NumFeatures() != 2 {
 		t.Errorf("NumFeatures = %d", f.NumFeatures())
@@ -292,9 +292,9 @@ func TestMTrySubsampling(t *testing.T) {
 // reproduce it bit for bit at every worker count.
 func refTrain(cfg Config, x [][]float64, y []float64) *Forest {
 	cfg = cfg.withDefaults(len(x[0]))
-	f := &Forest{cfg: cfg, trees: make([]tree, cfg.NTrees), nFeatures: len(x[0])}
+	grown := make([]grownTree, cfg.NTrees)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	for ti := range f.trees {
+	for ti := range grown {
 		idx := make([]int, len(x))
 		for i := range idx {
 			idx[i] = rng.Intn(len(x))
@@ -303,18 +303,23 @@ func refTrain(cfg Config, x [][]float64, y []float64) *Forest {
 		b.rng = rand.New(rand.NewSource(rng.Int63()))
 		b.nodes = make([]node, 0)
 		b.grow(idx, 0)
-		f.trees[ti] = tree{nodes: b.nodes}
+		a := new(packed)
+		depth := appendTree(a, b.nodes)
+		grown[ti] = grownTree{arena: a, end: len(a.meta), depth: depth}
 	}
+	f := &Forest{cfg: cfg, nFeatures: len(x[0])}
+	f.concat(grown)
 	return f
 }
 
 // forestsIdentical compares two forests node by node.
 func forestsIdentical(a, b *Forest) bool {
-	if len(a.trees) != len(b.trees) {
+	at, bt := a.unpack(), b.unpack()
+	if len(at) != len(bt) {
 		return false
 	}
-	for ti := range a.trees {
-		ta, tb := a.trees[ti].nodes, b.trees[ti].nodes
+	for ti := range at {
+		ta, tb := at[ti].nodes, bt[ti].nodes
 		if len(ta) != len(tb) {
 			return false
 		}

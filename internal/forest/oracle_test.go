@@ -46,19 +46,94 @@ func trainReference(cfg Config, x [][]float64, y []float64) *Forest {
 	})
 }
 
+// node is one tree node of the reference builder's per-tree arena.
+// Leaves have left == -1.
+type node struct {
+	feature int
+	thresh  float64
+	left    int
+	right   int
+	value   float64
+}
+
+// tree is a CART regression tree as the reference builder emits it:
+// tree-local child indices.
+type tree struct {
+	nodes []node
+}
+
+// appendTree writes nodes to dst in the packed layout (see compiled.go)
+// and returns the tree's edge depth. It is how the reference builder's
+// trees reach the production Forest, so the builder must keep a left
+// child adjacent to its parent, as the trainer does.
+func appendTree(dst *packed, nodes []node) int {
+	base := len(dst.meta)
+	for i, n := range nodes {
+		j := base + i
+		dst.value = append(dst.value, n.value)
+		if n.left == -1 {
+			dst.meta = append(dst.meta, int64(j)<<32)
+			dst.thresh = append(dst.thresh, math.NaN())
+			continue
+		}
+		if n.left != i+1 {
+			panic("forest: reference tree violates left-child adjacency")
+		}
+		dst.meta = append(dst.meta, int64(base+n.right)<<32|int64(n.feature))
+		dst.thresh = append(dst.thresh, n.thresh)
+	}
+	return nodeDepth(nodes, 0)
+}
+
+// nodeDepth returns the edge depth of the subtree rooted at i: 0 for a
+// leaf. Tree depth is bounded by Config.MaxDepth, so recursion is safe.
+func nodeDepth(nodes []node, i int) int {
+	n := nodes[i]
+	if n.left == -1 {
+		return 0
+	}
+	return 1 + max(nodeDepth(nodes, n.left), nodeDepth(nodes, n.right))
+}
+
+// unpack rebuilds the forest's trees in the reference builder's form
+// from the packed layout: tree-local indices, and leaves with feature 0
+// and threshold 0, exactly as builder.grow appends them. It inverts
+// appendTree, so node-for-node comparisons of unpacked forests compare
+// the packed arrays.
+func (f *Forest) unpack() []tree {
+	trees := make([]tree, len(f.roots))
+	for ti := range trees {
+		lo, hi := int(f.roots[ti]), len(f.meta)
+		if ti+1 < len(f.roots) {
+			hi = int(f.roots[ti+1])
+		}
+		nodes := make([]node, hi-lo)
+		for j := lo; j < hi; j++ {
+			m := f.meta[j]
+			r := int(m >> 32)
+			if r == j {
+				nodes[j-lo] = node{left: -1, right: -1, value: f.value[j]}
+				continue
+			}
+			nodes[j-lo] = node{feature: int(int32(m)), thresh: f.thresh[j], left: j + 1 - lo, right: r - lo, value: f.value[j]}
+		}
+		trees[ti] = tree{nodes: nodes}
+	}
+	return trees
+}
+
 // fv pairs one sample's feature value with its target for split scans.
 type fv struct{ v, y float64 }
 
-// builder grows trees. One builder serves one goroutine; its scratch
-// buffers (perm, vals, part) persist across trees to keep per-split
-// allocations off the hot path.
+// builder grows trees. One builder serves one goroutine; its node
+// arena and scratch buffers (perm, vals, part) persist across trees to
+// keep per-split allocations off the hot path.
 type builder struct {
 	x     [][]float64
 	y     []float64
 	cfg   Config
 	rng   *rand.Rand
-	nodes []node
-	hint  int // node count of the last tree grown, sizes the next arena
+	nodes []node // arena of the tree being grown, reused across trees
 
 	perm []int // scratch: feature permutation (mirrors rand.Perm)
 	vals []fv  // scratch: sorted (value, target) pairs per split scan
@@ -66,19 +141,17 @@ type builder struct {
 }
 
 // fitTree implements fitter; see build.
-func (b *builder) fitTree(seed int64, boot []int) []node { return b.build(seed, boot) }
+func (b *builder) fitTree(seed int64, boot []int, dst *packed) int {
+	return appendTree(dst, b.build(seed, boot))
+}
 
 // build grows one tree from a fresh seed and bootstrap sample and
-// returns its node arena. The arena is freshly allocated per tree (it
-// is retained by the Forest); all other buffers are reused.
+// returns its node arena, which the next build overwrites.
 func (b *builder) build(seed int64, boot []int) []node {
 	b.rng = rand.New(rand.NewSource(seed))
-	b.nodes = make([]node, 0, b.hint)
+	b.nodes = b.nodes[:0]
 	b.grow(boot, 0)
-	nodes := b.nodes
-	b.nodes = nil
-	b.hint = len(nodes)
-	return nodes
+	return b.nodes
 }
 
 // grow builds the subtree over the samples in idx and returns its node
@@ -226,30 +299,38 @@ func (t *tree) predict(x []float64) float64 {
 	}
 }
 
-// Predict returns the ensemble mean prediction for x. It panics if x has
-// the wrong dimensionality.
+// Predict returns the ensemble mean prediction for x by pointer walks
+// over the unpacked trees. It panics if x has the wrong dimensionality.
 func (f *Forest) Predict(x []float64) float64 {
 	f.check(x)
+	return predictMean(f.unpack(), x)
+}
+
+// predictMean is the reference ensemble mean: per-tree predictions
+// summed in tree order.
+func predictMean(trees []tree, x []float64) float64 {
 	var s float64
-	for i := range f.trees {
-		s += f.trees[i].predict(x)
+	for i := range trees {
+		s += trees[i].predict(x)
 	}
-	return s / float64(len(f.trees))
+	return s / float64(len(trees))
 }
 
 // TreePredictions returns every tree's prediction for x — the vector p
 // of the paper's Section IV-A jackknife procedure.
 func (f *Forest) TreePredictions(x []float64) []float64 {
 	f.check(x)
-	out := make([]float64, len(f.trees))
-	f.treePredictInto(x, out)
+	trees := f.unpack()
+	out := make([]float64, len(trees))
+	treePredictInto(trees, x, out)
 	return out
 }
 
-// treePredictInto fills dst (len == NumTrees) with per-tree predictions.
-func (f *Forest) treePredictInto(x []float64, dst []float64) {
-	for i := range f.trees {
-		dst[i] = f.trees[i].predict(x)
+// treePredictInto fills dst (len == len(trees)) with per-tree
+// predictions.
+func treePredictInto(trees []tree, x []float64, dst []float64) {
+	for i := range trees {
+		dst[i] = trees[i].predict(x)
 	}
 }
 
@@ -273,10 +354,12 @@ func (f *Forest) check(x []float64) {
 func oracleScores(f *Forest, qs [][]float64) (mean, vari []float64) {
 	mean = make([]float64, len(qs))
 	vari = make([]float64, len(qs))
-	preds := make([]float64, len(f.trees))
+	trees := f.unpack()
+	preds := make([]float64, len(trees))
 	for i, q := range qs {
-		mean[i] = f.Predict(q)
-		f.treePredictInto(q, preds)
+		f.check(q)
+		mean[i] = predictMean(trees, q)
+		treePredictInto(trees, q, preds)
 		vari[i] = jackknifeVariance(preds)
 	}
 	return mean, vari

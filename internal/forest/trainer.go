@@ -55,23 +55,29 @@
 // "Training kernel"). FuzzTrainDifferential pins node-for-node
 // equality at every Workers count.
 //
-// Arena. Nodes append into one reused per-trainer arena (same
-// parent, left-subtree, right-subtree emission order as the builder,
-// so the parent+1 left-child adjacency the inference Kernel asserts at
-// Compile time is preserved), then one right-sized copy per tree is
-// retained by the Forest. Steady-state growth — order building,
-// live-set marking, split scans, partitions — allocates nothing; the
-// zeroalloc annotations and BenchmarkTrainSplitScan's hard benchguard
-// gate hold that line.
+// Arena. Each trainer appends its trees' nodes straight into its
+// worker's arena in the packed layout the inference Kernel walks (same
+// parent, left-subtree, right-subtree emission order as the builder, so
+// a left child is always its parent+1). train concatenates the arenas
+// once, in tree order, into the Forest's node arrays, and Compile
+// serves those arrays as they are. train reserves room for the largest
+// tree possible before each tree, and each trainer reseeds one
+// stats.Source per tree instead of allocating a math/rand generator,
+// so growing a tree allocates nothing once scratch is warm: order
+// building, live-set marking, split scans and partitions included. The
+// zeroalloc annotations, TestTrainerSteadyStateZeroAlloc and
+// BenchmarkTrainSplitScan's hard benchguard gate hold that line.
 package forest
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
 	"acclaim/internal/featspace"
+	"acclaim/internal/stats"
 )
 
 // binset is the pre-binned, read-only view of one training matrix,
@@ -126,16 +132,16 @@ func newBinset(n, nf int, col func(f int, dst []float64)) *binset {
 
 // trainer grows trees on a binset. One trainer serves one goroutine;
 // all scratch persists across the trees that goroutine grows, so
-// steady-state growth performs no allocations beyond the retained
-// per-tree node copy.
+// steady-state growth performs no allocations.
 type trainer struct {
 	bs  *binset
 	y   []float64
 	cfg Config
-	rng *rand.Rand
+	src stats.Source // the current tree's stream, reseeded per tree
+	rng *rand.Rand   // draws from src
 
-	nodes []node // arena, reused across trees; Forest keeps a copy
-	hint  int    // node count of the last tree grown, sizes the copy
+	out   *packed // arena the current tree appends to
+	depth int     // deepest node of the current tree so far
 
 	nb    int     // bootstrap size of the current tree
 	idx   []int32 // current tree's sample indices, partitioned in place
@@ -178,25 +184,27 @@ func (t *trainer) ensure(nb int) {
 	}
 }
 
+// newTrainer returns a trainer for bs and targets y; cfg must already
+// have defaults applied.
+func newTrainer(bs *binset, y []float64, cfg Config) *trainer {
+	t := &trainer{bs: bs, y: y, cfg: cfg}
+	t.rng = rand.New(&t.src)
+	return t
+}
+
 // fitTree implements fitter: it grows one tree from a fresh seed and
 // bootstrap sample, bit-identical to builder.build on the same inputs.
-func (t *trainer) fitTree(seed int64, boot []int) []node {
-	t.rng = rand.New(rand.NewSource(seed))
+func (t *trainer) fitTree(seed int64, boot []int, dst *packed) int {
+	t.src.Seed(seed)
 	t.ensure(len(boot))
 	for i, s := range boot {
 		t.idx[i] = int32(s)
 	}
 	t.buildOrders()
-	if cap(t.nodes) < t.hint {
-		t.nodes = make([]node, 0, t.hint)
-	}
-	t.nodes = t.nodes[:0]
+	t.out, t.depth = dst, 0
 	mean, sse := meanSSE32(t.y, t.idx)
 	t.growRange(0, t.nb, 0, mean, sse)
-	out := make([]node, len(t.nodes))
-	copy(out, t.nodes)
-	t.hint = len(t.nodes)
-	return out
+	return t.depth
 }
 
 // buildOrders fills order with each feature's stable counting sort of
@@ -240,8 +248,7 @@ func (t *trainer) buildOrders() {
 // idx and the order segments of the features that still vary are
 // partitioned in place, preserving relative order.
 func (t *trainer) growRange(lo, hi, depth int, mean, sse float64) int {
-	self := len(t.nodes)
-	t.nodes = append(t.nodes, node{left: -1, right: -1, value: mean})
+	self := t.pushLeaf(mean, depth)
 	if t.stops(hi-lo, depth, sse) {
 		return self
 	}
@@ -267,13 +274,24 @@ func (t *trainer) growRange(lo, hi, depth int, mean, sse float64) int {
 			}
 		}
 	}
-	l := t.growRange(lo, lo+k, depth+1, lMean, lSSE)
+	t.growRange(lo, lo+k, depth+1, lMean, lSSE) // lands at self+1
 	r := t.growRange(lo+k, hi, depth+1, rMean, rSSE)
-	t.nodes[self].feature = feat
-	t.nodes[self].thresh = thresh
-	t.nodes[self].left = l
-	t.nodes[self].right = r
+	t.out.meta[self] = int64(r)<<32 | int64(feat)
+	t.out.thresh[self] = thresh
 	return self
+}
+
+// pushLeaf appends a leaf predicting mean at depth to the arena and
+// returns its index: a self-loop with a NaN threshold, which growRange
+// turns into a split node once its children exist.
+func (t *trainer) pushLeaf(mean float64, depth int) int {
+	a := t.out
+	i := len(a.meta)
+	a.meta = append(a.meta, int64(i)<<32)
+	a.thresh = append(a.thresh, math.NaN())
+	a.value = append(a.value, mean)
+	t.depth = max(t.depth, depth)
+	return i
 }
 
 // stops is builder.grow's stopping rule for a node of n samples.
@@ -449,6 +467,6 @@ func TrainMatrix(cfg Config, m *featspace.Matrix, y []float64) (*Forest, error) 
 	cfg = cfg.withDefaults(cols)
 	bs := newBinset(rows, cols, m.Col)
 	return train(cfg, rows, cols, y, func() fitter {
-		return &trainer{bs: bs, y: y, cfg: cfg}
+		return newTrainer(bs, y, cfg)
 	}), nil
 }

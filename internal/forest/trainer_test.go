@@ -70,7 +70,7 @@ func TestTrainerConstantTargets(t *testing.T) {
 	if !forestsIdentical(want, got) {
 		t.Fatal("constant-target forests differ")
 	}
-	for _, tr := range got.trees {
+	for _, tr := range got.unpack() {
 		if len(tr.nodes) != 1 || tr.nodes[0].value != -2.5 {
 			t.Fatalf("constant-target tree = %+v, want single leaf at -2.5", tr.nodes)
 		}
@@ -119,7 +119,7 @@ func TestTrainerAllEqualFeature(t *testing.T) {
 	if !forestsIdentical(want, got) {
 		t.Fatal("all-equal-feature forests differ")
 	}
-	for _, tr := range got.trees {
+	for _, tr := range got.unpack() {
 		for _, nd := range tr.nodes {
 			if nd.left != -1 && nd.feature == 0 {
 				t.Fatal("tree split on a constant feature")
@@ -165,7 +165,7 @@ func TestTrainerWideMatrix(t *testing.T) {
 			t.Fatalf("Workers=%d: %d-column forest differs from reference builder", workers, nf)
 		}
 		high := false
-		for _, tr := range got.trees {
+		for _, tr := range got.unpack() {
 			for _, nd := range tr.nodes {
 				if nd.left != -1 && (nd.feature == 64 || nd.feature == 70) {
 					t.Fatalf("Workers=%d: tree split on constant column %d", workers, nd.feature)
@@ -294,17 +294,29 @@ func TestBinsetRoundTrip(t *testing.T) {
 // //acclaim:zeroalloc annotations in trainer.go: once scratch is
 // warmed (ensure + one tree grown), order building, live-feature
 // marking, split scanning, and partitioning allocate nothing — and
-// neither does re-sizing scratch for the same bootstrap.
+// neither does re-sizing scratch for the same bootstrap. A whole tree
+// grown into an arena with room for it allocates nothing either: no
+// per-tree node copy and no per-tree generator.
 func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 	x, y := trainerData(53, 220, 4)
 	cfg := Config{Seed: 59, NTrees: 1, Workers: 1}.withDefaults(4)
 	bs := newBinset(len(x), 4, rowsMatrix(x).Col)
-	tr := &trainer{bs: bs, y: y, cfg: cfg}
+	tr := newTrainer(bs, y, cfg)
 	boot := make([]int, len(x))
 	for i := range boot {
 		boot[i] = i
 	}
-	tr.fitTree(61, boot) // warm every scratch buffer
+	arena := new(packed)
+	tr.fitTree(61, boot, arena) // warm every scratch buffer and size the arena
+
+	seed := int64(61)
+	if n := testing.AllocsPerRun(20, func() {
+		arena.meta, arena.thresh, arena.value = arena.meta[:0], arena.thresh[:0], arena.value[:0]
+		seed++
+		tr.fitTree(seed%2+61, boot, arena) // two trees, so reseeding is exercised
+	}); n != 0 {
+		t.Errorf("fitTree allocates %v times per tree into a sized arena, want 0", n)
+	}
 
 	if n := testing.AllocsPerRun(100, func() { tr.ensure(len(boot)) }); n != 0 {
 		t.Errorf("ensure allocates %v times per run on warm scratch, want 0", n)
@@ -344,4 +356,28 @@ func t2ScanAll(tr *trainer) (feat int, thresh float64, cut int32, ok bool) {
 		}
 	}
 	return feat, thresh, cut, ok
+}
+
+// TestMaxTreeNodesBound checks the bound train reserves arena room
+// by: no tree exceeds Config.maxTreeNodes for its bootstrap size,
+// whether MinLeaf, MaxDepth or the sample count is what binds.
+func TestMaxTreeNodesBound(t *testing.T) {
+	x, y := trainerData(83, 150, 3)
+	for _, cfg := range []Config{
+		{Seed: 1, NTrees: 5, Workers: 1},
+		{Seed: 2, NTrees: 5, MinLeaf: 3, Workers: 2},
+		{Seed: 3, NTrees: 5, MaxDepth: 3, Workers: 1},
+		{Seed: 4, NTrees: 5, MinLeaf: 200, Workers: 1},
+	} {
+		f, err := trainRows(cfg, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := f.cfg.maxTreeNodes(len(x))
+		for ti, tr := range f.unpack() {
+			if len(tr.nodes) > bound {
+				t.Fatalf("cfg %+v tree %d has %d nodes, bound %d", cfg, ti, len(tr.nodes), bound)
+			}
+		}
+	}
 }

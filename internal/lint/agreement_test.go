@@ -62,6 +62,10 @@ var zeroAllocManifest = map[string][]string{
 		"trainer.scanFeature",
 		"trainer.stablePartition",
 	},
+	"internal/stats": {
+		"Source.Seed",
+		"Source.Uint64",
+	},
 }
 
 // annotatedFuncs parses one package directory (no type-checking
