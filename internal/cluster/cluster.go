@@ -180,19 +180,18 @@ func strided(m Machine, start, n, stride int) (Allocation, error) {
 // are the topology properties behind the paper's >2x job-to-job
 // latency variation. Build with NewMetrics; pass to BestEffortObs.
 type Metrics struct {
-	Allocations *obs.Counter   // cluster.allocations_total
-	RackSpan    *obs.Histogram // cluster.alloc_rack_span: racks touched per allocation
-	PairSpan    *obs.Histogram // cluster.alloc_pair_span: rack pairs touched per allocation
+	Allocations *obs.Counter      // cluster.allocations_total
+	RackSpan    *obs.HDRHistogram // cluster.alloc_rack_span: racks touched per allocation
+	PairSpan    *obs.HDRHistogram // cluster.alloc_pair_span: rack pairs touched per allocation
 }
 
 // NewMetrics registers the allocator metric set on reg (nil reg gives
 // all-nil, no-op handles).
 func NewMetrics(reg *obs.Registry) *Metrics {
-	spanBuckets := []float64{1, 2, 4, 8, 16, 32, 64}
 	return &Metrics{
 		Allocations: reg.Counter("cluster.allocations_total"),
-		RackSpan:    reg.Histogram("cluster.alloc_rack_span", spanBuckets...),
-		PairSpan:    reg.Histogram("cluster.alloc_pair_span", spanBuckets...),
+		RackSpan:    reg.Histogram("cluster.alloc_rack_span"),
+		PairSpan:    reg.Histogram("cluster.alloc_pair_span"),
 	}
 }
 

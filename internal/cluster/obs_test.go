@@ -46,7 +46,7 @@ func TestBestEffortObsFailedDraw(t *testing.T) {
 	if _, err := BestEffortObs(Theta(), rand.New(rand.NewSource(1)), 1<<20, met); err == nil {
 		t.Fatal("oversized allocation succeeded")
 	}
-	if met.Allocations.Load() != 0 || met.RackSpan.Count() != 0 {
+	if met.Allocations.Load() != 0 || met.RackSpan.Snapshot().Count != 0 {
 		t.Error("failed allocation was recorded")
 	}
 }

@@ -125,13 +125,13 @@ func (c Config) withDefaults() Config {
 //
 //acclaim:frozen
 type tunerMetrics struct {
-	rounds    *obs.Counter   // tuner.rounds_total: active-learning rounds
-	samples   *obs.Counter   // tuner.samples_total: training samples collected
-	collects  *obs.Counter   // tuner.collects_total: collection batches issued
-	fitNs     *obs.Histogram // tuner.fit_ns: forest retrain time per round
-	scoreNs   *obs.Histogram // tuner.score_ns: jackknife scoring sweep time per round
-	pickNs    *obs.Histogram // tuner.pick_ns: batch-pick time per round
-	collectNs *obs.Histogram // tuner.collect_ns: host time per collection batch
+	rounds    *obs.Counter      // tuner.rounds_total: active-learning rounds
+	samples   *obs.Counter      // tuner.samples_total: training samples collected
+	collects  *obs.Counter      // tuner.collects_total: collection batches issued
+	fitNs     *obs.HDRHistogram // tuner.fit_ns: forest retrain time per round
+	scoreNs   *obs.HDRHistogram // tuner.score_ns: jackknife scoring sweep time per round
+	pickNs    *obs.HDRHistogram // tuner.pick_ns: batch-pick time per round
+	collectNs *obs.HDRHistogram // tuner.collect_ns: host time per collection batch
 }
 
 func newTunerMetrics(reg *obs.Registry) tunerMetrics {

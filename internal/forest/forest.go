@@ -53,11 +53,11 @@ type Config struct {
 // share one instance across every Config that should report into the
 // same registry.
 type Metrics struct {
-	Trains    *obs.Counter   // forest.trains_total: TrainMatrix calls
-	Trees     *obs.Counter   // forest.trees_total: trees grown
-	Workers   *obs.Gauge     // forest.train_workers: pool size of the last TrainMatrix
-	TreeFitNs *obs.Histogram // forest.tree_fit_ns: per-tree growth time
-	TrainNs   *obs.Histogram // forest.train_ns: whole-TrainMatrix wall time
+	Trains    *obs.Counter      // forest.trains_total: TrainMatrix calls
+	Trees     *obs.Counter      // forest.trees_total: trees grown
+	Workers   *obs.Gauge        // forest.train_workers: pool size of the last TrainMatrix
+	TreeFitNs *obs.HDRHistogram // forest.tree_fit_ns: per-tree growth time
+	TrainNs   *obs.HDRHistogram // forest.train_ns: whole-TrainMatrix wall time
 	// PoolBusyNs accumulates summed per-tree growth time; divided by
 	// train_ns x train_workers it yields worker-pool occupancy.
 	PoolBusyNs *obs.Gauge // forest.pool_busy_ns

@@ -29,12 +29,13 @@ func TestTrainMetrics(t *testing.T) {
 		if fit.Count != 12 {
 			t.Errorf("workers=%d: tree_fit_ns observations = %d, want 12", workers, fit.Count)
 		}
-		if met.TrainNs.Count() != 1 {
-			t.Errorf("workers=%d: train_ns observations = %d, want 1", workers, met.TrainNs.Count())
+		train := met.TrainNs.Snapshot()
+		if train.Count != 1 {
+			t.Errorf("workers=%d: train_ns observations = %d, want 1", workers, train.Count)
 		}
 		// Summed per-tree time can never exceed workers x wall time; with
 		// one worker they describe the same serial interval.
-		busy, wall := met.PoolBusyNs.Load(), met.TrainNs.Sum()
+		busy, wall := met.PoolBusyNs.Load(), train.Sum
 		if busy <= 0 || busy > wall*float64(workers)*1.5 {
 			t.Errorf("workers=%d: pool_busy_ns = %v vs train_ns %v", workers, busy, wall)
 		}

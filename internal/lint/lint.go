@@ -13,9 +13,7 @@
 //     touched by functions that lock <mu>, and a field must not mix
 //     sync/atomic and plain access (see lockcheck.go).
 //   - metricname: obs metric/span names are literal, lower_snake dotted,
-//     unique per package, and host-time histograms end in `_ns` — the
-//     run-report golden normalisation keys on that suffix (see
-//     metricname.go).
+//     and unique per package (see metricname.go).
 //   - frozen: types annotated `//acclaim:frozen` — and every type
 //     published through atomic.Pointer[T] — must be deep-immutable
 //     after construction: no interior writes reachable outside the

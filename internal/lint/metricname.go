@@ -30,16 +30,12 @@ var registrationMethods = map[string]bool{
 //     (per-collective gauges) need an //acclaim:allow so a reviewer
 //     sees that the runtime segments keep the scheme;
 //   - the name matches ^[a-z][a-z0-9_.]*$ (spans may also use ':');
-//   - a Registry.Histogram registered with the default bounds — host
-//     nanoseconds, obs's defTimeBuckets — ends in _ns: the golden run-report
-//     normalisation keys on exactly that suffix, so a host-time
-//     histogram under any other name produces flaky goldens;
 //   - no two registration sites in a package bind the same name (the
 //     registry's get-or-create would silently share state).
 func MetricName() *Analyzer {
 	return &Analyzer{
 		Name: "metricname",
-		Doc:  "obs metric/span names: literal, lower_snake dotted, _ns for host-time histograms, unique",
+		Doc:  "obs metric/span names: literal, lower_snake dotted, unique",
 		Run: func(p *Package) []Diagnostic {
 			var ds []Diagnostic
 			first := map[string]string{} // name -> first registration position
@@ -84,10 +80,6 @@ func MetricName() *Analyzer {
 					}
 					if isSpan {
 						return true
-					}
-					if fn.Name() == "Histogram" && len(call.Args) == 1 && !strings.HasSuffix(name, "_ns") {
-						ds = append(ds, p.diag("metricname", arg.Pos(),
-							"histogram %q uses the default host-nanosecond buckets but does not end in _ns (run-report normalisation keys on the suffix)", name))
 					}
 					file, line, _ := p.pos(arg.Pos())
 					at := file + ":" + strconv.Itoa(line)

@@ -1,20 +1,17 @@
 // Package metricname is the golden fixture for the metricname
-// analyzer: literal lower_snake dotted names, the _ns suffix rule for
-// default-bucket histograms, per-package uniqueness, and the
-// constant-name requirement.
+// analyzer: literal lower_snake dotted names, per-package uniqueness,
+// and the constant-name requirement.
 package metricname
 
 import "acclaim/internal/obs"
 
 func register(reg *obs.Registry, rec obs.Recorder, dyn string) {
 	reg.Counter("fixture.lookups_total")
-	reg.Counter("Fixture.Bad")                   // want `name "Fixture\.Bad" does not match`
-	reg.Histogram("fixture.fit")                 // want `histogram "fixture\.fit" uses the default host-nanosecond buckets but does not end in _ns`
-	reg.Histogram("fixture.fit_ns")              // default buckets with _ns: fine
-	reg.Histogram("fixture.size_bytes", 1, 2, 4) // explicit bounds: fine
-	reg.Gauge("fixture.lookups_total")           // want `metric "fixture\.lookups_total" already registered at`
-	reg.Counter(dyn)                             // want `metric name is not a constant string`
-	reg.HDR("fixture.Lat.NS")                    // want `name "fixture\.Lat\.NS" does not match`
+	reg.Counter("Fixture.Bad")         // want `name "Fixture\.Bad" does not match`
+	reg.Histogram("fixture.Fit_ns")    // want `name "fixture\.Fit_ns" does not match`
+	reg.Gauge("fixture.lookups_total") // want `metric "fixture\.lookups_total" already registered at`
+	reg.Counter(dyn)                   // want `metric name is not a constant string`
+	reg.HDR("fixture.Lat.NS")          // want `name "fixture\.Lat\.NS" does not match`
 	reg.HDRFunc("fixture.lat_ns", nil)
 	reg.HDRFunc("fixture.lat_ns", nil) // want `metric "fixture\.lat_ns" already registered at`
 

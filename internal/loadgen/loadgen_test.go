@@ -302,9 +302,9 @@ func TestRegistryMetrics(t *testing.T) {
 	if got := reg.Counter("loadgen.errors_total").Load(); got != 0 {
 		t.Fatalf("loadgen.errors_total = %d, want 0", got)
 	}
-	lat := reg.HDR("loadgen.latency_ns")
-	if lat.Count() != rep.Requests-rep.Errors {
-		t.Fatalf("latency HDR holds %d samples, want %d", lat.Count(), rep.Requests-rep.Errors)
+	lat := reg.HDR("loadgen.latency_ns").Snapshot()
+	if lat.Count != rep.Requests-rep.Errors {
+		t.Fatalf("latency HDR holds %d samples, want %d", lat.Count, rep.Requests-rep.Errors)
 	}
 }
 

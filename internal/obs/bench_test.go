@@ -23,8 +23,9 @@ func BenchmarkGaugeAdd(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := newHistogram(defTimeBuckets...)
+	h := NewRegistry().Histogram("bench.observe_ns")
 	b.ReportAllocs()
+	b.ResetTimer() // the 9.2 KB bucket array is setup, not per-op cost
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 100000))
 	}

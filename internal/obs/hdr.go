@@ -39,7 +39,7 @@ func hdrIndex(v int64) int {
 }
 
 // hdrUpper returns the inclusive upper bound of bucket i — the value
-// Quantile reports for ranks landing in it.
+// HDRSnapshot.Quantile reports for ranks landing in it.
 func hdrUpper(i int) int64 {
 	if i < hdrSubCount {
 		return int64(i)
@@ -82,18 +82,20 @@ func hdrRep(i int) float64 {
 }
 
 // HDRHistogram is a high-dynamic-range log-linear histogram for
-// non-negative values (latencies in nanoseconds on the serving path):
-// zero-alloc lock-free Observe, exact counts per ~3%-wide bucket, and
-// Quantile answers exact within one bucket width. NaN and negative
-// observations are rejected and counted in Dropped instead of
-// corrupting a bucket. The zero value is ready to use; all methods are
-// safe for concurrent use and nil receivers no-op.
+// non-negative values — host nanoseconds, latencies, sizes: the one
+// distribution type every registry histogram uses. It has zero-alloc
+// lock-free Observe, exact counts per ~3%-wide bucket, and quantiles
+// exact within one bucket width. NaN and negative observations are
+// rejected and counted as dropped instead of corrupting a bucket. The
+// zero value is ready to use (about 9.2 KB of buckets); all methods are
+// safe for concurrent use and nil receivers no-op. Reads go through
+// Snapshot.
 //
 // The observe path is a single atomic increment on the value's bucket
 // — no separate count or sum word, which matters when the serving
 // path brackets every lookup: one uncontended atomic RMW is the whole
-// recording cost. Count is reconstructed exactly from the buckets at
-// read time; Sum is reconstructed at bucket resolution (exact in the
+// recording cost. Snapshot reconstructs Count exactly from the
+// buckets; Sum is reconstructed at bucket resolution (exact in the
 // linear region, midpoint in the log region, so <= ~1.6% relative
 // error — the same order as the quantile contract).
 //
@@ -118,7 +120,8 @@ func (h *HDRHistogram) ObserveNs(v int64) {
 	h.counts[hdrIndex(v)].Add(1)
 }
 
-// Observe records one value, rounding to the integer grid. NaN and
+// Observe records one value, truncated toward zero onto the integer
+// grid (+Inf clamps to MaxInt64, in the overflow bucket). NaN and
 // negative values are dropped and counted, never binned.
 //
 //acclaim:zeroalloc
@@ -135,104 +138,6 @@ func (h *HDRHistogram) Observe(v float64) {
 		return
 	}
 	h.ObserveNs(int64(v))
-}
-
-// Count returns the total number of accepted observations
-// (reconstructed exactly from the buckets).
-func (h *HDRHistogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all accepted observations, reconstructed
-// from the buckets at bucket resolution (see hdrRep).
-func (h *HDRHistogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	var sum float64
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c > 0 {
-			sum += float64(c) * hdrRep(i)
-		}
-	}
-	return sum
-}
-
-// Dropped returns the number of rejected (NaN or negative)
-// observations.
-func (h *HDRHistogram) Dropped() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.dropped.Load()
-}
-
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *HDRHistogram) Mean() float64 {
-	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
-
-// Quantile returns the value at quantile q (0 < q <= 1) by
-// nearest-rank over the bucket grid: the reported value is the upper
-// bound of the bucket holding rank ceil(q*n), so it is never below the
-// true sample quantile and never above it by more than one bucket
-// width (~3.1% relative). Returns 0 with no observations.
-func (h *HDRHistogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	// One consistent pass: copy the buckets, then rank over the copy,
-	// so concurrent writers cannot push the target rank past the
-	// cumulative walk.
-	var counts [hdrNumBuckets]uint64
-	var n uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		n += counts[i]
-	}
-	if n == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return float64(hdrUpper(i))
-		}
-	}
-	return float64(hdrUpper(hdrNumBuckets - 1))
-}
-
-// Max returns the upper bound of the highest occupied bucket (0 when
-// empty) — an upper estimate of the true maximum within one bucket
-// width, with no extra cost on the observe path.
-func (h *HDRHistogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	for i := hdrNumBuckets - 1; i >= 0; i-- {
-		if h.counts[i].Load() > 0 {
-			return float64(hdrUpper(i))
-		}
-	}
-	return 0
 }
 
 // HDRBucket is one occupied bucket of an HDR snapshot: Le is the
@@ -259,9 +164,9 @@ type HDRSnapshot struct {
 	Buckets []HDRBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot copies the histogram's current state. Like
-// Histogram.Snapshot, concurrent writers make this a consistent-enough
-// view, not an atomic cut.
+// Snapshot copies the histogram's current state. The buckets are read
+// without a global lock, so under concurrent writers this is a
+// consistent-enough view, not an atomic cut.
 func (h *HDRHistogram) Snapshot() HDRSnapshot {
 	if h == nil {
 		return HDRSnapshot{}
@@ -290,8 +195,11 @@ func (s *HDRSnapshot) fillQuantiles() {
 	}
 }
 
-// Quantile answers from the snapshot's sparse buckets with the same
-// nearest-rank semantics as HDRHistogram.Quantile.
+// Quantile returns the value at quantile q (0 < q <= 1) by nearest
+// rank over the bucket grid: the reported value is the upper bound of
+// the bucket holding rank ceil(q*n), so it is never below the true
+// sample quantile and never above it by more than one bucket width
+// (~3.1% relative). Returns 0 with no observations.
 func (s HDRSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -397,76 +305,6 @@ func (r *HDRRecorder) Record(startNs, latencyNs int64) {
 		return
 	}
 	h.counts[hdrIndex(latencyNs)].Add(1)
-}
-
-// Count returns total accepted observations across shards.
-func (r *HDRRecorder) Count() uint64 {
-	if r == nil {
-		return 0
-	}
-	var n uint64
-	for i := range r.shards {
-		n += r.shards[i].Count()
-	}
-	return n
-}
-
-// Dropped returns total rejected observations across shards.
-func (r *HDRRecorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	var n uint64
-	for i := range r.shards {
-		n += r.shards[i].Dropped()
-	}
-	return n
-}
-
-// Quantile merges the shards' bucket counts on the fly and answers
-// with HDRHistogram.Quantile semantics.
-func (r *HDRRecorder) Quantile(q float64) float64 {
-	if r == nil {
-		return 0
-	}
-	n := r.Count()
-	if n == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var cum uint64
-	for i := 0; i < hdrNumBuckets; i++ {
-		for s := range r.shards {
-			cum += r.shards[s].counts[i].Load()
-		}
-		if cum >= rank {
-			return float64(hdrUpper(i))
-		}
-	}
-	return float64(hdrUpper(hdrNumBuckets - 1))
-}
-
-// Mean returns the mean accepted observation across shards.
-func (r *HDRRecorder) Mean() float64 {
-	if r == nil {
-		return 0
-	}
-	var sum float64
-	var n uint64
-	for i := range r.shards {
-		sum += r.shards[i].Sum()
-		n += r.shards[i].Count()
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Snapshot merges every shard into one HDRSnapshot.

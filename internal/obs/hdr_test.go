@@ -12,7 +12,7 @@ import (
 
 // exactQuantile is the nearest-rank sample quantile over sorted
 // samples: the value at rank ceil(q*n), the definition
-// HDRHistogram.Quantile approximates within one bucket width.
+// HDRSnapshot.Quantile approximates within one bucket width.
 func exactQuantile(sorted []int64, q float64) int64 {
 	rank := int(math.Ceil(q * float64(len(sorted))))
 	if rank < 1 {
@@ -26,9 +26,9 @@ func exactQuantile(sorted []int64, q float64) int64 {
 
 // TestHDRQuantileDifferential pins the accuracy contract: across
 // uniform, lognormal, and adversarial (bucket-edge-hugging)
-// distributions, Quantile(q) is never below the exact sorted sample
-// quantile and never above it by more than the width of the bucket it
-// answers from.
+// distributions, a snapshot's Quantile(q) is never below the exact
+// sorted sample quantile and never above it by more than the width of
+// the bucket it answers from.
 func TestHDRQuantileDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	distributions := map[string]func(n int) []int64{
@@ -70,10 +70,11 @@ func TestHDRQuantileDifferential(t *testing.T) {
 			for _, v := range samples {
 				h.ObserveNs(v)
 			}
+			snap := h.Snapshot()
 			sorted := append([]int64(nil), samples...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 			for _, q := range quantiles {
-				got := h.Quantile(q)
+				got := snap.Quantile(q)
 				want := exactQuantile(sorted, q)
 				if got < float64(want) {
 					t.Errorf("q=%v: estimate %v below exact %d", q, got, want)
@@ -89,13 +90,14 @@ func TestHDRQuantileDifferential(t *testing.T) {
 			for i, v := range samples {
 				rec.Record(int64(i), v)
 			}
+			merged := rec.Snapshot()
 			for _, q := range quantiles {
-				if got, want := rec.Quantile(q), h.Quantile(q); got != want {
+				if got, want := merged.Quantile(q), snap.Quantile(q); got != want {
 					t.Errorf("q=%v: sharded quantile %v != unsharded %v", q, got, want)
 				}
 			}
-			if got, want := rec.Snapshot().Quantile(0.99), h.Quantile(0.99); got != want {
-				t.Errorf("merged snapshot p99 %v != live %v", got, want)
+			if merged.P99 != snap.P99 {
+				t.Errorf("merged snapshot p99 %v != unsharded %v", merged.P99, snap.P99)
 			}
 		})
 	}
@@ -129,7 +131,7 @@ func TestHDRIndexRoundTrip(t *testing.T) {
 	// bound is MaxInt64.
 	h := &HDRHistogram{}
 	h.ObserveNs(1 << hdrMaxExp)
-	if got := h.Quantile(1); got != float64(math.MaxInt64) {
+	if got := h.Snapshot().Quantile(1); got != float64(math.MaxInt64) {
 		t.Errorf("overflow quantile = %v, want MaxInt64", got)
 	}
 }
@@ -140,34 +142,14 @@ func TestHDRDropsBadInputs(t *testing.T) {
 	h.Observe(-1)
 	h.ObserveNs(-5)
 	h.Observe(3)
-	if got := h.Dropped(); got != 3 {
-		t.Errorf("dropped = %d, want 3", got)
-	}
-	if got := h.Count(); got != 1 {
-		t.Errorf("count = %d, want 1", got)
-	}
 	if s := h.Snapshot(); s.Dropped != 3 || s.Count != 1 {
-		t.Errorf("snapshot = %+v", s)
+		t.Errorf("snapshot dropped/count = %d/%d, want 3/1", s.Dropped, s.Count)
 	}
 	// Infinity clamps into the overflow bucket rather than dropping:
 	// it is a real (if absurd) magnitude, not a poisoned value.
 	h.Observe(math.Inf(1))
-	if got := h.Count(); got != 2 {
-		t.Errorf("count after +Inf = %d, want 2", got)
-	}
-
-	boundedPtr := newHistogram(1, 2, 3)
-	boundedPtr.Observe(math.NaN())
-	boundedPtr.Observe(-0.5)
-	boundedPtr.Observe(2)
-	if got := boundedPtr.Dropped(); got != 2 {
-		t.Errorf("bounded dropped = %d, want 2", got)
-	}
-	if got := boundedPtr.Count(); got != 1 {
-		t.Errorf("bounded count = %d, want 1", got)
-	}
-	if s := boundedPtr.Snapshot(); s.Dropped != 2 {
-		t.Errorf("bounded snapshot dropped = %d, want 2", s.Dropped)
+	if s := h.Snapshot(); s.Count != 2 || s.Max != float64(math.MaxInt64) {
+		t.Errorf("after +Inf count/max = %d/%v, want 2/MaxInt64", s.Count, s.Max)
 	}
 }
 
@@ -222,10 +204,10 @@ func TestHDRRecorderConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := rec.Count(); got != goroutines*perG {
-		t.Errorf("count = %d, want %d", got, goroutines*perG)
-	}
 	s := rec.Snapshot()
+	if s.Count != goroutines*perG {
+		t.Errorf("count = %d, want %d", s.Count, goroutines*perG)
+	}
 	var total uint64
 	for _, b := range s.Buckets {
 		total += b.Count
@@ -241,14 +223,10 @@ func TestHDRNilSafety(t *testing.T) {
 	h.Observe(1)
 	h.ObserveNs(1)
 	rec.Record(0, 1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Dropped() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Error("nil histogram must read as zero")
-	}
-	if rec.Count() != 0 || rec.Dropped() != 0 || rec.Quantile(0.5) != 0 || rec.Mean() != 0 {
-		t.Error("nil recorder must read as zero")
-	}
-	if rec.Snapshot().Count != 0 || h.Snapshot().Count != 0 {
-		t.Error("nil snapshots must be empty")
+	for name, s := range map[string]HDRSnapshot{"histogram": h.Snapshot(), "recorder": rec.Snapshot()} {
+		if s.Count != 0 || s.Sum != 0 || s.Dropped != 0 || s.Quantile(0.5) != 0 || s.P999 != 0 || s.Max != 0 || len(s.Buckets) != 0 {
+			t.Errorf("nil %s snapshot = %+v, want zero", name, s)
+		}
 	}
 	var r *Registry
 	if r.HDR("x") != nil {

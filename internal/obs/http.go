@@ -29,10 +29,10 @@ func promName(name string) string {
 
 // WritePrometheus renders every metric in Prometheus text exposition
 // format (version 0.0.4), in registration order. Counters become
-// `counter`, gauges and func metrics `gauge`, histograms `histogram`
-// with cumulative buckets and a `+Inf` catch-all. HDR recorders render
-// as a histogram over their occupied buckets plus `_p50`/`_p90`/
-// `_p99`/`_p999` quantile gauges. Metrics Describe'd with a non-empty
+// `counter`, gauges and func metrics `gauge`. Histograms and HDR
+// recorders render as a `histogram` over their occupied buckets with a
+// `+Inf` catch-all, plus `_p50`/`_p90`/`_p99`/`_p999` quantile gauges
+// (writePromHDR). Metrics Describe'd with a non-empty
 // help string get a `# HELP` line before their `# TYPE` line;
 // undescribed metrics render byte-identically to earlier versions.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -66,8 +66,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %v\n", pn, pn, m.Load())
 		case funcMetric:
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %v\n", pn, pn, m())
-		case *Histogram:
-			err = writePromHist(w, pn, m.Snapshot())
+		case *HDRHistogram:
+			err = writePromHDR(w, pn, m.Snapshot())
 		case *HDRRecorder:
 			err = writePromHDR(w, pn, m.Snapshot())
 		case hdrFunc:
@@ -78,24 +78,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func writePromHist(w io.Writer, pn string, s HistSnapshot) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
-		return err
-	}
-	var cum uint64
-	for i, bound := range s.Bounds {
-		cum += s.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%v\"} %d\n", pn, bound, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, s.Count); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %v\n%s_count %d\n", pn, s.Sum, pn, s.Count)
-	return err
 }
 
 // writePromHDR renders an HDR snapshot: cumulative buckets over the

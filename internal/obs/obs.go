@@ -1,19 +1,23 @@
 // Package obs is the repository's observability layer: a
 // dependency-free metrics registry (atomic counters, float gauges,
-// bounded histograms, read-on-demand func metrics) plus lightweight
+// HDR histograms, read-on-demand func metrics) plus lightweight
 // span tracing (trace.go). Every stage of the ACCLAiM pipeline — tuner
 // rounds, forest training, the wave scheduler, benchmark collection,
 // and the rule server — reports into one Registry, which can be
 // snapshotted into a run report, served as Prometheus text or
 // expvar-style JSON (http.go), or read programmatically.
 //
-// Two properties shape the API:
+// Three properties shape the API:
 //
 //   - Handles, not name lookups, on hot paths. Callers resolve a
-//     *Counter/*Gauge/*Histogram once at setup; the per-event operation
-//     is a single atomic instruction (or a short atomic sequence for
-//     histograms) with zero allocation, gated by testing.AllocsPerRun
+//     *Counter/*Gauge/*HDRHistogram once at setup; the per-event
+//     operation is a single atomic instruction (a CAS loop for
+//     Gauge.Add) with zero allocation, gated by testing.AllocsPerRun
 //     and the benchguard zero-alloc baseline.
+//   - One distribution type, read through its snapshot. Every
+//     histogram is an HDRHistogram on one log-linear grid (hdr.go);
+//     handles only record, and counts, sums and quantiles are read
+//     from an HDRSnapshot.
 //   - Nil handles are no-ops. Every handle method is nil-receiver safe
 //     and Registry methods on a nil *Registry return nil handles, so
 //     instrumented packages carry optional metrics without sprinkling
@@ -30,7 +34,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -105,131 +108,6 @@ func (g *Gauge) Load() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// defTimeBuckets are the default histogram bounds for host durations in
-// nanoseconds: decades from 100 ns to 100 s. Observations above the
-// last bound land in the overflow bucket.
-var defTimeBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
-
-// Histogram is a bounded histogram: fixed ascending upper bounds plus
-// an overflow bucket, with an exact observation count and sum. All
-// methods are safe for concurrent use, allocation-free, and nil
-// receivers no-op. Construct with Registry.Histogram.
-//
-//acclaim:frozen
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1; last is overflow
-	sumBits atomic.Uint64
-	count   atomic.Uint64
-	dropped atomic.Uint64
-}
-
-// newHistogram builds a histogram with the given ascending upper
-// bounds (defTimeBuckets if none are given).
-func newHistogram(bounds ...float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = defTimeBuckets
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic("obs: histogram bounds must be ascending")
-	}
-	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-}
-
-// Observe records one value. NaN and negative observations are
-// rejected and counted in Dropped: a NaN would fall through every
-// bound comparison into the overflow bucket and poison the sum, and
-// nothing this package measures (durations, sizes, counts) is
-// legitimately negative.
-//
-//acclaim:zeroalloc
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	if v != v || v < 0 {
-		h.dropped.Add(1)
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
-
-// Dropped returns the number of rejected (NaN or negative)
-// observations.
-func (h *Histogram) Dropped() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.dropped.Load()
-}
-
-// HistSnapshot is a point-in-time copy of a histogram, as embedded in
-// registry snapshots and run reports. Counts has one more entry than
-// Bounds; the last is the overflow bucket.
-type HistSnapshot struct {
-	Count   uint64    `json:"count"`
-	Sum     float64   `json:"sum"`
-	Dropped uint64    `json:"dropped,omitempty"`
-	Bounds  []float64 `json:"bounds"`
-	Counts  []uint64  `json:"counts"`
-}
-
-// Snapshot copies the histogram's current state. The per-bucket counts
-// are read without a global lock, so under concurrent writes the copy
-// is a consistent-enough view, not an atomic cut.
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	s := HistSnapshot{
-		Count:   h.count.Load(),
-		Sum:     h.Sum(),
-		Dropped: h.dropped.Load(),
-		Bounds:  append([]float64(nil), h.bounds...),
-		Counts:  make([]uint64, len(h.counts)),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
 }
 
 // funcMetric reads a scalar on demand (gauge semantics); hdrFunc reads
@@ -316,15 +194,15 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bounds (defTimeBuckets if none) on first use. Bounds
-// on later calls are ignored.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
+// Histogram returns the HDR histogram registered under name, creating
+// it on first use. Every distribution metric shares the one log-linear
+// grid (hdr.go), so there are no bounds to choose.
+func (r *Registry) Histogram(name string) *HDRHistogram {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, func() any { return newHistogram(bounds...) })
-	h, ok := m.(*Histogram)
+	m := r.lookup(name, func() any { return new(HDRHistogram) })
+	h, ok := m.(*HDRHistogram)
 	if !ok {
 		panic("obs: " + name + " is not a histogram")
 	}
@@ -368,9 +246,8 @@ func (r *Registry) Func(name string, fn func() float64) {
 }
 
 // Snapshot renders every metric to a JSON-marshalable value: counters
-// as uint64, gauges and func metrics as float64, histograms as
-// HistSnapshot, HDR recorders as HDRSnapshot. The map is fresh on
-// every call.
+// as uint64, gauges and func metrics as float64, histograms and HDR
+// recorders as HDRSnapshot. The map is fresh on every call.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
@@ -392,7 +269,7 @@ func (r *Registry) Snapshot() map[string]any {
 			out[name] = m.Load()
 		case funcMetric:
 			out[name] = m()
-		case *Histogram:
+		case *HDRHistogram:
 			out[name] = m.Snapshot()
 		case *HDRRecorder:
 			out[name] = m.Snapshot()

@@ -54,16 +54,19 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent drives concurrent Observe on one registry
+// histogram: no observation may be lost, and every one lands in the
+// bucket of its value.
 func TestHistogramConcurrent(t *testing.T) {
 	const goroutines, perG = 8, 5000
-	h := newHistogram(1, 10, 100)
+	h := NewRegistry().Histogram("shared.lat_ns")
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				h.Observe(float64(g%4) * 40) // buckets: 0->le1, 40,80->le100, 120->overflow
+				h.Observe(float64(g%4) * 40) // 0, 40, 80, 120: four buckets
 			}
 		}(g)
 	}
@@ -72,24 +75,18 @@ func TestHistogramConcurrent(t *testing.T) {
 	if s.Count != goroutines*perG {
 		t.Errorf("count = %d, want %d", s.Count, goroutines*perG)
 	}
-	var total uint64
-	for _, c := range s.Counts {
-		total += c
+	if len(s.Buckets) != 4 {
+		t.Fatalf("occupied buckets = %+v, want 4", s.Buckets)
 	}
-	if total != s.Count {
-		t.Errorf("bucket counts sum to %d, want %d", total, s.Count)
+	for i, b := range s.Buckets {
+		if b.Count != 2*perG {
+			t.Errorf("bucket %d (le %v) = %d, want %d", i, b.Le, b.Count, 2*perG)
+		}
 	}
-	if s.Counts[0] != 2*perG { // g%4 == 0 observations land at 0 <= 1
-		t.Errorf("first bucket = %d, want %d", s.Counts[0], 2*perG)
-	}
-	if s.Counts[len(s.Counts)-1] != 2*perG { // g%4 == 3 -> 120 overflows
-		t.Errorf("overflow bucket = %d, want %d", s.Counts[len(s.Counts)-1], 2*perG)
-	}
-	if want := h.Sum(); math.Abs(s.Sum-want) > 1e-9 {
-		t.Errorf("snapshot sum %v != live sum %v", s.Sum, want)
-	}
-	if got, want := h.Mean(), s.Sum/float64(s.Count); got != want {
-		t.Errorf("mean = %v, want %v", got, want)
+	// Sum is reconstructed at bucket resolution: within half a bucket
+	// width (~1.6%) of the exact total.
+	if want := float64(2*perG) * (0 + 40 + 80 + 120); math.Abs(s.Sum-want) > want/64 {
+		t.Errorf("sum = %v, want %v within 1/64", s.Sum, want)
 	}
 }
 
@@ -98,18 +95,18 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestNilHandles(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
+	var h *HDRHistogram
 	var r *Registry
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
+	if c.Load() != 0 || g.Load() != 0 {
 		t.Error("nil handles must read as zero")
 	}
-	if h.Snapshot().Count != 0 {
-		t.Error("nil histogram snapshot must be empty")
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || len(s.Buckets) != 0 {
+		t.Errorf("nil histogram snapshot = %+v, want empty", s)
 	}
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Error("nil registry must hand out nil handles")
@@ -130,7 +127,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if c2 := r.Counter("a.total"); c2 != c1 {
 		t.Error("second Counter() returned a different handle")
 	}
-	h1 := r.Histogram("a.lat_ns", 1, 2, 3)
+	h1 := r.Histogram("a.lat_ns")
 	if h2 := r.Histogram("a.lat_ns"); h2 != h1 {
 		t.Error("second Histogram() returned a different handle")
 	}
@@ -166,7 +163,7 @@ func TestSnapshotShapes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c.total").Add(3)
 	r.Gauge("g").Set(2.5)
-	r.Histogram("h.ns", 10, 20).Observe(15)
+	r.Histogram("h.ns").Observe(15)
 	r.Func("f", func() float64 { return 42 })
 
 	s := r.Snapshot()
@@ -176,8 +173,8 @@ func TestSnapshotShapes(t *testing.T) {
 	if s["g"] != 2.5 || s["f"] != 42.0 {
 		t.Errorf("gauge/func snapshot = %#v / %#v", s["g"], s["f"])
 	}
-	hs, ok := s["h.ns"].(HistSnapshot)
-	if !ok || hs.Count != 1 || hs.Counts[1] != 1 {
+	hs, ok := s["h.ns"].(HDRSnapshot)
+	if !ok || hs.Count != 1 || len(hs.Buckets) != 1 || hs.Buckets[0] != (HDRBucket{Le: 15, Count: 1}) || hs.P99 != 15 {
 		t.Errorf("histogram snapshot = %#v", s["h.ns"])
 	}
 	if _, err := json.Marshal(s); err != nil {
@@ -189,8 +186,8 @@ func TestPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tuner.rounds_total").Add(12)
 	r.Gauge("tuner.bcast.cum_variance").Set(0.25)
-	r.Histogram("serve.lat_ns", 10, 100).Observe(5)
-	r.Histogram("serve.lat_ns").Observe(5000)
+	r.Histogram("serve.lat_ns").Observe(5)
+	r.Histogram("serve.lat_ns").Observe(5000) // log region: bucket 4992..5119
 	r.Func("ruleserver.hits", func() float64 { return 9 })
 
 	var b strings.Builder
@@ -204,9 +201,12 @@ func TestPrometheusOutput(t *testing.T) {
 		"# TYPE tuner_bcast_cum_variance gauge",
 		"tuner_bcast_cum_variance 0.25",
 		"# TYPE serve_lat_ns histogram",
-		`serve_lat_ns_bucket{le="10"} 1`,
+		`serve_lat_ns_bucket{le="5"} 1`,
+		`serve_lat_ns_bucket{le="5119"} 2`,
 		`serve_lat_ns_bucket{le="+Inf"} 2`,
 		"serve_lat_ns_count 2",
+		"# TYPE serve_lat_ns_p99 gauge",
+		"serve_lat_ns_p99 5119",
 		"ruleserver_hits 9",
 	} {
 		if !strings.Contains(out, want) {
@@ -217,11 +217,12 @@ func TestPrometheusOutput(t *testing.T) {
 
 // TestPrometheusEdgeCases covers the rendering paths the main output
 // test does not: zero-count histograms (a registered metric that never
-// saw traffic must still render a complete, parseable histogram), and
-// metric names whose characters need promName flattening.
+// saw traffic must still render a complete, parseable histogram with
+// no finite bucket), and metric names whose characters need promName
+// flattening.
 func TestPrometheusEdgeCases(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("serve.lat.empty_ns", 10, 100)
+	r.Histogram("serve.lat.empty_ns")
 	r.Counter("9weird-name.total")
 	r.Gauge("mixed:Case.metric")
 
@@ -231,12 +232,15 @@ func TestPrometheusEdgeCases(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		// Zero-count histogram: every bucket present at 0.
-		`serve_lat_empty_ns_bucket{le="10"} 0`,
-		`serve_lat_empty_ns_bucket{le="100"} 0`,
+		// Zero-count histogram: the catch-all bucket, sum, count and
+		// every quantile gauge present at 0.
 		`serve_lat_empty_ns_bucket{le="+Inf"} 0`,
 		"serve_lat_empty_ns_sum 0",
 		"serve_lat_empty_ns_count 0",
+		"serve_lat_empty_ns_p50 0",
+		"serve_lat_empty_ns_p90 0",
+		"serve_lat_empty_ns_p99 0",
+		"serve_lat_empty_ns_p999 0",
 		// promName flattening: leading digit and '-' become '_', ':' is
 		// legal in the Prometheus charset and survives.
 		"_weird_name_total 0",
@@ -245,6 +249,9 @@ func TestPrometheusEdgeCases(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "serve_lat_empty_ns_bucket"); n != 1 {
+		t.Errorf("empty histogram renders %d buckets, want only +Inf\n%s", n, out)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestNopRecorderZeroAlloc(t *testing.T) {
 func TestHandleZeroAlloc(t *testing.T) {
 	var c Counter
 	var g Gauge
-	h := newHistogram(1, 10, 100)
+	h := NewRegistry().Histogram("handle.observe_ns")
 	var ns int64
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Add(1)

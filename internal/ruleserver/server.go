@@ -212,15 +212,16 @@ type Stats struct {
 // exposes to a metrics registry.
 func (s *Server) Stats() Stats {
 	sn := s.cur.Load()
+	lat := sn.lat.Snapshot()
 	st := Stats{
 		Version:  sn.version,
 		LoadedAt: sn.loadedAt,
 		Tables:   len(sn.idx.byName),
 		Rules:    sn.idx.rules,
 		Swaps:    s.swaps.Load(),
-		P50:      time.Duration(sn.lat.Quantile(0.50)),
-		P99:      time.Duration(sn.lat.Quantile(0.99)),
-		P999:     time.Duration(sn.lat.Quantile(0.999)),
+		P50:      time.Duration(lat.P50),
+		P99:      time.Duration(lat.P99),
+		P999:     time.Duration(lat.P999),
 	}
 	for i := range sn.perColl {
 		lookups := sn.perColl[i].lookups.Load()

@@ -19,8 +19,8 @@ import (
 // Metrics are the scheduler's registry handles. Build with NewMetrics;
 // pass them to PlanAllObs (nil disables recording).
 type Metrics struct {
-	Waves    *obs.Counter   // sched.waves_total: planned waves
-	WaveSize *obs.Histogram // sched.wave_size: benchmarks packed per wave
+	Waves    *obs.Counter      // sched.waves_total: planned waves
+	WaveSize *obs.HDRHistogram // sched.wave_size: benchmarks packed per wave
 	// Stalls counts layer-conflict stalls: requests that were ready but
 	// had to wait for a later wave because placing them would share a
 	// rack (layer 1) or rack pair (layer 2) with an earlier placement.
@@ -32,7 +32,7 @@ type Metrics struct {
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Waves:    reg.Counter("sched.waves_total"),
-		WaveSize: reg.Histogram("sched.wave_size", 1, 2, 4, 8, 16, 32, 64),
+		WaveSize: reg.Histogram("sched.wave_size"),
 		Stalls:   reg.Counter("sched.stalls_total"),
 	}
 }
