@@ -1,11 +1,10 @@
 // Command acclaim-loadgen is the SLO load-generation harness for the
 // serving path. It fires a mixed (collective, nodes, ppn, message-size)
-// query stream at a rule server — in-process from a tuned rule file,
-// out-of-process against acclaim-serve -http's /v1/select endpoint, or
-// over the batched binary wire protocol against acclaim-serve -tcp —
-// and writes an acclaim.load_report/v1 JSON document with
-// coordinated-omission-corrected latency quantiles, throughput, and
-// per-collective hit rates.
+// query stream at a rule server — in-process from a tuned rule file, or
+// out-of-process over the batched binary wire protocol against
+// acclaim-serve -tcp — and writes an acclaim.load_report/v1 JSON
+// document with coordinated-omission-corrected latency quantiles,
+// throughput, and per-collective hit rates.
 //
 // Closed-loop capacity measurement against a rule file, with a
 // benchguard-parseable summary line on stdout:
@@ -13,17 +12,17 @@
 //	acclaim-loadgen -rules tuned.json -mode closed -workers 4 \
 //	    -requests 2000000 -out load_report.json -bench LoadSmoke
 //
-// Open-loop saturation sweep over an HTTP target:
+// Open-loop saturation sweep:
 //
-//	acclaim-serve -rules tuned.json -http :8080 &
-//	acclaim-loadgen -url http://localhost:8080/v1/select \
+//	acclaim-loadgen -rules tuned.json \
 //	    -sweep 200000,400000,800000 -requests 500000 -out sweep.json
 //
 // Batched multi-tenant run over the binary wire protocol: -batch packs
 // that many queries per frame, and -tenants N spreads the stream
 // (uniformly or zipf-skewed) across registry shards t0/default/default
 // through t<N-1>/default/default — the shard-key convention
-// acclaim-serve's -tenant flag pairs with:
+// acclaim-serve's -tenant flag pairs with (with -rules, the file is
+// loaded into each of those shards in-process):
 //
 //	acclaim-serve -tcp :9090 -tenant t0/default/default=tuned.json &
 //	acclaim-loadgen -tcp localhost:9090 -batch 64 -mode closed \
@@ -51,9 +50,8 @@ import (
 
 func main() {
 	var (
-		rulesPath   = flag.String("rules", "", "tuned rule file for an in-process target")
-		url         = flag.String("url", "", "out-of-process target: full /v1/select URL (mutually exclusive with -rules/-tcp)")
-		tcp         = flag.String("tcp", "", "out-of-process target: acclaim-serve -tcp address for the binary protocol (mutually exclusive with -rules/-url)")
+		rulesPath   = flag.String("rules", "", "tuned rule file for an in-process target (mutually exclusive with -tcp)")
+		tcp         = flag.String("tcp", "", "out-of-process target: acclaim-serve -tcp address for the binary protocol (mutually exclusive with -rules)")
 		mode        = flag.String("mode", "closed", "driver: closed (capacity) or open (fixed offered rate, CO-corrected)")
 		workers     = flag.Int("workers", 4, "concurrent workers")
 		requests    = flag.Int("requests", 1000000, "total requests (per sweep step when -sweep is given)")
@@ -74,61 +72,39 @@ func main() {
 	)
 	flag.Parse()
 
-	nSources := 0
-	for _, s := range []string{*rulesPath, *url, *tcp} {
-		if s != "" {
-			nSources++
-		}
-	}
-	if nSources != 1 {
-		fatal(fmt.Errorf("exactly one of -rules, -url, or -tcp is required"))
+	if (*rulesPath == "") == (*tcp == "") {
+		fatal(fmt.Errorf("exactly one of -rules or -tcp is required"))
 	}
 	// tenantKeys is the loadgen<->server tenant convention: mix tenant
 	// index i is registry shard t<i>/default/default, matching
 	// `acclaim-serve -tcp -tenant t<i>/default/default=...`.
-	tenantKeys := func() []ruleserver.TenantKey {
-		n := *tenants
-		if n < 1 {
-			n = 1
-		}
-		keys := make([]ruleserver.TenantKey, n)
-		for i := range keys {
-			keys[i] = ruleserver.TenantKey{Cluster: fmt.Sprintf("t%d", i), JobClass: "default", MPIVer: "default"}
-		}
-		return keys
+	tenantKeys := make([]ruleserver.TenantKey, max(1, *tenants))
+	for i := range tenantKeys {
+		tenantKeys[i] = ruleserver.TenantKey{Cluster: fmt.Sprintf("t%d", i), JobClass: "default", MPIVer: "default"}
 	}
 	var target loadgen.Target
-	switch {
-	case *rulesPath != "" && *tenants > 1:
-		// In-process multi-tenant: every shard serves the same tuned
-		// file, so the skewed tenant draw exercises shard dispatch
-		// without changing rule coverage.
+	if *rulesPath != "" {
+		// In-process: every shard serves the same tuned file, so a
+		// skewed tenant draw exercises shard dispatch without changing
+		// rule coverage.
 		reg := ruleserver.NewRegistry()
-		for _, k := range tenantKeys() {
+		for _, k := range tenantKeys {
 			if err := reg.Load(k, *rulesPath); err != nil {
 				fatal(err)
 			}
 		}
-		rt, err := loadgen.NewRegistryTarget(reg, tenantKeys())
+		rt, err := loadgen.NewRegistryTarget(reg, tenantKeys)
 		if err != nil {
 			fatal(err)
 		}
 		target = rt
-	case *rulesPath != "":
-		srv := ruleserver.New()
-		if err := srv.Load(*rulesPath); err != nil {
-			fatal(err)
-		}
-		target = loadgen.ServerTarget{Server: srv}
-	case *tcp != "":
-		tt, err := loadgen.NewTCPTarget(*tcp, tenantKeys(), 2**workers)
+	} else {
+		tt, err := loadgen.NewTCPTarget(*tcp, tenantKeys, 2**workers)
 		if err != nil {
 			fatal(err)
 		}
 		defer tt.Close()
 		target = tt
-	default:
-		target = loadgen.HTTPTarget{URL: *url}
 	}
 
 	m, err := loadgen.ParseMode(*mode)

@@ -19,20 +19,12 @@
 // lookups are never blocked. -stats prints serving counters to stderr
 // on exit.
 //
-// With -http, a minimal JSON selection API is served instead of the
-// stdin stream: GET or POST /v1/select resolves one query per request
-// ({"collective","nodes","ppn","msg"} -> {"algorithm","ok"}), which is
-// what cmd/acclaim-loadgen drives in its out-of-process mode. A miss
-// is a 200 with ok=false (deployment-visible condition); malformed
-// input is a 400.
-//
-// With -tcp, the compact binary selection protocol is served (usable
-// alongside -http): length-prefixed frames, interned tenant and
+// With -tcp, the compact binary selection protocol is served instead
+// of the stdin stream: length-prefixed frames, interned tenant and
 // collective ids negotiated per connection, batched lookups — the
-// transport cmd/acclaim-loadgen's -tcp mode drives at a multiple of
-// the JSON API's throughput. Multi-tenant serving uses repeatable
-// -tenant flags, each loading one rule file into a registry shard
-// keyed cluster/jobclass/mpiver:
+// transport cmd/acclaim-loadgen's -tcp mode drives. Multi-tenant
+// serving uses repeatable -tenant flags, each loading one rule file
+// into a registry shard keyed cluster/jobclass/mpiver:
 //
 //	acclaim-serve -tcp :9090 \
 //	    -tenant frontier/batch/mpich-4.2=frontier.json \
@@ -43,7 +35,7 @@
 // served snapshot or counters.
 //
 // With -debug-addr, an HTTP observability endpoint is served for the
-// life of the process (most useful with streaming or -http mode):
+// life of the process (most useful with streaming or -tcp mode):
 // /metrics answers Prometheus text by default and expvar-style JSON
 // with ?format=json (the per-epoch hit/miss/latency counters, read
 // through the lock-free snapshot pointer), /debug/vars is the standard
@@ -111,8 +103,7 @@ func main() {
 		tenants   tenantList
 		stats     = flag.Bool("stats", false, "print serving counters to stderr on exit")
 		watch     = flag.Duration("watch", 0, "poll rule files at this interval and hot-reload on change (server modes)")
-		httpAddr  = flag.String("http", "", "serve the /v1/select JSON selection API on this address (replaces stdin streaming)")
-		tcpAddr   = flag.String("tcp", "", "serve the compact binary selection protocol on this address (usable alongside -http)")
+		tcpAddr   = flag.String("tcp", "", "serve the compact binary selection protocol on this address (replaces stdin streaming)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics (Prometheus text / expvar JSON), /debug/vars, and /debug/pprof on this address")
 	)
 	flag.Var(&queries, "query", "one-shot query collective:nodes:ppn:msgbytes (repeatable)")
@@ -126,9 +117,9 @@ func main() {
 	}
 
 	// Every mode serves from one registry. -rules loads the default
-	// tenant — the shard the one-shot, streaming, and HTTP modes answer
-	// from — and each -tenant loads its own independently swappable
-	// shard for the binary protocol.
+	// tenant — the shard the one-shot and streaming modes answer from —
+	// and each -tenant loads its own independently swappable shard for
+	// the binary protocol.
 	reg := ruleserver.NewRegistry()
 	var srv *ruleserver.Server
 	if *rulesPath != "" {
@@ -156,8 +147,8 @@ func main() {
 
 	// watchDone stops the rule-file pollers: closed when streaming
 	// input ends (so the final stats read does not race a hot swap);
-	// never closed in the server modes, where serving — and polling —
-	// lasts until the process dies.
+	// never closed in -tcp mode, where serving — and polling — lasts
+	// until the process dies.
 	watchDone := make(chan struct{})
 	startWatchers := func() {
 		if *watch <= 0 {
@@ -200,25 +191,15 @@ func main() {
 			}
 			fmt.Println(alg)
 		}
-	} else if *tcpAddr != "" || *httpAddr != "" {
+	} else if *tcpAddr != "" {
 		startWatchers()
-		if *tcpAddr != "" {
-			ln, err := net.Listen("tcp", *tcpAddr)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "acclaim-serve: serving binary protocol on %s (%d tenants)\n",
-				ln.Addr(), reg.Len())
-			if *httpAddr == "" {
-				fatal(ws.Serve(ln))
-			}
-			//acclaim:goroutine-owner binary-protocol acceptor; lives until the process dies alongside the HTTP server on main
-			go func() { fatal(ws.Serve(ln)) }()
+		ln, err := net.Listen("tcp", *tcpAddr)
+		if err != nil {
+			fatal(err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/v1/select", ruleserver.SelectHandler(srv))
-		fmt.Fprintf(os.Stderr, "acclaim-serve: serving /v1/select on %s\n", *httpAddr)
-		fatal(http.ListenAndServe(*httpAddr, mux))
+		fmt.Fprintf(os.Stderr, "acclaim-serve: serving binary protocol on %s (%d tenants)\n",
+			ln.Addr(), reg.Len())
+		fatal(ws.Serve(ln))
 	} else {
 		startWatchers()
 		sc := bufio.NewScanner(os.Stdin)
@@ -267,9 +248,10 @@ func printStats(w io.Writer, st ruleserver.Stats) {
 	}
 }
 
-// answer resolves one query against the current snapshot. Collectives
-// the rule file does not cover are reported as misses rather than
-// errors — that is a deployment-visible condition, not a usage bug.
+// answer resolves one query against the current snapshot. A collective
+// the rule file does not cover is an error, like a malformed field: both
+// callers exit 1 on it, so a one-shot -query proves that a tuned file
+// covers its collective.
 func answer(srv *ruleserver.Server, cs, ns, ps, ms string) (string, error) {
 	c, err := coll.ParseCollective(cs)
 	if err != nil {

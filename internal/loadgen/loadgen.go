@@ -1,8 +1,9 @@
 // Package loadgen is the SLO measurement harness for the serving path:
 // it fires mixed (collective, nodes, ppn, message-size) selection
-// queries at a rule server — in-process, or over the /v1/select HTTP
-// API — and reports exact-within-bucket-resolution latency quantiles
-// and throughput as an acclaim.load_report/v1 JSON document.
+// queries at a rule server — in-process through a Registry, or over
+// the binary wire protocol — and reports exact-within-bucket-resolution
+// latency quantiles and throughput as an acclaim.load_report/v1 JSON
+// document.
 //
 // Two drivers are provided. The closed-loop driver has each worker
 // issue its next request the moment the previous one completes — it

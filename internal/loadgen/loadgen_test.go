@@ -2,8 +2,6 @@ package loadgen_test
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -11,7 +9,6 @@ import (
 	"acclaim/internal/loadgen"
 	"acclaim/internal/obs"
 	"acclaim/internal/rules"
-	"acclaim/internal/ruleserver"
 )
 
 // loadgenFixtureFile covers bcast (two message bands) and allreduce
@@ -38,13 +35,16 @@ func loadgenFixtureFile() *rules.File {
 	return f
 }
 
-func fixtureServer(t *testing.T) *ruleserver.Server {
+// fixtureTarget is the in-process target over the loadgen fixture: a
+// one-tenant registry.
+func fixtureTarget(t *testing.T) *loadgen.RegistryTarget {
 	t.Helper()
-	srv, err := ruleserver.NewFromFile(loadgenFixtureFile())
+	reg, keys := multiTenantRegistry(t, 1)
+	tgt, err := loadgen.NewRegistryTarget(reg, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	return tgt
 }
 
 // scriptClock is a virtual-time clock: Now advances by a fixed step
@@ -74,10 +74,10 @@ func testMix() loadgen.Mix {
 // per-worker clocks, two identical runs produce byte-identical reports
 // in both modes, regardless of scheduling.
 func TestRunDeterministic(t *testing.T) {
-	srv := fixtureServer(t)
+	tgt := fixtureTarget(t)
 	for _, mode := range []loadgen.Mode{loadgen.Closed, loadgen.Open} {
 		cfg := loadgen.Config{
-			Target:   loadgen.ServerTarget{Server: srv},
+			Target:   tgt,
 			Mix:      testMix(),
 			Mode:     mode,
 			Workers:  3,
@@ -176,68 +176,12 @@ func TestOpenLoopCoordinatedOmission(t *testing.T) {
 	}
 }
 
-// TestHTTPTarget drives the same handler acclaim-serve -http mounts,
-// over a real loopback connection.
-func TestHTTPTarget(t *testing.T) {
-	srv := fixtureServer(t)
-	ts := httptest.NewServer(ruleserver.SelectHandler(srv))
-	defer ts.Close()
-
-	tgt := loadgen.HTTPTarget{URL: ts.URL, Client: ts.Client()}
-	if alg, ok, err := tgt.Select(loadgen.Query{Coll: coll.Bcast, Nodes: 4, PPN: 8, Msg: 64}); err != nil || !ok || alg != "binomial" {
-		t.Fatalf("Select = %q %v %v, want binomial true nil", alg, ok, err)
-	}
-	if _, ok, err := tgt.Select(loadgen.Query{Coll: coll.Scatter, Nodes: 4, PPN: 8, Msg: 64}); err != nil || ok {
-		t.Fatalf("uncovered collective: ok=%v err=%v, want miss with no error", ok, err)
-	}
-
-	rep, err := loadgen.Run(loadgen.Config{
-		Target:   tgt,
-		Mix:      testMix(),
-		Workers:  2,
-		Requests: 200,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 200 || rep.Errors != 0 {
-		t.Fatalf("requests %d errors %d, want 200/0", rep.Requests, rep.Errors)
-	}
-	if rep.Misses == 0 || rep.ThroughputQPS <= 0 || rep.Latency.P50Ns <= 0 {
-		t.Fatalf("implausible HTTP report: %+v", rep)
-	}
-
-	// Transport errors and non-200s count as errors, not latencies.
-	bad := loadgen.HTTPTarget{URL: "http://127.0.0.1:1/nope"}
-	if _, _, err := bad.Select(loadgen.Query{Coll: coll.Bcast, Nodes: 2, PPN: 1, Msg: 8}); err == nil {
-		t.Fatal("want transport error from unreachable target")
-	}
-	boom := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer boom.Close()
-	rep, err = loadgen.Run(loadgen.Config{
-		Target:   loadgen.HTTPTarget{URL: boom.URL},
-		Mix:      testMix(),
-		Workers:  1,
-		Requests: 10,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 10 || rep.ThroughputQPS != 0 || rep.Latency.P99Ns != 0 {
-		t.Fatalf("all-error run: errors %d qps %.0f p99 %.0f, want 10/0/0", rep.Errors, rep.ThroughputQPS, rep.Latency.P99Ns)
-	}
-}
-
 // TestSweep checks the saturation-curve plumbing: one point per rate,
 // offered rates echoed, and deterministic bytes under scripted clocks.
 func TestSweep(t *testing.T) {
-	srv := fixtureServer(t)
+	tgt := fixtureTarget(t)
 	cfg := loadgen.Config{
-		Target:   loadgen.ServerTarget{Server: srv},
+		Target:   tgt,
 		Mix:      testMix(),
 		Workers:  2,
 		Requests: 400,
@@ -279,10 +223,10 @@ func TestSweep(t *testing.T) {
 
 // TestRegistryMetrics checks the live loadgen.* wiring.
 func TestRegistryMetrics(t *testing.T) {
-	srv := fixtureServer(t)
+	tgt := fixtureTarget(t)
 	reg := obs.NewRegistry()
 	rep, err := loadgen.Run(loadgen.Config{
-		Target:   loadgen.ServerTarget{Server: srv},
+		Target:   tgt,
 		Mix:      testMix(),
 		Workers:  2,
 		Requests: 500,
@@ -309,8 +253,7 @@ func TestRegistryMetrics(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	srv := fixtureServer(t)
-	tgt := loadgen.ServerTarget{Server: srv}
+	tgt := fixtureTarget(t)
 	cases := []struct {
 		name string
 		cfg  loadgen.Config
@@ -347,9 +290,9 @@ func TestParseMode(t *testing.T) {
 }
 
 func TestWriteBench(t *testing.T) {
-	srv := fixtureServer(t)
+	tgt := fixtureTarget(t)
 	rep, err := loadgen.Run(loadgen.Config{
-		Target:   loadgen.ServerTarget{Server: srv},
+		Target:   tgt,
 		Mix:      testMix(),
 		Workers:  1,
 		Requests: 100,
@@ -370,20 +313,5 @@ func TestWriteBench(t *testing.T) {
 	if len(fields) != 8 || fields[0] != "BenchmarkLoadSmoke" || fields[1] != "1" ||
 		fields[3] != "ns/op" || fields[5] != "throughput_qps" || fields[7] != "p99_ns" {
 		t.Fatalf("bench line not benchguard-parseable: %q", line)
-	}
-}
-
-// TestHTTPTargetTruncatedBody: a response whose body ends before its
-// declared Content-Length is a transport error, not a parsed result.
-func TestHTTPTargetTruncatedBody(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", "100")
-		w.Write([]byte(`{"alg`))
-	}))
-	defer ts.Close()
-	tgt := loadgen.HTTPTarget{URL: ts.URL}
-	if _, _, err := tgt.Select(loadgen.Query{Coll: coll.Bcast, Nodes: 2, PPN: 1, Msg: 8}); err == nil {
-		t.Fatal("want error from truncated response body")
 	}
 }

@@ -1,22 +1,15 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
 	"acclaim/internal/coll"
 	"acclaim/internal/ruleserver"
 )
 
 // Query is one algorithm-selection request fired at a target. Tenant
-// is an index into the target's tenant universe (0 for single-tenant
-// targets, which ignore it).
+// is an index into the target's tenant list (always 0 for a
+// single-tenant mix).
 type Query struct {
 	Tenant int
 	Coll   coll.Collective
@@ -38,7 +31,7 @@ type Result struct {
 // are excluded from the latency distribution.
 type Target interface {
 	Select(q Query) (alg string, ok bool, err error)
-	// Name identifies the target in reports ("inproc", or the URL).
+	// Name identifies the target in reports ("inproc", or tcp://addr).
 	Name() string
 }
 
@@ -50,29 +43,14 @@ type BatchTarget interface {
 	SelectBatch(qs []Query, res []Result) error
 }
 
-// ServerTarget drives an in-process rule server: the pure serving-path
-// cost with no transport, the configuration the CI load-smoke gate
-// measures.
-type ServerTarget struct {
-	Server *ruleserver.Server
-}
-
-func (t ServerTarget) Select(q Query) (string, bool, error) {
-	alg, ok := t.Server.Lookup(q.Coll, q.Nodes, q.PPN, q.Msg)
-	return alg, ok, nil
-}
-
-func (t ServerTarget) Name() string { return "inproc" }
-
-// RegistryTarget drives an in-process multi-tenant registry: each
-// query's Tenant index resolves to one of the listed shards. The shard
-// pointers are resolved once at construction (Registry shards are
-// stable across rule swaps), so the per-query cost is one slice index
-// over ServerTarget's.
+// RegistryTarget drives an in-process registry with one or more
+// tenants: each query's Tenant index resolves to one of the listed
+// shards. The shard pointers are resolved once at construction
+// (Registry shards are stable across rule swaps), so the per-query cost
+// over a bare Server.Lookup is one slice index. It measures the pure
+// serving-path cost with no transport.
 type RegistryTarget struct {
-	reg     *ruleserver.Registry
-	tenants []ruleserver.TenantKey
-	shards  []*ruleserver.Server
+	shards []*ruleserver.Server
 }
 
 // NewRegistryTarget builds a registry target over the given tenants,
@@ -82,7 +60,7 @@ func NewRegistryTarget(reg *ruleserver.Registry, tenants []ruleserver.TenantKey)
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("loadgen: RegistryTarget needs at least one tenant")
 	}
-	t := &RegistryTarget{reg: reg, tenants: tenants, shards: make([]*ruleserver.Server, len(tenants))}
+	t := &RegistryTarget{shards: make([]*ruleserver.Server, len(tenants))}
 	for i, k := range tenants {
 		t.shards[i] = reg.Ensure(k)
 	}
@@ -97,108 +75,4 @@ func (t *RegistryTarget) Select(q Query) (string, bool, error) {
 	return alg, ok, nil
 }
 
-func (t *RegistryTarget) Name() string { return "inproc-registry" }
-
-// sharedTransport is the keep-alive transport every HTTPTarget shares
-// by default: per-host idle pool sized for the loadgen's worker counts
-// so closed-loop runs reuse connections instead of paying a dial (and
-// a TIME_WAIT socket) per request.
-var sharedTransport = &http.Transport{
-	MaxIdleConns:        512,
-	MaxIdleConnsPerHost: 256,
-	IdleConnTimeout:     90 * time.Second,
-}
-
-var sharedClient = &http.Client{Transport: sharedTransport}
-
-// httpBuf is one worker's reusable request/response scratch: encode
-// buffer, body read buffer, and the bytes.Reader handed to the request
-// — recycled through httpBufPool so a steady-state Select allocates
-// only what net/http itself insists on.
-type httpBuf struct {
-	req  []byte
-	body []byte
-	rd   bytes.Reader
-}
-
-var httpBufPool = sync.Pool{
-	New: func() any { return &httpBuf{req: make([]byte, 0, 128), body: make([]byte, 0, 256)} },
-}
-
-// appendSelectRequest hand-encodes the fixed /v1/select request shape.
-func appendSelectRequest(b []byte, q Query) []byte {
-	b = append(b, `{"collective":`...)
-	b = strconv.AppendQuote(b, q.Coll.String())
-	b = append(b, `,"nodes":`...)
-	b = strconv.AppendInt(b, int64(q.Nodes), 10)
-	b = append(b, `,"ppn":`...)
-	b = strconv.AppendInt(b, int64(q.PPN), 10)
-	b = append(b, `,"msg":`...)
-	b = strconv.AppendInt(b, int64(q.Msg), 10)
-	return append(b, '}')
-}
-
-// readAllInto reads r to EOF into buf's capacity, growing as needed.
-func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// HTTPTarget drives an out-of-process server through the /v1/select
-// JSON API that acclaim-serve -http exposes (ruleserver.SelectHandler).
-// Requests are hand-encoded into pooled buffers and ride a shared
-// keep-alive transport, so the per-query garbage is the JSON response
-// decode, not the transport plumbing.
-type HTTPTarget struct {
-	URL    string
-	Client *http.Client // nil means the shared keep-alive client
-}
-
-func (t HTTPTarget) Select(q Query) (string, bool, error) {
-	buf := httpBufPool.Get().(*httpBuf)
-	defer httpBufPool.Put(buf)
-	buf.req = appendSelectRequest(buf.req[:0], q)
-	buf.rd.Reset(buf.req)
-
-	client := t.Client
-	if client == nil {
-		client = sharedClient
-	}
-	hreq, err := http.NewRequest(http.MethodPost, t.URL, &buf.rd)
-	if err != nil {
-		return "", false, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.ContentLength = int64(len(buf.req))
-	resp, err := client.Do(hreq)
-	if err != nil {
-		return "", false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12)) //nolint:errcheck // drain for keep-alive
-		return "", false, fmt.Errorf("loadgen: %s: http %d", t.URL, resp.StatusCode)
-	}
-	buf.body, err = readAllInto(buf.body[:0], io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return "", false, err
-	}
-	var sr ruleserver.SelectResponse
-	if err := json.Unmarshal(buf.body, &sr); err != nil {
-		return "", false, err
-	}
-	return sr.Algorithm, sr.OK, nil
-}
-
-func (t HTTPTarget) Name() string { return t.URL }
+func (t *RegistryTarget) Name() string { return "inproc" }

@@ -185,27 +185,33 @@ func TestTCPTargetUniformTenants(t *testing.T) {
 }
 
 func TestTCPTargetTransportFailure(t *testing.T) {
-	// Dial failure: every query errors, none reach the distribution.
+	// Dial failure: every query errors, none reach the distribution or
+	// the throughput. Batch 0 drives the unbatched worker loop, Batch 5
+	// the batched one; a loop that recorded a failed query's latency
+	// would show a nonzero p99 and throughput under the scripted clock.
 	bad, err := loadgen.NewTCPTargetConn("down", wireTenants(1), 2, func() (net.Conn, error) {
 		return nil, errors.New("connection refused")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := loadgen.Run(loadgen.Config{
-		Target:   bad,
-		Mix:      testMix(),
-		Workers:  1,
-		Requests: 10,
-		Batch:    5,
-		Seed:     1,
-		Clock:    func(int) loadgen.Clock { return &scriptClock{step: 3} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 10 || rep.Latency.P99Ns != 0 {
-		t.Fatalf("dial-failure run: errors %d p99 %.0f, want 10/0", rep.Errors, rep.Latency.P99Ns)
+	for _, batch := range []int{0, 5} {
+		rep, err := loadgen.Run(loadgen.Config{
+			Target:   bad,
+			Mix:      testMix(),
+			Workers:  1,
+			Requests: 10,
+			Batch:    batch,
+			Seed:     1,
+			Clock:    func(int) loadgen.Clock { return &scriptClock{step: 3} },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 10 || rep.ThroughputQPS != 0 || rep.Latency.P99Ns != 0 {
+			t.Fatalf("batch %d dial-failure run: errors %d qps %.0f p99 %.0f, want 10/0/0",
+				batch, rep.Errors, rep.ThroughputQPS, rep.Latency.P99Ns)
+		}
 	}
 
 	// A connection that dies mid-stream: the target discards it and
@@ -258,9 +264,8 @@ func (c *handshakeThenClose) Write(p []byte) (int, error) {
 }
 
 func TestBatchNeedsBatchTarget(t *testing.T) {
-	srv := fixtureServer(t)
 	_, err := loadgen.Run(loadgen.Config{
-		Target:   loadgen.ServerTarget{Server: srv},
+		Target:   fixtureTarget(t),
 		Mix:      testMix(),
 		Requests: 10,
 		Batch:    4,
@@ -271,12 +276,11 @@ func TestBatchNeedsBatchTarget(t *testing.T) {
 }
 
 func TestMixTenantValidation(t *testing.T) {
-	srv := fixtureServer(t)
 	mix := testMix()
 	mix.Tenants = 4
 	mix.TenantSkew = "pareto"
 	if _, err := loadgen.Run(loadgen.Config{
-		Target: loadgen.ServerTarget{Server: srv}, Mix: mix, Requests: 10,
+		Target: fixtureTarget(t), Mix: mix, Requests: 10,
 	}); err == nil {
 		t.Fatal("bad tenant skew accepted")
 	}
@@ -294,7 +298,7 @@ func TestRegistryTarget(t *testing.T) {
 	if _, _, err := tgt.Select(loadgen.Query{Tenant: 7, Coll: coll.Bcast, Nodes: 4, PPN: 8, Msg: 64}); err == nil {
 		t.Fatal("out-of-range tenant index must error")
 	}
-	if tgt.Name() != "inproc-registry" {
+	if tgt.Name() != "inproc" {
 		t.Fatalf("Name = %q", tgt.Name())
 	}
 	if _, err := loadgen.NewRegistryTarget(reg, nil); err == nil {
@@ -303,9 +307,8 @@ func TestRegistryTarget(t *testing.T) {
 }
 
 func TestWriteBenchPrefixed(t *testing.T) {
-	srv := fixtureServer(t)
 	rep, err := loadgen.Run(loadgen.Config{
-		Target:   loadgen.ServerTarget{Server: srv},
+		Target:   fixtureTarget(t),
 		Mix:      testMix(),
 		Workers:  1,
 		Requests: 100,

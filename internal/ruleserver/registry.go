@@ -115,7 +115,7 @@ func (r *Registry) Ensure(key TenantKey) *Server {
 	if srv, ok := old.shards[key]; ok {
 		return srv
 	}
-	srv := New()
+	srv := newServer()
 	r.tab.Store(newShardTable(old, key, srv))
 	return srv
 }

@@ -150,7 +150,7 @@ func TestCompileRejectsInvalid(t *testing.T) {
 }
 
 func TestServerSwapAndStats(t *testing.T) {
-	srv := ruleserver.New()
+	srv := ruleserver.NewRegistry().Ensure(ruleserver.DefaultTenant)
 	if _, ok := srv.Lookup(coll.Bcast, 4, 2, 64); ok {
 		t.Fatal("empty server answered a lookup")
 	}
@@ -214,7 +214,7 @@ func TestServerLoadFromDisk(t *testing.T) {
 	if err := fixtureFile().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	srv := ruleserver.New()
+	srv := ruleserver.NewRegistry().Ensure(ruleserver.DefaultTenant)
 	if err := srv.Load(path); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,8 @@ func (sn *snapshot) totals() (lookups, misses uint64) {
 // lock-free: a lookup is one atomic pointer load, one atomic counter
 // add, and binary searches over the immutable snapshot, so any number
 // of ranks can query concurrently while a writer installs a retuned
-// rule file. The zero value is not usable; call New or NewFromFile.
+// rule file. The zero value is not usable; call NewFromFile, or get a
+// shard from Registry.Ensure.
 type Server struct {
 	cur atomic.Pointer[snapshot]
 
@@ -90,9 +91,9 @@ type Server struct {
 	swaps   atomic.Uint64
 }
 
-// New returns a server with no rules loaded; every lookup misses until
-// the first Swap.
-func New() *Server {
+// newServer returns a server with no rules loaded; every lookup misses
+// until the first Swap.
+func newServer() *Server {
 	s := &Server{}
 	s.cur.Store(newSnapshot(&Index{}, 0))
 	return s
@@ -100,7 +101,7 @@ func New() *Server {
 
 // NewFromFile compiles and installs a rule file.
 func NewFromFile(f *rules.File) (*Server, error) {
-	s := New()
+	s := newServer()
 	if err := s.Swap(f); err != nil {
 		return nil, err
 	}

@@ -1,9 +1,9 @@
 // Binary wire protocol for out-of-process rule serving.
 //
-// The /v1/select HTTP API pays JSON encode/decode and per-request
-// allocations on every lookup — across a fleet, the transport costs
-// more than the ~10ns index it fronts. This protocol removes that
-// overhead with three ideas:
+// A per-query text transport (one request-response per lookup, with
+// string encode/decode and allocations on each) costs far more than the
+// ~10ns index it fronts. This protocol removes that overhead with three
+// ideas:
 //
 //   - Interned ids, negotiated once. A connection opens with a hello
 //     frame naming the client's tenants; the ack assigns dense
@@ -22,7 +22,7 @@
 //   - Batched, pipelined lookups. A request frame carries N queries
 //     and the response N answers in order, so a loadgen worker or an
 //     MPI job's rank-0 proxy pays one syscall per batch instead of one
-//     HTTP round trip per query.
+//     round trip per query.
 package ruleserver
 
 import (
@@ -468,8 +468,8 @@ type WireQuery struct {
 	Msg    int
 }
 
-// WireResult is one answer. A miss has OK false and an empty Alg — the
-// same deployment-visible condition the HTTP API reports as ok=false.
+// WireResult is one answer. A miss has OK false and an empty Alg — a
+// deployment-visible condition, not a protocol error.
 type WireResult struct {
 	Alg string
 	OK  bool
