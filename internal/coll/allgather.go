@@ -66,8 +66,8 @@ func allgatherBrucks(c *simmpi.Comm, block simmpi.Buf) simmpi.Buf {
 	// Rotate into rank order; real implementations pay a full local copy.
 	c.Compute(c.Model().CopyCost(n * m))
 	out := newBufLike(block, n*m)
-	for j := 0; j < n; j++ {
-		out.CopyInto(((rank+j)%n)*m, tmp.Slice(j*m, (j+1)*m))
+	for j, r := 0, rank; j < n; j, r = j+1, ringNext(r, n) {
+		out.CopyInto(r*m, tmp.Slice(j*m, (j+1)*m))
 	}
 	return out
 }

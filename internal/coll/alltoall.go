@@ -20,8 +20,7 @@ func alltoallBrucks(c *simmpi.Comm, send simmpi.Buf, segs segset) simmpi.Buf {
 	// Rotation 1: tmp[j] = block destined for rank (rank+j)%n, so the
 	// self block sits at index 0 and never moves.
 	tmp := newBufLike(send, n*m)
-	for j := 0; j < n; j++ {
-		d := (rank + j) % n
+	for j, d := 0, rank; j < n; j, d = j+1, ringNext(d, n) {
 		tmp.CopyInto(j*m, send.Slice(d*m, (d+1)*m))
 	}
 	c.Compute(c.Model().CopyCost(n * m))
@@ -40,8 +39,7 @@ func alltoallBrucks(c *simmpi.Comm, send simmpi.Buf, segs segset) simmpi.Buf {
 	// Rotation 2: after the rounds tmp[j] holds the block sent to this
 	// rank by rank (rank-j+n)%n; invert into source order.
 	out := newBufLike(send, n*m)
-	for j := 0; j < n; j++ {
-		s := (rank - j + n) % n
+	for j, s := 0, rank; j < n; j, s = j+1, ringPrev(s, n) {
 		out.CopyInto(s*m, tmp.Slice(j*m, (j+1)*m))
 	}
 	c.Compute(c.Model().CopyCost(n * m))
@@ -61,14 +59,13 @@ func alltoallPairwise(c *simmpi.Comm, send simmpi.Buf) simmpi.Buf {
 	out.CopyInto(rank*m, send.Slice(rank*m, (rank+1)*m))
 	c.Compute(c.Model().CopyCost(m))
 	p2 := n&(n-1) == 0
+	dst, src := rank, rank
 	for step := 1; step < n; step++ {
-		var dst, src int
 		if p2 {
 			dst = rank ^ step
 			src = dst
-		} else {
-			dst = (rank + step) % n
-			src = (rank - step + n) % n
+		} else { // (rank ± step) mod n
+			dst, src = ringNext(dst, n), ringPrev(src, n)
 		}
 		got := c.Sendrecv(dst, send.Slice(dst*m, (dst+1)*m), src)
 		out.CopyInto(src*m, got)
@@ -87,12 +84,10 @@ func alltoallScattered(c *simmpi.Comm, send simmpi.Buf) simmpi.Buf {
 	out := newBufLike(send, n*m)
 	out.CopyInto(rank*m, send.Slice(rank*m, (rank+1)*m))
 	c.Compute(c.Model().CopyCost(m))
-	for i := 1; i < n; i++ {
-		dst := (rank + i) % n
+	for i, dst := 1, ringNext(rank, n); i < n; i, dst = i+1, ringNext(dst, n) {
 		c.Send(dst, send.Slice(dst*m, (dst+1)*m))
 	}
-	for i := 1; i < n; i++ {
-		src := (rank + i) % n
+	for i, src := 1, ringNext(rank, n); i < n; i, src = i+1, ringNext(src, n) {
 		out.CopyInto(src*m, c.Recv(src))
 	}
 	return out

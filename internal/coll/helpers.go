@@ -158,17 +158,37 @@ func scatterBlocks(out simmpi.Buf, segs segset, blocks []int, payload simmpi.Buf
 
 // ringAllgather gathers all segments of out to all ranks with the ring
 // algorithm: n-1 fully pipelined neighbour exchanges. Rank rel initially
-// holds segment rel.
+// holds segment rel. At step s it forwards segment rel-s and receives
+// segment rel-s-1 (mod n), the one it forwards next; the indices step
+// down rather than being recomputed by division, since the loop runs
+// once per message.
 func ringAllgather(c *simmpi.Comm, out simmpi.Buf, segs segset, rel, n int, toAbs func(int) int) {
-	right := toAbs((rel + 1) % n)
-	left := toAbs((rel + n - 1) % n)
+	right := toAbs(ringNext(rel, n))
+	left := toAbs(ringPrev(rel, n))
+	sendIdx := rel
 	for s := 0; s < n-1; s++ {
-		sendIdx := (rel - s + n*2) % n
-		recvIdx := (rel - s - 1 + n*2) % n
+		recvIdx := ringPrev(sendIdx, n)
 		payload := out.Slice(segs.off[sendIdx], segs.off[sendIdx+1])
 		got := c.Sendrecv(right, payload, left)
 		out.CopyInto(segs.off[recvIdx], got)
+		sendIdx = recvIdx
 	}
+}
+
+// ringNext returns (i+1) mod n for i in [0, n) without dividing.
+func ringNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+// ringPrev returns (i-1) mod n for i in [0, n) without dividing.
+func ringPrev(i, n int) int {
+	if i == 0 {
+		return n - 1
+	}
+	return i - 1
 }
 
 // foldState describes a rank's role in the non-P2 pre/post folding used

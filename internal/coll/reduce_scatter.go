@@ -82,13 +82,14 @@ func reduceScatterPairwise(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op, segs se
 	n := c.Size()
 	r := c.Rank()
 	acc := vec.Slice(segs.off[r], segs.off[r+1]).Clone()
+	combine := c.Model().ReduceCost(acc.N)
+	dst, src := r, r
 	for i := 1; i < n; i++ {
-		dst := (r + i) % n
-		src := (r - i + n) % n
+		dst, src = ringNext(dst, n), ringPrev(src, n) // (r ± i) mod n
 		payload := vec.Slice(segs.off[dst], segs.off[dst+1])
 		got := c.Sendrecv(dst, payload, src)
 		op.Combine(acc, got)
-		c.Compute(c.Model().ReduceCost(acc.N))
+		c.Compute(combine)
 	}
 	return acc
 }

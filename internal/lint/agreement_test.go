@@ -65,6 +65,10 @@ var zeroAllocManifest = map[string][]string{
 		"Source.Seed",
 		"Source.Uint64",
 	},
+	"internal/simmpi": {
+		"sched.put",
+		"sched.take",
+	},
 }
 
 // annotatedFuncs parses one package directory (no type-checking

@@ -1,12 +1,21 @@
 // Package netmodel is the network performance model underneath the
-// simulated MPI runtime. It classifies point-to-point paths through the
-// three Dragonfly layers of Figure 8 (intra-node shared memory,
-// intra-rack, rack pair, global), assigns each class Hockney-style
-// latency/bandwidth parameters, and layers per-job dynamic factors on
-// top: the allocation-spread latency penalty and background congestion
-// that the paper identifies as the reason autotuners must retrain every
-// job (Section II-B3, ">2x difference in latency for the same collective
-// algorithm on different jobs and allocations").
+// simulated MPI runtime. It classifies point-to-point paths into four
+// classes (intra-node shared memory, then three network layers: the
+// Dragonfly layers of Figure 8 — intra-rack, rack pair, global — or
+// their analogues on a fat-tree or 3D torus, see topology.go), assigns
+// each class Hockney-style latency/bandwidth parameters, and layers
+// per-job dynamic factors on top: the allocation-spread latency penalty
+// and background congestion that the paper identifies as the reason
+// autotuners must retrain every job (Section II-B3, ">2x difference in
+// latency for the same collective algorithm on different jobs and
+// allocations").
+//
+// Model.Transfer prices every simulated message, so at construction a
+// Model classifies each pair of allocated nodes into a table shared by
+// all topologies, and applies the environment and the non-P2 penalty to
+// each class's parameters. The result is bit for bit what the per-call
+// formula gives (reference_test.go and FuzzTransferDifferential hold it
+// to that).
 package netmodel
 
 import (
@@ -182,6 +191,13 @@ func (e Env) Validate() error {
 // Model binds the static parameters, a job's allocation and rank layout,
 // and the job's dynamic environment into a point-to-point cost oracle.
 // Model is immutable after construction and safe for concurrent use.
+//
+// Transfer is on the path of every simulated message, so a Model
+// prepares what it can at construction: the (alpha, bw) of each path
+// class for P2 and non-P2 byte counts with the environment applied, and
+// the path class between every pair of allocated nodes. Both hold
+// exactly the values the arithmetic in Transfer's doc comment produces,
+// computed by the same floating-point operations in the same order.
 type Model struct {
 	Params Params
 	Env    Env
@@ -189,11 +205,15 @@ type Model struct {
 	PPN    int
 
 	topo   Topology
-	nodeOf []int     // rank -> physical node, precomputed
-	rackOf []int     // rank -> rack (Dragonfly fast path; nil otherwise)
-	pairOf []int     // rank -> rack pair (Dragonfly fast path; nil otherwise)
-	slowOf []float64 // rank -> hetero slowdown factor; nil when disabled
+	nodeIx []int32                     // rank -> index of its node in Alloc.Nodes
+	link   [2][numPathClasses]linkCost // [0 P2, 1 non-P2][class]
+	paths  []PathClass                 // [a*len(Alloc.Nodes)+b] -> class between allocated nodes a and b
+	slowOf []float64                   // rank -> hetero slowdown factor; nil when disabled
 }
+
+// linkCost is one path class's startup latency (us) and bandwidth
+// (bytes/us) for one kind of byte count, environment applied.
+type linkCost struct{ alpha, bw float64 }
 
 // New constructs a Model for a job with the given processes per node on
 // the default Dragonfly topology of the allocation's machine. Every
@@ -231,21 +251,34 @@ func NewWithTopology(params Params, env Env, alloc cluster.Allocation, ppn int, 
 				node, topo.Name(), topo.Nodes())
 		}
 	}
-	n := alloc.Size() * ppn
-	m := &Model{Params: params, Env: env, Alloc: alloc, PPN: ppn,
-		topo: topo, nodeOf: make([]int, n)}
-	_, isDragonfly := topo.(dragonfly)
-	if isDragonfly {
-		m.rackOf = make([]int, n)
-		m.pairOf = make([]int, n)
+	nodes := alloc.Size()
+	n := nodes * ppn
+	m := &Model{Params: params, Env: env, Alloc: alloc, PPN: ppn, topo: topo,
+		nodeIx: make([]int32, n), paths: make([]PathClass, nodes*nodes)}
+	for r := range m.nodeIx {
+		m.nodeIx[r] = int32(r / ppn)
 	}
-	for r := 0; r < n; r++ {
-		node := alloc.Nodes[r/ppn]
-		m.nodeOf[r] = node
-		if isDragonfly {
-			m.rackOf[r] = alloc.Machine.RackOf(node)
-			m.pairOf[r] = alloc.Machine.PairOf(m.rackOf[r])
+	// Same node is IntraNode, the zero value; the topology classifies
+	// the rest, and ClassBetween is symmetric.
+	for a, na := range alloc.Nodes {
+		for b := a + 1; b < nodes; b++ {
+			if nb := alloc.Nodes[b]; na != nb {
+				c := topo.ClassBetween(na, nb)
+				m.paths[a*nodes+b], m.paths[b*nodes+a] = c, c
+			}
 		}
+	}
+	for c := PathClass(0); c < numPathClasses; c++ {
+		alpha := params.Latency[c]
+		bw := params.Bandwidth[c]
+		if c != IntraNode {
+			alpha *= env.LatencyFactor
+			bw /= env.BandwidthFactor
+		}
+		m.link[0][c] = linkCost{alpha, bw}
+		bw /= params.NonP2Penalty
+		alpha *= params.NonP2Alpha
+		m.link[1][c] = linkCost{alpha, bw}
 	}
 	if env.HeteroEvery > 0 {
 		m.slowOf = make([]float64, n)
@@ -264,44 +297,29 @@ func NewWithTopology(params Params, env Env, alloc cluster.Allocation, ppn int, 
 func (m *Model) Topology() Topology { return m.topo }
 
 // Ranks returns the total number of ranks in the job.
-func (m *Model) Ranks() int { return len(m.nodeOf) }
+func (m *Model) Ranks() int { return len(m.nodeIx) }
 
-// Classify returns the path class between two ranks.
-func (m *Model) Classify(a, b int) PathClass {
-	if m.nodeOf[a] == m.nodeOf[b] {
-		return IntraNode
-	}
-	if m.rackOf != nil { // Dragonfly fast path: precomputed per-rank groups
-		switch {
-		case m.rackOf[a] == m.rackOf[b]:
-			return IntraRack
-		case m.pairOf[a] == m.pairOf[b]:
-			return RackPair
-		default:
-			return Global
-		}
-	}
-	return m.topo.ClassBetween(m.nodeOf[a], m.nodeOf[b])
+// class returns the path class between two ranks.
+func (m *Model) class(from, to int) PathClass {
+	return m.paths[int(m.nodeIx[from])*len(m.Alloc.Nodes)+int(m.nodeIx[to])]
 }
 
 // Transfer returns the wire time in microseconds for a message of the
-// given size between two ranks: alpha + bytes/beta, with the job's
-// dynamic factors applied to network (non-intra-node) paths.
+// given size between two ranks: alpha + bytes/beta for the path's
+// class. On network (non-intra-node) paths alpha is multiplied by the
+// environment's LatencyFactor and beta divided by its BandwidthFactor;
+// a non-P2 byte count then divides beta by NonP2Penalty and multiplies
+// alpha by NonP2Alpha; and a path touching a slow node takes
+// HeteroFactor times as long.
 func (m *Model) Transfer(from, to int, bytes int) float64 {
-	c := m.Classify(from, to)
-	alpha := m.Params.Latency[c]
-	bw := m.Params.Bandwidth[c]
-	if c != IntraNode {
-		alpha *= m.Env.LatencyFactor
-		bw /= m.Env.BandwidthFactor
-	}
 	// Zero-byte messages are pure control traffic — no payload, no
 	// pipeline to misalign — so they pay plain alpha.
+	nonP2 := 0
 	if bytes > 0 && !isP2(bytes) {
-		bw /= m.Params.NonP2Penalty
-		alpha *= m.Params.NonP2Alpha
+		nonP2 = 1
 	}
-	t := alpha + float64(bytes)/bw
+	l := &m.link[nonP2][m.class(from, to)]
+	t := l.alpha + float64(bytes)/l.bw
 	// Heterogeneous node speed: any path touching a slow node (even
 	// intra-node shared memory) drains at that node's pace. max keeps
 	// Transfer symmetric in direction.

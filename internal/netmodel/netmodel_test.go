@@ -56,8 +56,8 @@ func TestClassify(t *testing.T) {
 		{17, 16, IntraNode},
 	}
 	for _, c := range cases {
-		if got := m.Classify(c.a, c.b); got != c.want {
-			t.Errorf("Classify(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
+		if got := m.class(c.a, c.b); got != c.want {
+			t.Errorf("class(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -212,8 +212,9 @@ func TestRanksAndNodeOf(t *testing.T) {
 	if m.Ranks() != 12 {
 		t.Errorf("Ranks = %d, want 12", m.Ranks())
 	}
-	if m.nodeOf[0] != 2 || m.nodeOf[3] != 3 || m.nodeOf[11] != 5 {
-		t.Errorf("nodeOf mapping wrong: %d %d %d", m.nodeOf[0], m.nodeOf[3], m.nodeOf[11])
+	nodeOf := func(r int) int { return m.Alloc.Nodes[m.nodeIx[r]] }
+	if nodeOf(0) != 2 || nodeOf(3) != 3 || nodeOf(11) != 5 {
+		t.Errorf("rank -> node mapping wrong: %d %d %d", nodeOf(0), nodeOf(3), nodeOf(11))
 	}
 }
 

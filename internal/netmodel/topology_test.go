@@ -172,9 +172,9 @@ func TestTopologyClassOrderedCost(t *testing.T) {
 			if a == b || a == c {
 				continue
 			}
-			if m.Classify(a, b) < m.Classify(a, c) &&
+			if m.class(a, b) < m.class(a, c) &&
 				m.Transfer(a, b, 4096) >= m.Transfer(a, c, 4096) {
-				t.Fatalf("%s: class %v not cheaper than %v", topo.Name(), m.Classify(a, b), m.Classify(a, c))
+				t.Fatalf("%s: class %v not cheaper than %v", topo.Name(), m.class(a, b), m.class(a, c))
 			}
 		}
 	}
@@ -253,8 +253,8 @@ func TestDragonflyDefaultParity(t *testing.T) {
 			if x == y {
 				continue
 			}
-			if a.Classify(x, y) != b.Classify(x, y) {
-				t.Fatalf("Classify(%d,%d) differs between New and explicit Dragonfly", x, y)
+			if a.class(x, y) != b.class(x, y) {
+				t.Fatalf("class(%d,%d) differs between New and explicit Dragonfly", x, y)
 			}
 			if a.Transfer(x, y, 1024) != b.Transfer(x, y, 1024) {
 				t.Fatalf("Transfer(%d,%d) differs between New and explicit Dragonfly", x, y)

@@ -20,11 +20,18 @@ import (
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	pending map[int][]message
+	pending map[int][]posted
+}
+
+// posted is one message waiting in a mailbox.
+type posted struct {
+	n       int
+	data    []byte
+	arrival float64
 }
 
 func newMailbox() *mailbox {
-	mb := &mailbox{pending: make(map[int][]message)}
+	mb := &mailbox{pending: make(map[int][]posted)}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
@@ -32,15 +39,15 @@ func newMailbox() *mailbox {
 // mailboxes is the oracle's transport: one mailbox per rank.
 type mailboxes []*mailbox
 
-func (mbs mailboxes) put(src, dst int, m message) {
+func (mbs mailboxes) put(src, dst, n int, data []byte, arrival float64) {
 	mb := mbs[dst]
 	mb.mu.Lock()
-	mb.pending[src] = append(mb.pending[src], m)
+	mb.pending[src] = append(mb.pending[src], posted{n, data, arrival})
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
 }
 
-func (mbs mailboxes) take(dst, src int) message {
+func (mbs mailboxes) take(dst, src int) (int, []byte, float64) {
 	mb := mbs[dst]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -54,7 +61,7 @@ func (mbs mailboxes) take(dst, src int) message {
 	} else {
 		mb.pending[src] = q[1:]
 	}
-	return m
+	return m.n, m.data, m.arrival
 }
 
 // RunOracle has Run's contract for programs that terminate: it hangs
@@ -70,7 +77,7 @@ func RunOracle(model *netmodel.Model, fn func(*Comm)) (Result, error) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for r := 0; r < n; r++ {
-		comms[r] = Comm{tr: mail, model: model, rank: r}
+		comms[r] = newComm(mail, model, r)
 		go func(r int) {
 			defer wg.Done()
 			defer func() {

@@ -13,7 +13,18 @@ import (
 // is a direct hand-off, not a trip through the Go scheduler. With no
 // second thread in play, messages need no mutex, condition variable,
 // map or channel: they sit in one free-listed arena, linked into
-// per-(dst, src) FIFOs by index.
+// per-(dst, src) FIFOs by index. An arena slot holds no pointer, so the
+// arena is never scanned by the garbage collector and a timing-only
+// message costs 24 bytes; the payloads of data-mode messages sit in a
+// side table at the same index.
+
+// slot is one in-flight message in the arena.
+type slot struct {
+	n       int     // logical length in bytes
+	arrival float64 // virtual time at which the bytes are available
+	next    int32   // next slot in the same FIFO or in the free list
+	hasData bool    // the payload is in sched.data at this slot's index
+}
 
 // fifo is one (dst, src) queue: arena indices of its oldest and newest
 // message. head < 0 marks it empty.
@@ -46,7 +57,7 @@ type inbox struct {
 
 // push appends arena slot i to src's FIFO at this rank; n is the rank
 // count, the length of a dense row.
-func (b *inbox) push(arena []message, src, i int32, n int) {
+func (b *inbox) push(arena []slot, src, i int32, n int) {
 	if b.dense == nil {
 		for k := 0; k < b.nfew; k++ {
 			if f := &b.few[k]; f.src == src {
@@ -80,7 +91,7 @@ func (b *inbox) push(arena []message, src, i int32, n int) {
 
 // pop unlinks and returns the arena slot of the oldest message from src,
 // or false if none is pending.
-func (b *inbox) pop(arena []message, src int32) (int32, bool) {
+func (b *inbox) pop(arena []slot, src int32) (int32, bool) {
 	if b.dense != nil {
 		f := &b.dense[src]
 		i := f.head
@@ -126,44 +137,81 @@ type stopped struct{}
 // sched is the cooperative runtime behind Run.
 type sched struct {
 	ranks []rankState
-	arena []message
-	free  int32   // head of the arena's free list, -1 when empty
-	runq  []int32 // ranks unblocked by a Send, resumed last-in first-out
-	err   error   // first rank panic
+	arena []slot
+	data  [][]byte // payloads of data-mode messages, by arena index
+	free  int32    // head of the arena's free list, -1 when empty
+	runq  []int32  // ranks unblocked by a Send, resumed last-in first-out
+	err   error    // first rank panic
 }
 
-func (s *sched) put(src, dst int, m message) {
-	m.next = -1
+// put links a message into dst's FIFO from src and wakes dst if it is
+// blocked on src.
+//
+//acclaim:zeroalloc
+func (s *sched) put(src, dst, n int, data []byte, arrival float64) {
 	i := s.free
 	if i >= 0 {
 		s.free = s.arena[i].next
-		s.arena[i] = m
 	} else {
-		i = int32(len(s.arena))
-		s.arena = append(s.arena, m)
+		i = s.grow()
+	}
+	m := &s.arena[i]
+	m.n, m.arrival, m.next, m.hasData = n, arrival, -1, data != nil
+	if data != nil {
+		s.keep(i, data)
 	}
 	r := &s.ranks[dst]
 	r.inbox.push(s.arena, int32(src), i, len(s.ranks))
 	if r.wait == int32(src) {
 		r.wait = notBlocked
-		s.runq = append(s.runq, int32(dst))
+		s.runq = s.runq[:len(s.runq)+1]
+		s.runq[len(s.runq)-1] = int32(dst)
 	}
 }
 
-func (s *sched) take(dst, src int) message {
+// take unlinks the oldest message from src at dst, suspending the rank
+// until one is pending.
+//
+//acclaim:zeroalloc
+func (s *sched) take(dst, src int) (n int, data []byte, arrival float64) {
 	r := &s.ranks[dst]
 	for {
 		if i, ok := r.inbox.pop(s.arena, int32(src)); ok {
-			m := s.arena[i]
-			s.arena[i] = message{next: s.free} // drops the payload reference
+			m := &s.arena[i]
+			if m.hasData {
+				data = s.data[i]
+				s.data[i] = nil // drops the payload reference
+			}
+			n, arrival = m.n, m.arrival
+			m.next = s.free
 			s.free = i
-			return m
+			return n, data, arrival
 		}
 		r.wait = int32(src)
-		if !r.yield(struct{}{}) {
-			panic(stopped{})
-		}
+		suspend(r)
 	}
+}
+
+// suspend parks a rank blocked in take until a put wakes it, and unwinds
+// it instead if the run is abandoned.
+func suspend(r *rankState) {
+	if !r.yield(struct{}{}) {
+		panic(stopped{})
+	}
+}
+
+// grow appends a slot to the arena and returns its index.
+func (s *sched) grow() int32 {
+	s.arena = append(s.arena, slot{})
+	return int32(len(s.arena) - 1)
+}
+
+// keep stores the payload of the message in arena slot i.
+func (s *sched) keep(i int32, data []byte) {
+	if int(i) >= len(s.data) {
+		s.data = append(s.data, make([][]byte, len(s.arena)-len(s.data))...)
+	}
+	s.data[i] = data
 }
 
 // start creates rank r's coroutine. It runs nothing until first resumed.
@@ -211,7 +259,9 @@ func (s *sched) deadlock() error {
 // is a performance choice only — see the package comment.
 func runCoroutines(model *netmodel.Model, fn func(*Comm)) (Result, error) {
 	n := model.Ranks()
-	s := &sched{ranks: make([]rankState, n), free: -1}
+	// A rank joins runq only while blocked and at most once, so n slots
+	// always suffice and put never grows it.
+	s := &sched{ranks: make([]rankState, n), free: -1, runq: make([]int32, 0, n)}
 	for r := range s.ranks {
 		s.ranks[r].wait = notBlocked
 	}
@@ -225,7 +275,7 @@ func runCoroutines(model *netmodel.Model, fn func(*Comm)) (Result, error) {
 		} else if started < n {
 			r = started
 			started++
-			comms[r] = Comm{tr: s, model: model, rank: r}
+			comms[r] = newComm(s, model, r)
 			s.start(r, &comms[r], fn)
 		} else {
 			s.err = s.deadlock()

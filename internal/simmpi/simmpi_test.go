@@ -471,6 +471,32 @@ func TestPanicWithWaitingPeer(t *testing.T) {
 	}
 }
 
+// TestPutTakeZeroAlloc is the runtime half of the //acclaim:zeroalloc
+// annotations on sched.put and sched.take: once the arena has room, a
+// timing-only message in and out of a FIFO allocates nothing, whether
+// the inbox is a short list or a dense row.
+func TestPutTakeZeroAlloc(t *testing.T) {
+	const n = 4 * maxFew
+	s := &sched{ranks: make([]rankState, n), free: -1, runq: make([]int32, 0, n)}
+	for r := range s.ranks {
+		s.ranks[r].wait = notBlocked
+	}
+	roundTrip := func() {
+		for src := 1; src < n; src++ {
+			s.put(src, 0, 4096, nil, float64(src))
+		}
+		for src := 1; src < n; src++ {
+			if nb, _, at := s.take(0, src); nb != 4096 || at != float64(src) {
+				t.Fatalf("take from %d = (%d, %v)", src, nb, at)
+			}
+		}
+	}
+	roundTrip() // grows the arena and makes rank 0's inbox dense
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("put/take allocate %v per %d messages, want 0", allocs, n-1)
+	}
+}
+
 // TestInboxAgainstMap drives one inbox with random pushes and pops
 // against per-source slices, across the switch from the scanned list to
 // the by-source row: FIFO per source, a miss exactly when the source has
@@ -480,7 +506,7 @@ func TestInboxAgainstMap(t *testing.T) {
 	const n = 40
 	rng := rand.New(rand.NewSource(1))
 	var b inbox
-	var arena []message
+	var arena []slot
 	want := make(map[int32][]int32)
 	for step := 0; step < 20000; step++ {
 		// Few sources at first, then all of them, then few again.
@@ -491,7 +517,7 @@ func TestInboxAgainstMap(t *testing.T) {
 		src := rng.Int31n(span)
 		if rng.Intn(2) == 0 {
 			i := int32(len(arena))
-			arena = append(arena, message{next: -1})
+			arena = append(arena, slot{next: -1})
 			b.push(arena, src, i, n)
 			want[src] = append(want[src], i)
 		} else {
