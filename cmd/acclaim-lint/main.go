@@ -1,18 +1,15 @@
-// Command acclaim-lint runs the project's invariant analyzers
+// Command acclaim-lint runs the project's six invariant analyzers
 // (internal/lint) over the tree: determinism in the tuning packages,
-// zero-alloc hot-path annotations, lock discipline, obs metric naming,
-// frozen-snapshot immutability, atomic-access discipline, and goroutine
+// zero-alloc hot-path annotations, lock and typed-atomic discipline,
+// obs metric naming, frozen-snapshot immutability, and goroutine
 // lifecycle ownership. It is stdlib-only — go/parser and go/types with
 // the source importer — so CI needs nothing beyond the Go toolchain.
-// Package load/type-check is parallelized across GOMAXPROCS.
 //
 // Usage:
 //
 //	go run ./cmd/acclaim-lint ./...
+//	go run ./cmd/acclaim-lint ./internal/core ./internal/forest/...
 //	go run ./cmd/acclaim-lint -json ./... > lint.json
-//	go run ./cmd/acclaim-lint -checks determinism,metricname ./internal/core
-//	go run ./cmd/acclaim-lint -checks frozen,atomicdiscipline,goroutinelife ./...
-//	go run ./cmd/acclaim-lint -v ./...
 //
 // Exit codes (shared with cmd/benchguard): 0 = clean, 1 = findings,
 // 2 = tool error (bad flags, unparseable or untypecheckable source).
@@ -27,17 +24,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"acclaim/internal/lint"
 )
 
 func main() {
 	jsonOut := flag.Bool("json", false, "write the diagnostics array as JSON to stdout")
-	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	verbose := flag.Bool("v", false, "report load time and per-analyzer timing to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: acclaim-lint [flags] [packages]\n\n"+
@@ -58,30 +51,11 @@ func main() {
 		fatal(err)
 	}
 
-	analyzers := lint.DefaultAnalyzers()
-	if *checks != "" {
-		analyzers, err = selectChecks(analyzers, *checks)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	loadStart := time.Now()
 	pkgs, err := lint.Load(root, patterns...)
 	if err != nil {
 		fatal(err)
 	}
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "acclaim-lint: loaded %d package(s) in %v (%d workers)\n",
-			len(pkgs), time.Since(loadStart).Round(time.Millisecond), runtime.GOMAXPROCS(0))
-	}
-	diags, timings := lint.RunTimed(pkgs, analyzers, nil)
-	if *verbose {
-		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "acclaim-lint: %-16s %v\n",
-				tm.Check, time.Duration(tm.Ns).Round(10*time.Microsecond))
-		}
-	}
+	diags := lint.Run(pkgs, lint.DefaultAnalyzers())
 
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
@@ -106,24 +80,6 @@ func checkNames() []string {
 		names = append(names, a.Name)
 	}
 	return names
-}
-
-func selectChecks(all []*lint.Analyzer, spec string) ([]*lint.Analyzer, error) {
-	want := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	for name := range want {
-		return nil, fmt.Errorf("unknown check %q (known: %s)", name, strings.Join(checkNames(), ", "))
-	}
-	return out, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"acclaim/internal/cluster"
 	"acclaim/internal/coll"
@@ -173,8 +172,8 @@ func (r *Runner) subAllocation(spec Spec, idx []int) (cluster.Allocation, error)
 // noise-free collective time.
 func (r *Runner) baseTime(spec Spec, idx []int) (float64, error) {
 	if m := r.Metrics; m != nil {
-		t0 := time.Now()
-		defer func() { m.HostNs.Add(float64(time.Since(t0))) }()
+		t0 := obs.NowNs()
+		defer func() { m.HostNs.Add(float64(obs.NowNs() - t0)) }()
 	}
 	sub, err := r.subAllocation(spec, idx)
 	if err != nil {

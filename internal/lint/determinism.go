@@ -6,21 +6,35 @@ import (
 	"strings"
 )
 
-// DefaultDeterminismTargets are the tuning/decision packages whose
-// output must be bit-identical for a given seed: jackknife-driven point
-// selection is only comparable across runs if training is reproducible
-// (paper §IV), and the emitted rule file is the artifact golden tests
-// diff. Matched as import-path suffixes. The obs package is the one
-// sanctioned host-clock seam (obs.NowNs, the trace clock) and is
-// deliberately not in this list.
-var DefaultDeterminismTargets = []string{
+// determinismTargets are the packages whose output must be
+// bit-identical for a given seed: jackknife-driven point selection is
+// only comparable across runs if training is reproducible (paper §IV),
+// the emitted rule file is the artifact golden tests diff, and the
+// simulator, benchmark and experiment packages under them are pinned
+// by the live-job and simulated-clock goldens. Matched as import-path
+// suffixes. The obs package is the one sanctioned host-clock seam
+// (obs.NowNs, the trace clock); obs, ruleserver, loadgen and lint read
+// host time by design and are deliberately not in this list.
+var determinismTargets = []string{
+	"internal/autotune",
+	"internal/benchmark",
+	"internal/cluster",
+	"internal/coll",
 	"internal/core",
-	"internal/forest",
+	"internal/dataset",
+	"internal/exhaustive",
+	"internal/experiments",
 	"internal/fact",
-	"internal/hunold",
-	"internal/sched",
 	"internal/featspace",
+	"internal/forest",
+	"internal/heuristic",
+	"internal/hunold",
+	"internal/netmodel",
 	"internal/rules",
+	"internal/sched",
+	"internal/simmpi",
+	"internal/stats",
+	"internal/traces",
 }
 
 // wall-clock reads: anything observing host time.
@@ -33,8 +47,9 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// Determinism returns the determinism analyzer scoped to packages whose
-// import path ends with one of targets. It flags, inside those packages:
+// determinismAnalyzer returns the determinism analyzer scoped to
+// packages whose import path ends with one of targets. It flags, inside
+// those packages:
 //
 //   - calls to time.Now / time.Since / time.Until (host time must flow
 //     through the obs clock seam, which lives outside the target set);
@@ -44,7 +59,7 @@ var randConstructors = map[string]bool{
 //   - range loops over maps that append to a slice never passed to a
 //     sort or slices call later in the same function — the shape that
 //     turns map iteration order into output order.
-func Determinism(targets []string) *Analyzer {
+func determinismAnalyzer(targets []string) *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
 		Doc:  "forbid wall-clock, global RNG, and order-leaking map iteration in tuning packages",

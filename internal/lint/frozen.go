@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// Frozen returns the frozen analyzer. A named type is frozen when its
-// declaration carries `//acclaim:frozen`, or when it is published
+// frozenAnalyzer returns the frozen analyzer. A named type is frozen
+// when its declaration carries `//acclaim:frozen`, or when it is published
 // through an atomic.Pointer[T] anywhere in the package (a hot-swapped
 // snapshot: readers hold it lock-free, so any post-construction
 // mutation is a data race by design, not by accident). For each frozen
@@ -32,7 +32,7 @@ import (
 // (flagged at the passing site instead, except into sync/atomic), and
 // writes through aliases that cross function boundaries. Value-typed
 // copies of T may be written freely — mutating a copy cannot race.
-func Frozen() *Analyzer {
+func frozenAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "frozen",
 		Doc:  "forbid post-construction interior writes and escaping interior aliases of //acclaim:frozen and atomic.Pointer-published types",
@@ -89,7 +89,7 @@ func (p *Package) frozenTypes() map[*types.TypeName]frozenInfo {
 			out[tn] = frozenInfo{name: tn, why: "annotated //acclaim:frozen"}
 		}
 	}
-	for expr, tv := range p.Info.Types {
+	for _, tv := range p.Info.Types {
 		if !tv.IsType() {
 			continue
 		}
@@ -104,7 +104,6 @@ func (p *Package) frozenTypes() map[*types.TypeName]frozenInfo {
 		if _, ok := out[tn]; !ok {
 			out[tn] = frozenInfo{name: tn, why: "published through atomic.Pointer"}
 		}
-		_ = expr
 	}
 	return out
 }

@@ -21,7 +21,7 @@ import (
 // that line; every diagnostic must be wanted and every want matched.
 var fixtures = []string{
 	"determinism", "zeroalloc", "lockcheck", "metricname", "directive",
-	"frozen", "atomicdiscipline", "goroutinelife",
+	"frozen", "goroutinelife",
 }
 
 func loadFixtures(t *testing.T) []*Package {
@@ -43,17 +43,7 @@ func loadFixtures(t *testing.T) []*Package {
 // fixtureAnalyzers is the default suite with the determinism target
 // list pointed at the fixture package instead of the real tuning
 // packages.
-func fixtureAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		Determinism([]string{"src/determinism"}),
-		ZeroAlloc(),
-		LockCheck(),
-		MetricName(),
-		Frozen(),
-		AtomicDiscipline(),
-		GoroutineLife(),
-	}
-}
+func fixtureAnalyzers() []*Analyzer { return suite([]string{"src/determinism"}) }
 
 type wantKey struct {
 	file string

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// GoroutineLife returns the goroutinelife analyzer: every `go`
+// goroutineLifeAnalyzer returns the goroutinelife analyzer: every `go`
 // statement must have a provable termination edge, so long-lived
 // components (the serving loop, the upcoming reconcile controller)
 // cannot quietly leak workers. A spawn is accepted when the spawned
@@ -34,7 +34,7 @@ import (
 // spawns inside the body terminate (each nested `go` is checked at its
 // own site). It is a structural obligation — every goroutine names its
 // parking mechanism — not a liveness proof.
-func GoroutineLife() *Analyzer {
+func goroutineLifeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "goroutinelife",
 		Doc:  "require a termination edge (channel receive, bounded WaitGroup, or //acclaim:goroutine-owner) for every go statement",

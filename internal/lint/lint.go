@@ -10,8 +10,10 @@
 //     no syntactic allocation sites, mirroring the runtime
 //     testing.AllocsPerRun gates (see zeroalloc.go).
 //   - lockcheck: struct fields documented `guarded by <mu>` may only be
-//     touched by functions that lock <mu>, and a field must not mix
-//     sync/atomic and plain access (see lockcheck.go).
+//     touched by functions that lock <mu>, and shared words are typed
+//     atomics, never package-level sync/atomic calls on plain fields
+//     (see lockcheck.go). By-value copies of atomics are go vet's
+//     copylocks check, which CI runs beside this suite.
 //   - metricname: obs metric/span names are literal, lower_snake dotted,
 //     and unique per package (see metricname.go).
 //   - frozen: types annotated `//acclaim:frozen` — and every type
@@ -19,10 +21,6 @@
 //     after construction: no interior writes reachable outside the
 //     constructor closure, no interior addresses escaping (frozen.go,
 //     over the shared CHA call graph in callgraph.go).
-//   - atomicdiscipline: no mixed atomic/plain access to a field, no
-//     by-value copies of atomic-bearing structs, no mutation of values
-//     already published through an atomic.Pointer
-//     (atomicdiscipline.go).
 //   - goroutinelife: every `go` statement has a provable termination
 //     edge — a channel receive / ctx.Done select, a WaitGroup
 //     Done+Wait pairing, or an `//acclaim:goroutine-owner` annotation
@@ -47,7 +45,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding, positioned in repo-relative coordinates.
@@ -126,10 +123,10 @@ func (d lineDirective) covers(file string, line int) bool {
 	return d.File == file && line >= d.FromLine && line <= d.ToLine
 }
 
-// CheckNames are the valid <check> arguments of //acclaim:allow.
-var CheckNames = []string{
+// checkNames are the valid <check> arguments of //acclaim:allow.
+var checkNames = []string{
 	"determinism", "zeroalloc", "lockcheck", "metricname",
-	"frozen", "atomicdiscipline", "goroutinelife", "directive",
+	"frozen", "goroutinelife", "directive",
 }
 
 var directiveRe = regexp.MustCompile(`^//acclaim:(allow|zeroalloc|frozen|goroutine-owner)(?:\s+(.*))?$`)
@@ -159,8 +156,8 @@ func (p *Package) diag(check string, at token.Pos, format string, args ...any) D
 // go statement (free-standing ones cover their own line and the next;
 // function-doc ones cover every go statement in the function).
 func (p *Package) parseDirectives() {
-	known := make(map[string]bool, len(CheckNames))
-	for _, c := range CheckNames {
+	known := make(map[string]bool, len(checkNames))
+	for _, c := range checkNames {
 		known[c] = true
 	}
 	for _, f := range p.Files {
@@ -247,7 +244,7 @@ func (p *Package) parseDirectives() {
 					check, reason, _ := strings.Cut(rest, " ")
 					if !known[check] {
 						p.hygiene = append(p.hygiene, p.diag("directive", c.Pos(),
-							"//acclaim:allow names unknown check %q (known: %s)", check, strings.Join(CheckNames, ", ")))
+							"//acclaim:allow names unknown check %q (known: %s)", check, strings.Join(checkNames, ", ")))
 						continue
 					}
 					if strings.TrimSpace(reason) == "" {
@@ -279,39 +276,15 @@ func (p *Package) suppressed(d Diagnostic) bool {
 	return false
 }
 
-// ZeroAllocFuncs returns the annotated function declarations.
-func (p *Package) ZeroAllocFuncs() []*ast.FuncDecl { return p.zeroAlloc }
-
-// Timing is one analyzer's wall time across every package of a run, as
-// reported by acclaim-lint -v.
-type Timing struct {
-	Check string
-	Ns    int64
-}
-
 // Run applies every analyzer to every package, filters suppressions,
 // appends directive-hygiene findings, and returns the findings sorted
 // by file, line, column, and check.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	ds, _ := RunTimed(pkgs, analyzers, nil)
-	return ds
-}
-
-// RunTimed is Run plus per-analyzer wall-time accounting. now is the
-// clock (nanoseconds); nil means time.Now. The diagnostics are
-// identical to Run's for any clock — timing never affects findings —
-// and the timings come back in analyzer order, one entry per analyzer.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, now func() int64) ([]Diagnostic, []Timing) {
-	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
-	}
 	var out []Diagnostic
 	for _, p := range pkgs {
 		out = append(out, p.hygiene...)
 	}
-	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
-		t0 := now()
 		for _, p := range pkgs {
 			for _, d := range a.Run(p) {
 				if !p.suppressed(d) {
@@ -319,7 +292,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, now func() int64) ([]Diagn
 				}
 			}
 		}
-		timings = append(timings, Timing{Check: a.Name, Ns: now() - t0})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -337,19 +309,22 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, now func() int64) ([]Diagn
 		}
 		return a.Message < b.Message
 	})
-	return out, timings
+	return out
 }
 
 // DefaultAnalyzers is the full project suite, as run by cmd/acclaim-lint.
-func DefaultAnalyzers() []*Analyzer {
+func DefaultAnalyzers() []*Analyzer { return suite(determinismTargets) }
+
+// suite is the project suite with the determinism analyzer scoped to the
+// given import-path suffixes.
+func suite(determinism []string) []*Analyzer {
 	return []*Analyzer{
-		Determinism(DefaultDeterminismTargets),
-		ZeroAlloc(),
-		LockCheck(),
-		MetricName(),
-		Frozen(),
-		AtomicDiscipline(),
-		GoroutineLife(),
+		determinismAnalyzer(determinism),
+		zeroAllocAnalyzer(),
+		lockCheckAnalyzer(),
+		metricNameAnalyzer(),
+		frozenAnalyzer(),
+		goroutineLifeAnalyzer(),
 	}
 }
 

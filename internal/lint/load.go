@@ -10,10 +10,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Load parses and type-checks the non-test Go packages under root that
@@ -26,34 +24,13 @@ import (
 // Test files are deliberately excluded: the invariants guard production
 // code, and tests legitimately fake clocks, names, and locks.
 //
-// Load runs with GOMAXPROCS workers; see LoadParallel for the shape of
-// the parallelism and its guarantees.
+// Loading is serial. Every requested directory is parsed first; then
+// each package is type-checked once, when the first package importing
+// it is checked or, failing that, in import-path order. One importer
+// serves load-set packages from the loader's own results and every
+// other path (std, module packages outside the load set) from the
+// source importer. Packages come back in import-path order.
 func Load(root string, patterns ...string) ([]*Package, error) {
-	return LoadParallel(root, runtime.GOMAXPROCS(0), patterns...)
-}
-
-// LoadParallel is Load with an explicit worker count (minimum 1).
-//
-// Parsing is embarrassingly parallel over package directories (a
-// token.FileSet is safe for concurrent use). Type-checking is
-// parallelized over the module-internal dependency DAG: a package is
-// checked once every module-internal dependency in the load set has
-// been checked, and the resulting *types.Package is served to
-// dependents from the loader's own table. The stdlib source importer,
-// which is NOT safe for concurrent use, sits behind a mutex and only
-// ever sees paths outside that table (std packages, and module paths
-// not in the load set) — so external dependencies are checked exactly
-// once, serially, while module packages check concurrently against the
-// warm cache.
-//
-// The result is independent of the worker count: packages are returned
-// sorted by import path, each was type-checked from the same parsed
-// syntax either way, and the analyzers are per-package, so serial and
-// parallel runs produce identical findings (pinned by a test).
-func LoadParallel(root string, workers int, patterns ...string) ([]*Package, error) {
-	if workers < 1 {
-		workers = 1
-	}
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -67,113 +44,88 @@ func LoadParallel(root string, workers int, patterns ...string) ([]*Package, err
 		return nil, err
 	}
 
-	// The source importer resolves and type-checks dependencies from
-	// source; with cgo off, std packages like net fall back to their
-	// pure-Go variants, which is all these analyzers need. One shared
-	// importer caches every dependency across the run.
+	// With cgo off, std packages like net fall back to their pure-Go
+	// variants, which is all these analyzers need.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	src, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	if !ok {
 		return nil, fmt.Errorf("source importer does not implement types.ImporterFrom")
 	}
-	imp := &guardedImporter{src: src, local: map[string]*types.Package{}}
+	l := &loader{fset: fset, src: src, parsed: map[string]*parsedPkg{}, checked: map[string]*Package{}}
 
-	// Phase 1: parse every requested directory concurrently.
-	parsed, err := parseAll(root, modPath, dirs, fset, workers)
-	if err != nil {
-		return nil, err
+	var order []string
+	for _, dir := range dirs {
+		p, err := parseDir(root, modPath, dir, fset)
+		if err != nil {
+			return nil, err
+		}
+		if p != nil {
+			l.parsed[p.path] = p
+			order = append(order, p.path)
+		}
 	}
+	sort.Strings(order)
 
-	// Phase 2: type-check across the module-internal dependency DAG.
-	pkgs, err := checkAll(parsed, fset, imp, workers)
-	if err != nil {
-		return nil, err
+	pkgs := make([]*Package, 0, len(order))
+	for _, path := range order {
+		pkg, err := l.check(path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
-// guardedImporter serializes the stdlib source importer behind a mutex
-// and serves the loader's own checked module packages first, so the
-// source importer never sees a path the scheduler owns.
-type guardedImporter struct {
-	mu    sync.Mutex
-	src   types.ImporterFrom
-	local map[string]*types.Package
+// loader is the types.ImporterFrom every package is checked against:
+// module packages in the load set are type-checked from their parsed
+// syntax once and memoised, and every other path goes to the source
+// importer, which memoises its own.
+type loader struct {
+	fset    *token.FileSet
+	src     types.ImporterFrom
+	parsed  map[string]*parsedPkg
+	checked map[string]*Package // nil value: check in progress
 }
 
-func (g *guardedImporter) Import(path string) (*types.Package, error) {
-	return g.ImportFrom(path, ".", 0)
+func (l *loader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, ".", 0)
 }
 
-func (g *guardedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if p, ok := g.local[path]; ok {
-		return p, nil
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if _, ok := l.parsed[path]; !ok {
+		return l.src.ImportFrom(path, dir, mode)
 	}
-	return g.src.ImportFrom(path, dir, mode)
+	pkg, err := l.check(path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.TPkg, nil
 }
 
-// provide publishes a checked module package to dependents.
-func (g *guardedImporter) provide(path string, p *types.Package) {
-	g.mu.Lock()
-	g.local[path] = p
-	g.mu.Unlock()
+// check type-checks one parsed package, after (recursively, through
+// ImportFrom) every load-set package it imports.
+func (l *loader) check(path string) (*Package, error) {
+	if pkg, ok := l.checked[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	l.checked[path] = nil
+	pkg, err := checkPkg(l.parsed[path], l.fset, l)
+	if err != nil {
+		return nil, err
+	}
+	l.checked[path] = pkg
+	return pkg, nil
 }
 
 // parsedPkg is one directory's syntax, parsed but not yet checked.
 type parsedPkg struct {
 	root, dir, path string
 	files           []*ast.File
-	deps            []string // module-internal imports within the load set
-}
-
-// parseAll parses dirs with the given parallelism, skipping directories
-// with no non-test Go files, and records each package's module-internal
-// dependencies on other members of the load set.
-func parseAll(root, modPath string, dirs []string, fset *token.FileSet, workers int) ([]*parsedPkg, error) {
-	out := make([]*parsedPkg, len(dirs))
-	errs := make([]error, len(dirs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = parseDir(root, modPath, dir, fset)
-		}(i, dir)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var parsed []*parsedPkg
-	inSet := map[string]bool{}
-	for _, p := range out {
-		if p != nil {
-			parsed = append(parsed, p)
-			inSet[p.path] = true
-		}
-	}
-	for _, p := range parsed {
-		seen := map[string]bool{}
-		for _, f := range p.files {
-			for _, spec := range f.Imports {
-				ipath := strings.Trim(spec.Path.Value, `"`)
-				if ipath != p.path && inSet[ipath] && !seen[ipath] {
-					seen[ipath] = true
-					p.deps = append(p.deps, ipath)
-				}
-			}
-		}
-	}
-	return parsed, nil
 }
 
 // parseDir parses the single package in dir, or nil if dir holds no
@@ -210,84 +162,6 @@ func parseDir(root, modPath, dir string, fset *token.FileSet) (*parsedPkg, error
 		path = modPath + "/" + filepath.ToSlash(rel)
 	}
 	return &parsedPkg{root: root, dir: dir, path: path, files: files}, nil
-}
-
-// checkAll type-checks the parsed packages with the given parallelism,
-// scheduling each package after its in-set dependencies.
-func checkAll(parsed []*parsedPkg, fset *token.FileSet, imp *guardedImporter, workers int) ([]*Package, error) {
-	byPath := make(map[string]*parsedPkg, len(parsed))
-	for _, p := range parsed {
-		byPath[p.path] = p
-	}
-	indeg := make(map[string]int, len(parsed))
-	dependents := map[string][]string{}
-	for _, p := range parsed {
-		indeg[p.path] = len(p.deps)
-		for _, d := range p.deps {
-			dependents[d] = append(dependents[d], p.path)
-		}
-	}
-
-	ready := make(chan *parsedPkg, len(parsed))
-	for _, p := range parsed {
-		if indeg[p.path] == 0 {
-			ready <- p
-		}
-	}
-
-	var (
-		mu        sync.Mutex
-		remaining = len(parsed)
-		firstErr  error
-		pkgs      []*Package
-	)
-	done := func(p *parsedPkg, pkg *Package, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
-		for _, dep := range dependents[p.path] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready <- byPath[dep]
-			}
-		}
-		remaining--
-		if remaining == 0 {
-			close(ready)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range ready {
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					done(p, nil, nil) // drain: keep unblocking dependents
-					continue
-				}
-				pkg, err := checkPkg(p, fset, imp)
-				if pkg != nil {
-					imp.provide(p.path, pkg.TPkg)
-				}
-				done(p, pkg, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return pkgs, nil
 }
 
 // checkPkg type-checks one parsed package.

@@ -8,27 +8,34 @@ import (
 
 var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 
-// LockCheck returns the lockcheck analyzer. A struct field whose doc or
-// line comment contains "guarded by <mu>" may only be read or written
-// inside functions that lock <mu> (a call to <mu>.Lock or <mu>.RLock
-// somewhere in the function — a lexical approximation of "on all
-// paths": a function that locks conditionally should be split or carry
-// an //acclaim:allow). Mixed atomic/plain field access, which this
-// analyzer once flagged as a side heuristic, is now the
-// atomicdiscipline analyzer's job.
+// lockCheckAnalyzer returns the lockcheck analyzer, the project's
+// synchronisation rules:
+//
+//   - a struct field whose doc or line comment contains "guarded by
+//     <mu>" may only be read or written inside functions that lock <mu>
+//     (a call to <mu>.Lock or <mu>.RLock somewhere in the function — a
+//     lexical approximation of "on all paths": a function that locks
+//     conditionally should be split or carry an //acclaim:allow);
+//   - no call to a package-level sync/atomic function: shared words
+//     are typed atomics (atomic.Int64, atomic.Pointer[T], ...), so no
+//     field can be accessed both atomically and plainly.
+//
+// By-value copies of typed atomics are go vet's copylocks check, and
+// writes through a value loaded from an atomic.Pointer are the frozen
+// analyzer's.
 //
 // Scope is the declaring package — the guarded fields of this codebase
 // are unexported, so every access site is visible to the analysis.
-func LockCheck() *Analyzer {
+func lockCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockcheck",
-		Doc:  "enforce 'guarded by <mu>' field comments",
+		Doc:  "enforce 'guarded by <mu>' field comments and typed atomics",
 		Run:  func(p *Package) []Diagnostic { return p.lockcheck() },
 	}
 }
 
 func (p *Package) lockcheck() []Diagnostic {
-	var ds []Diagnostic
+	ds := p.atomicFuncCalls()
 
 	// Pass 1: guarded fields. guard[field] = mutex field object.
 	guard := map[types.Object]types.Object{}
@@ -99,6 +106,26 @@ func (p *Package) lockcheck() []Diagnostic {
 			if mu, ok := guard[obj]; ok && !locked[mu] {
 				ds = append(ds, p.diag("lockcheck", sel.Sel.Pos(),
 					"%s accessed in %s, which never locks it", guardName[obj], fd.Name.Name))
+			}
+			return true
+		})
+	})
+	return ds
+}
+
+// atomicFuncCalls flags every call to a package-level sync/atomic
+// function (atomic.AddInt64(&s.f, 1) and friends).
+func (p *Package) atomicFuncCalls() []Diagnostic {
+	var ds []Diagnostic
+	forEachFunc(p, func(fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fn := p.funcObj(call); fn != nil && pkgPath(fn) == "sync/atomic" && recvNamed(fn) == nil {
+				ds = append(ds, p.diag("lockcheck", call.Pos(),
+					"call to atomic.%s: use a typed atomic so the word cannot also be accessed plainly", fn.Name()))
 			}
 			return true
 		})

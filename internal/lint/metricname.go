@@ -23,7 +23,7 @@ var registrationMethods = map[string]bool{
 	"Func": true, "HDR": true, "HDRFunc": true,
 }
 
-// MetricName returns the metricname analyzer. At every obs metric
+// metricNameAnalyzer returns the metricname analyzer. At every obs metric
 // registration and span start in non-test code it checks that:
 //
 //   - the name is a compile-time string constant — dynamic names
@@ -32,7 +32,7 @@ var registrationMethods = map[string]bool{
 //   - the name matches ^[a-z][a-z0-9_.]*$ (spans may also use ':');
 //   - no two registration sites in a package bind the same name (the
 //     registry's get-or-create would silently share state).
-func MetricName() *Analyzer {
+func metricNameAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "metricname",
 		Doc:  "obs metric/span names: literal, lower_snake dotted, unique",

@@ -86,7 +86,16 @@ func publish(size int) {
 func bump() {
 	sn := cur.Load()
 	sn.total.Add(1) // interior mutability via sync/atomic methods: clean
-	sn.size++       // want `write to interior of frozen type snap \(published through atomic.Pointer\) outside its constructor closure` `\[atomicdiscipline\] writes through a value obtained from atomic\.Pointer\.Load`
+	sn.size++       // want `write to interior of frozen type snap \(published through atomic.Pointer\) outside its constructor closure`
+}
+
+// swapIn writes through the snapshot it just unpublished: readers that
+// loaded it before the Swap may still hold it.
+func swapIn(size int) {
+	old := cur.Swap(&snap{size: size})
+	if old != nil {
+		old.size = 0 // want `write to interior of frozen type snap \(published through atomic.Pointer\) outside its constructor closure`
+	}
 }
 
 // want `\[directive\] //acclaim:frozen must be in a type declaration's doc or line comment`

@@ -1,10 +1,12 @@
 // Package lockcheck is the golden fixture for the lockcheck analyzer:
-// guarded-field comments, unlocked access, and a guard comment naming a
-// non-existent mutex. (Half-atomic fields moved to the
-// atomicdiscipline fixture when that analyzer took the check over.)
+// guarded-field comments, unlocked access, a guard comment naming a
+// non-existent mutex, and function-style sync/atomic calls.
 package lockcheck
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type counter struct {
 	mu sync.Mutex
@@ -44,4 +46,14 @@ func (t *table) count() int {
 
 func (t *table) first() string {
 	return t.rows[0] // want `table\.rows \(guarded by mu\) accessed in first, which never locks it`
+}
+
+type gauge struct {
+	hits int64
+	live atomic.Int64
+}
+
+func (g *gauge) hit() {
+	atomic.AddInt64(&g.hits, 1) // want `call to atomic\.AddInt64: use a typed atomic so the word cannot also be accessed plainly`
+	g.live.Add(1)               // typed atomic: clean
 }

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// ZeroAlloc returns the zeroalloc analyzer. Functions annotated
+// zeroAllocAnalyzer returns the zeroalloc analyzer. Functions annotated
 // `//acclaim:zeroalloc` in their doc comment — the hot paths whose
 // runtime testing.AllocsPerRun gates pin at zero allocations — are
 // rejected if they contain a *syntactic* allocation site:
@@ -24,13 +24,13 @@ import (
 // be wrong in both directions on clever code, but on the annotated hot
 // paths a flagged site is a review conversation worth having, and a
 // genuinely safe one carries an //acclaim:allow with its reason.
-func ZeroAlloc() *Analyzer {
+func zeroAllocAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "zeroalloc",
 		Doc:  "forbid syntactic allocation sites in //acclaim:zeroalloc functions",
 		Run: func(p *Package) []Diagnostic {
 			var ds []Diagnostic
-			for _, fd := range p.ZeroAllocFuncs() {
+			for _, fd := range p.zeroAlloc {
 				if fd.Body != nil {
 					ds = append(ds, p.allocSites(fd)...)
 				}
