@@ -29,6 +29,7 @@ var zeroAllocManifest = map[string][]string{
 		"HDRHistogram.Observe",
 		"HDRHistogram.ObserveNs",
 		"HDRRecorder.Record",
+		"HDRRecorder.RecordN",
 		"NowNs",
 		"hdrIndex",
 		"nopRecorder.EndSpan",
@@ -44,6 +45,7 @@ var zeroAllocManifest = map[string][]string{
 		"getRespRecord",
 		"putReqRecord",
 		"putRespRecord",
+		"snapshot.lookup",
 		"tableIndex.lookup",
 		"tableIndex.walk",
 	},

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -24,13 +25,21 @@ var fixtures = []string{
 	"frozen", "goroutinelife",
 }
 
-func loadFixtures(t *testing.T) []*Package {
-	t.Helper()
+// fixtureLoad memoises the fixture corpus: loading type-checks std from
+// source, about 2 s a time, so every test shares one load. Tests must
+// not mutate the shared packages; TestFixtureSuppression works on
+// copies.
+var fixtureLoad = sync.OnceValues(func() ([]*Package, error) {
 	patterns := make([]string, len(fixtures))
 	for i, f := range fixtures {
 		patterns[i] = "internal/lint/testdata/src/" + f
 	}
-	pkgs, err := Load("../..", patterns...)
+	return Load("../..", patterns...)
+})
+
+func loadFixtures(t *testing.T) []*Package {
+	t.Helper()
+	pkgs, err := fixtureLoad()
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -190,10 +199,13 @@ func TestFixtureJSON(t *testing.T) {
 func TestFixtureSuppression(t *testing.T) {
 	pkgs := loadFixtures(t)
 	before := len(Run(pkgs, fixtureAnalyzers()))
-	for _, p := range pkgs {
-		p.allows = nil
+	stripped := make([]*Package, len(pkgs))
+	for i, p := range pkgs {
+		cp := *p
+		cp.allows = nil
+		stripped[i] = &cp
 	}
-	after := len(Run(pkgs, fixtureAnalyzers()))
+	after := len(Run(stripped, fixtureAnalyzers()))
 	if after <= before {
 		t.Errorf("clearing //acclaim:allow directives kept findings at %d (was %d); suppression is not doing anything", after, before)
 	}

@@ -93,7 +93,7 @@ func hdrRep(i int) float64 {
 //
 // The observe path is a single atomic increment on the value's bucket
 // — no separate count or sum word, which matters when the serving
-// path brackets every lookup: one uncontended atomic RMW is the whole
+// path records every lookup: one uncontended atomic RMW is the whole
 // recording cost. Snapshot reconstructs Count exactly from the
 // buckets; Sum is reconstructed at bucket resolution (exact in the
 // linear region, midpoint in the log region, so <= ~1.6% relative
@@ -305,6 +305,25 @@ func (r *HDRRecorder) Record(startNs, latencyNs int64) {
 		return
 	}
 	h.counts[hdrIndex(latencyNs)].Add(1)
+}
+
+// RecordN stores n observations of the same latency in one atomic add,
+// sharded like Record: the histogram count grows by exactly n. Callers
+// that time a batch once and share the time evenly over its n
+// operations use it to keep the count exact at one RMW per batch.
+//
+//acclaim:zeroalloc
+func (r *HDRRecorder) RecordN(startNs, latencyNs int64, n uint64) {
+	if r == nil {
+		return
+	}
+	shards := r.shards
+	h := &shards[uint64(startNs)&uint64(len(shards)-1)]
+	if latencyNs < 0 {
+		h.dropped.Add(n)
+		return
+	}
+	h.counts[hdrIndex(latencyNs)].Add(n)
 }
 
 // Snapshot merges every shard into one HDRSnapshot.

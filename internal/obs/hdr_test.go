@@ -223,6 +223,7 @@ func TestHDRNilSafety(t *testing.T) {
 	h.Observe(1)
 	h.ObserveNs(1)
 	rec.Record(0, 1)
+	rec.RecordN(0, 1, 3)
 	for name, s := range map[string]HDRSnapshot{"histogram": h.Snapshot(), "recorder": rec.Snapshot()} {
 		if s.Count != 0 || s.Sum != 0 || s.Dropped != 0 || s.Quantile(0.5) != 0 || s.P999 != 0 || s.Max != 0 || len(s.Buckets) != 0 {
 			t.Errorf("nil %s snapshot = %+v, want zero", name, s)
@@ -248,8 +249,39 @@ func TestHDRZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		rec.Record(42, 12345)
+		rec.RecordN(43, 12345, 64)
+		rec.RecordN(44, -1, 64) // dropped path
 	}); n != 0 {
 		t.Errorf("HDRRecorder record allocates %v/op", n)
+	}
+}
+
+// TestHDRRecorderRecordN pins RecordN to n repeated Records: the same
+// buckets, count and dropped count, so a batch recorded once keeps the
+// histogram count exact.
+func TestHDRRecorderRecordN(t *testing.T) {
+	batched, single := NewHDRRecorder(4), NewHDRRecorder(4)
+	cases := []struct {
+		start, lat int64
+		n          uint64
+	}{{1, 150, 64}, {2, 2500, 1}, {3, 0, 7}, {4, -5, 3}, {5, 1 << 45, 2}, {6, 99, 0}}
+	for _, c := range cases {
+		batched.RecordN(c.start, c.lat, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			single.Record(c.start, c.lat)
+		}
+	}
+	b, s := batched.Snapshot(), single.Snapshot()
+	if b.Count != 64+1+7+2 || b.Dropped != 3 {
+		t.Fatalf("RecordN count/dropped = %d/%d, want 74/3", b.Count, b.Dropped)
+	}
+	if b.Count != s.Count || b.Dropped != s.Dropped || len(b.Buckets) != len(s.Buckets) {
+		t.Fatalf("RecordN snapshot %+v, repeated Record %+v", b, s)
+	}
+	for i := range b.Buckets {
+		if b.Buckets[i] != s.Buckets[i] {
+			t.Errorf("bucket %d: RecordN %+v, Record %+v", i, b.Buckets[i], s.Buckets[i])
+		}
 	}
 }
 

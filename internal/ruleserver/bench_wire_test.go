@@ -40,7 +40,7 @@ func BenchmarkWireBatchServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, _ := reg.Tenant(key)
-	sc := &serverConn{algID: map[string]uint32{}, shards: []*Server{srv}, found: []bool{true}}
+	sc := testConn(srv)
 
 	const batch = 64
 	buf := make([]byte, 5+batch*reqRecordBytes)

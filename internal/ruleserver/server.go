@@ -34,12 +34,15 @@ const nameSlot = coll.NumCollectives
 // reflect the current epoch without adding anything to the lock-free
 // lookup path.
 //
-// Every lookup is latency-bracketed into the sharded HDR recorder —
-// there is no sampling mask anymore. The clock bracket costs more than
-// the flattened lookup itself (~2x on the dev host), but in absolute
-// terms the counted path stays under ~100ns/call; the benchguard
-// record_headroom metric pins the recorder's own contribution at
-// <10% over a clock-only baseline.
+// Every lookup is counted and lands in the sharded HDR recorder, with
+// no sampling, but callers time it two ways. An in-process
+// Server.Lookup brackets each call with its own two clock reads; the
+// bracket costs more than the flattened lookup itself (~2x on the dev
+// host), and the benchguard record_headroom metric pins the recorder's
+// own contribution at <10% over a clock-only baseline. The wire
+// server times a whole batch frame once and records the frame's
+// service time shared evenly over its lookups (RecordN), so the
+// histogram count still equals the lookup count exactly.
 //
 //acclaim:frozen
 type snapshot struct {
@@ -50,7 +53,7 @@ type snapshot struct {
 	// perColl[c] counts traffic per Collective enum value; the final
 	// nameSlot aggregates LookupName traffic.
 	perColl [coll.NumCollectives + 1]collCounters
-	lat     *obs.HDRRecorder // every lookup's latency (ns), sharded to spread write contention
+	lat     *obs.HDRRecorder // one latency sample (ns) per lookup, sharded to spread write contention
 }
 
 func newSnapshot(idx *Index, version uint64) *snapshot {
@@ -64,6 +67,21 @@ func slot(c coll.Collective) int {
 		return nameSlot
 	}
 	return int(c)
+}
+
+// lookup answers one query on this generation and counts it in the
+// per-collective ledger, without timing it: the caller owns the clock
+// bracket and the latency sample.
+//
+//acclaim:zeroalloc
+func (sn *snapshot) lookup(c coll.Collective, nodes, ppn, msg int) (string, bool) {
+	pc := &sn.perColl[slot(c)]
+	pc.lookups.Add(1)
+	alg, ok := sn.idx.Lookup(c, nodes, ppn, msg)
+	if !ok {
+		pc.misses.Add(1)
+	}
+	return alg, ok
 }
 
 // totals sums the per-collective ledgers into snapshot-wide lookup and
@@ -139,21 +157,17 @@ func (s *Server) Swap(f *rules.File) error {
 // Lookup implements coll.AlgSource: the collective-call hot path.
 // It performs no allocation and takes no lock — TestLookupZeroAlloc
 // pins the property at runtime, acclaim-lint's zeroalloc analyzer at
-// review time. Every call is latency-bracketed into the snapshot's HDR
-// recorder, so the quantiles Stats reports are exact over the full
-// population, not a sample.
+// review time. Every call is timed on its own by two clock reads around
+// the snapshot lookup and recorded into the snapshot's HDR recorder,
+// so the quantiles Stats reports cover the full population, not a
+// sample.
 //
 //acclaim:zeroalloc
 func (s *Server) Lookup(c coll.Collective, nodes, ppn, msg int) (string, bool) {
 	sn := s.cur.Load()
-	pc := &sn.perColl[slot(c)]
-	pc.lookups.Add(1)
 	t0 := obs.NowNs()
-	alg, ok := sn.idx.Lookup(c, nodes, ppn, msg)
+	alg, ok := sn.lookup(c, nodes, ppn, msg)
 	sn.lat.Record(t0, obs.NowNs()-t0)
-	if !ok {
-		pc.misses.Add(1)
-	}
 	return alg, ok
 }
 
@@ -200,7 +214,9 @@ type Stats struct {
 
 	// Lookup-latency quantiles over every lookup this snapshot served
 	// (not a sample), exact to within the HDR bucket resolution
-	// (~3%). Zero until the first lookup.
+	// (~3%). In-process lookups are timed one by one; a wire lookup
+	// contributes its batch frame's service time divided by the
+	// frame's lookup count. Zero until the first lookup.
 	P50, P99, P999 time.Duration
 
 	// PerCollective lists the collectives that saw traffic, in enum
@@ -267,7 +283,7 @@ func (s *Server) Register(reg *obs.Registry) {
 	reg.Func("ruleserver.tables", func() float64 { return float64(len(s.cur.Load().idx.byName)) })
 	reg.Func("ruleserver.rules", func() float64 { return float64(s.cur.Load().idx.rules) })
 	reg.Func("ruleserver.swaps_total", func() float64 { return float64(s.swaps.Load()) })
-	reg.Describe("ruleserver.lookup_latency_ns", "per-lookup latency over every lookup the serving snapshot answered")
+	reg.Describe("ruleserver.lookup_latency_ns", "lookup latency, one sample per lookup the serving snapshot answered: in-process lookups timed one by one, wire lookups as their frame's service time shared evenly over its lookups")
 	reg.HDRFunc("ruleserver.lookup_latency_ns", func() *obs.HDRRecorder { return s.cur.Load().lat })
 	for i := 0; i <= coll.NumCollectives; i++ {
 		slot := i

@@ -25,6 +25,16 @@ func wireTestFile() *rules.File {
 	return f
 }
 
+// testConn returns post-hello connection state over shards, one per
+// negotiated tenant id (nil: a tenant the registry did not know).
+func testConn(shards ...*Server) *serverConn {
+	found := make([]bool, len(shards))
+	for i, srv := range shards {
+		found[i] = srv != nil
+	}
+	return &serverConn{algID: map[string]uint32{}, shards: shards, found: found, slot: make([]int32, len(shards))}
+}
+
 // TestWireRecordCodecZeroAlloc is the runtime half of the
 // //acclaim:zeroalloc contract on the fixed-layout record codecs: the
 // static analyzer proves the source contains no allocating constructs,
@@ -135,11 +145,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err := sc.handleHello(reg, data); err == nil {
 			_ = sc.helloAck()
 		}
-		sc2 := &serverConn{
-			algID:  map[string]uint32{},
-			shards: []*Server{srv, nil},
-			found:  []bool{true, false},
-		}
+		sc2 := testConn(srv, nil)
 		if out, err := sc2.handleBatch(data); err == nil && len(out) == 0 {
 			t.Fatal("handleBatch returned empty frame without error")
 		}
@@ -157,27 +163,37 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // TestWireBatchEncodeSteadyStateAllocs pins the whole server batch
-// path — decode, lookup, dictionary check, response assembly — at zero
-// allocations once buffers and the algorithm dictionary are warm.
+// path — decode, per-frame snapshot pins, lookup, dictionary check,
+// frame latency record, response assembly — at zero allocations once
+// buffers and the algorithm dictionary are warm, with two known
+// tenants and one unknown tenant interleaved in the frame and a
+// collective without a table among the queries.
 func TestWireBatchEncodeSteadyStateAllocs(t *testing.T) {
 	reg := NewRegistry()
-	key := TenantKey{Cluster: "a", JobClass: "b", MPIVer: "c"}
-	if err := reg.Swap(key, wireTestFile()); err != nil {
+	a := TenantKey{Cluster: "a", JobClass: "b", MPIVer: "c"}
+	b := TenantKey{Cluster: "d", JobClass: "e", MPIVer: "f"}
+	if err := reg.Swap(a, wireTestFile()); err != nil {
 		t.Fatal(err)
 	}
-	srv, _ := reg.Tenant(key)
-	sc := &serverConn{algID: map[string]uint32{}, shards: []*Server{srv}, found: []bool{true}}
+	if err := reg.Swap(b, recordBenchFile()); err != nil {
+		t.Fatal(err)
+	}
+	srvA, _ := reg.Tenant(a)
+	srvB, _ := reg.Tenant(b)
+	sc := testConn(srvA, nil, srvB)
 
 	const batch = 16
-	payload := make([]byte, 5, 5+batch*reqRecordBytes)
-	payload[0] = frameBatchReq
-	payload[1] = batch
-	buf := payload[:cap(payload)]
+	buf := make([]byte, 5+batch*reqRecordBytes)
+	buf[0] = frameBatchReq
+	buf[1] = batch
 	off := 5
 	for i := 0; i < batch; i++ {
-		off = putReqRecord(buf, off, 0, uint32(coll.Bcast), 4, 8, uint32(1<<uint(i%16)))
+		cid := uint32(coll.Bcast)
+		if i%5 == 4 {
+			cid = uint32(coll.Allreduce) // no table on either tenant: a miss
+		}
+		off = putReqRecord(buf, off, uint32(i%3), cid, 4, 8, uint32(1<<uint(i%16)))
 	}
-	buf = buf[:off]
 
 	// Warm the dictionary and the reused buffers.
 	if _, err := sc.handleBatch(buf); err != nil {
