@@ -168,9 +168,9 @@ func (r *Runner) subAllocation(spec Spec, idx []int) (cluster.Allocation, error)
 	return cluster.Allocation{Machine: r.Alloc.Machine, Nodes: nodes}, nil
 }
 
-// baseTime runs the simulator once for the spec and returns the
-// noise-free collective time.
-func (r *Runner) baseTime(spec Spec, idx []int) (float64, error) {
+// baseTime runs the simulator once for the spec on e (a fresh engine
+// when e is nil) and returns the noise-free collective time.
+func (r *Runner) baseTime(e *simmpi.Engine, spec Spec, idx []int) (float64, error) {
 	if m := r.Metrics; m != nil {
 		t0 := obs.NowNs()
 		defer func() { m.HostNs.Add(float64(obs.NowNs() - t0)) }()
@@ -183,7 +183,7 @@ func (r *Runner) baseTime(spec Spec, idx []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := coll.Exec(model, spec.Coll, spec.Alg, spec.Point.MsgBytes, coll.Options{Op: simmpi.OpSum})
+	res, err := coll.ExecOn(e, model, spec.Coll, spec.Alg, spec.Point.MsgBytes, coll.Options{Op: simmpi.OpSum})
 	if err != nil {
 		return 0, err
 	}
@@ -250,7 +250,14 @@ func (r *Runner) measure(spec Spec, base float64) Measurement {
 // Run executes one microbenchmark on the first Point.Nodes nodes of the
 // allocation (the sequential strategy).
 func (r *Runner) Run(spec Spec) (Measurement, error) {
-	base, err := r.baseTime(spec, nil)
+	return r.RunOn(nil, spec)
+}
+
+// RunOn is Run on the caller's simulation engine, for a worker that
+// measures many specs one after another; a nil engine is Run. The
+// measurement is the same either way.
+func (r *Runner) RunOn(e *simmpi.Engine, spec Spec) (Measurement, error) {
+	base, err := r.baseTime(e, spec, nil)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -281,10 +288,12 @@ func (r *Runner) RunSelected(c coll.Collective, src coll.AlgSource, p featspace.
 // times — nodes not in use sit idle, exactly the inefficiency Section
 // III-D describes).
 func (r *Runner) RunSequential(specs []Spec) ([]Measurement, float64, error) {
+	var e simmpi.Engine
+	defer e.Close()
 	var total float64
 	out := make([]Measurement, 0, len(specs))
 	for _, s := range specs {
-		m, err := r.Run(s)
+		m, err := r.RunOn(&e, s)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -347,10 +356,11 @@ func (r *Runner) RunParallel(specs []Spec) ([]Measurement, float64, []int, error
 
 // evaluate measures every placement on a pool of at most GOMAXPROCS
 // workers that claim placements from an atomic counter; placement i's
-// measurement lands in slot i. After a failure no further placement is
-// claimed. Placements are claimed in slot order, so every slot before a
-// failed one was evaluated, and the error returned — the first in slot
-// order — does not depend on scheduling.
+// measurement lands in slot i. Each worker simulates its placements on
+// one engine, which it closes when the batch is done. After a failure
+// no further placement is claimed. Placements are claimed in slot
+// order, so every slot before a failed one was evaluated, and the error
+// returned — the first in slot order — does not depend on scheduling.
 func (r *Runner) evaluate(specs []Spec, ps []sched.Placement) ([]Measurement, error) {
 	out := make([]Measurement, len(ps))
 	errs := make([]error, len(ps))
@@ -361,13 +371,15 @@ func (r *Runner) evaluate(specs []Spec, ps []sched.Placement) ([]Measurement, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var e simmpi.Engine
+			defer e.Close()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(ps) {
 					return
 				}
 				spec := specs[ps[i].ID]
-				base, err := r.baseTime(spec, ps[i].NodeIdx)
+				base, err := r.baseTime(&e, spec, ps[i].NodeIdx)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

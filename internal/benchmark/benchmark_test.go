@@ -175,7 +175,7 @@ func serialOracle(t *testing.T, r *Runner, specs []Spec) ([]Measurement, float64
 	for _, wave := range waves {
 		var waveTime float64
 		for _, p := range wave {
-			base, err := r.baseTime(specs[p.ID], p.NodeIdx)
+			base, err := r.baseTime(nil, specs[p.ID], p.NodeIdx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,11 +79,11 @@ func newBufLike(ref simmpi.Buf, n int) simmpi.Buf {
 
 // execAllgather runs one allgather algorithm (msgBytes is the per-rank
 // block size, OSU convention) and verifies every rank's result.
-func execAllgather(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execAllgather(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
 	segs := uniformSegments(n, msgBytes)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		block := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), block)
 		var out simmpi.Buf

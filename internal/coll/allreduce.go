@@ -74,10 +74,10 @@ func allreduceReduceScatterAllgather(c *simmpi.Comm, vec simmpi.Buf, op simmpi.O
 
 // execAllreduce runs one allreduce algorithm and verifies every rank's
 // result.
-func execAllreduce(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execAllreduce(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		vec := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), vec)
 		var out simmpi.Buf

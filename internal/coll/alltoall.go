@@ -96,11 +96,11 @@ func alltoallScattered(c *simmpi.Comm, send simmpi.Buf) simmpi.Buf {
 // execAlltoall runs one alltoall algorithm (msgBytes is the per-pair
 // block size, OSU convention: every rank sends a distinct msgBytes
 // block to every rank) and verifies every rank's result.
-func execAlltoall(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execAlltoall(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
 	segs := uniformSegments(n, msgBytes)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		send := newBuf(n*msgBytes, opts.WithData)
 		fillInput(c.Rank(), send)
 		var out simmpi.Buf

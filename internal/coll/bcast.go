@@ -61,11 +61,11 @@ func bcastScatterRingAllgather(c *simmpi.Comm, root int, out simmpi.Buf, segs se
 
 // execBcast runs one bcast algorithm over all ranks and verifies that
 // every rank ends with the root's buffer.
-func execBcast(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execBcast(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
 	segs := ceilSegments(msgBytes, n)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		out := newBuf(msgBytes, opts.WithData)
 		if c.Rank() == opts.Root {
 			fillInput(opts.Root, out)

@@ -168,8 +168,17 @@ type Options struct {
 // full vector for the reductions (reduce_scatter splits that vector into
 // ceilSegments, so reduce_scatter ≡ reduce + scatterv). With
 // opts.WithData it also verifies the collective's postcondition and
-// returns an error on any mismatch.
+// returns an error on any mismatch. It runs on a fresh engine, as
+// simmpi.Run does; a caller that executes many collectives one after
+// another uses ExecOn.
 func Exec(model *netmodel.Model, c Collective, alg string, msgBytes int, opts Options) (simmpi.Result, error) {
+	return ExecOn(nil, model, c, alg, msgBytes, opts)
+}
+
+// ExecOn is Exec on the caller's engine, which keeps its coroutines and
+// arrays for the caller's next execution; a nil engine is Exec. The
+// result is the same either way.
+func ExecOn(e *simmpi.Engine, model *netmodel.Model, c Collective, alg string, msgBytes int, opts Options) (simmpi.Result, error) {
 	if msgBytes < 1 {
 		return simmpi.Result{}, errors.New("coll: message size must be >= 1")
 	}
@@ -183,34 +192,34 @@ func Exec(model *netmodel.Model, c Collective, alg string, msgBytes int, opts Op
 	if _, ok := AlgIndex(c, alg); !ok {
 		return simmpi.Result{}, fmt.Errorf("coll: collective %v has no algorithm %q", c, alg)
 	}
-	_, res, err := execOutputs(model, c, alg, msgBytes, opts)
+	_, res, err := execOutputs(e, model, c, alg, msgBytes, opts)
 	return res, err
 }
 
-// execOutputs dispatches to the per-collective harness, returning every
-// rank's output buffer alongside the simulated result. The outputs are
-// the seam the differential property and fuzz tests compare across
-// independent schedules of the same collective; Exec discards them.
-// For the single-receiver collectives (reduce, gather) only the root's
-// output is meaningful.
-func execOutputs(model *netmodel.Model, c Collective, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+// execOutputs dispatches to the per-collective harness, which runs on
+// e, returning every rank's output buffer alongside the simulated
+// result. The outputs are the seam the differential property and fuzz
+// tests compare across independent schedules of the same collective;
+// Exec discards them. For the single-receiver collectives (reduce,
+// gather) only the root's output is meaningful.
+func execOutputs(e *simmpi.Engine, model *netmodel.Model, c Collective, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	switch c {
 	case Bcast:
-		return execBcast(model, alg, msgBytes, opts)
+		return execBcast(e, model, alg, msgBytes, opts)
 	case Reduce:
-		return execReduce(model, alg, msgBytes, opts)
+		return execReduce(e, model, alg, msgBytes, opts)
 	case Allreduce:
-		return execAllreduce(model, alg, msgBytes, opts)
+		return execAllreduce(e, model, alg, msgBytes, opts)
 	case Allgather:
-		return execAllgather(model, alg, msgBytes, opts)
+		return execAllgather(e, model, alg, msgBytes, opts)
 	case Alltoall:
-		return execAlltoall(model, alg, msgBytes, opts)
+		return execAlltoall(e, model, alg, msgBytes, opts)
 	case ReduceScatter:
-		return execReduceScatter(model, alg, msgBytes, opts)
+		return execReduceScatter(e, model, alg, msgBytes, opts)
 	case Gather:
-		return execGather(model, alg, msgBytes, opts)
+		return execGather(e, model, alg, msgBytes, opts)
 	case Scatter:
-		return execScatter(model, alg, msgBytes, opts)
+		return execScatter(e, model, alg, msgBytes, opts)
 	default:
 		return nil, simmpi.Result{}, fmt.Errorf("coll: unknown collective %v", c)
 	}

@@ -51,6 +51,7 @@ func fuzzCollDifferential(f *testing.F, c Collective) {
 	f.Add(uint8(7), uint8(1), uint16(1000), uint8(5), uint8(2)) // non-P2 ranks and size
 	f.Add(uint8(12), uint8(3), uint16(513), uint8(255), uint8(1))
 	f.Fuzz(func(t *testing.T, rawNodes, rawPPN uint8, rawMsg uint16, rawRoot, rawOp uint8) {
+		e := testEngine(t)
 		nodes := 2 + int(rawNodes)%13 // 2..14 nodes
 		ppn := 1 + int(rawPPN)%3      // 1..3 ranks per node
 		msg := 1 + int(rawMsg)%4096   // 1..4096 bytes
@@ -62,13 +63,13 @@ func fuzzCollDifferential(f *testing.F, c Collective) {
 		algs := AlgorithmNames(c)
 		for _, topoName := range netmodel.TopologyNames() {
 			model := fuzzTopoModel(t, topoName, nodes, ppn)
-			ref, _, err := execOutputs(model, c, algs[0], msg, opts)
+			ref, _, err := execOutputs(e, model, c, algs[0], msg, opts)
 			if err != nil {
 				t.Fatalf("%s: %v/%s nodes=%d ppn=%d msg=%d root=%d: %v",
 					topoName, c, algs[0], nodes, ppn, msg, opts.Root, err)
 			}
 			for _, alg := range algs[1:] {
-				outs, _, err := execOutputs(model, c, alg, msg, opts)
+				outs, _, err := execOutputs(e, model, c, alg, msg, opts)
 				if err != nil {
 					t.Fatalf("%s: %v/%s nodes=%d ppn=%d msg=%d root=%d: %v",
 						topoName, c, alg, nodes, ppn, msg, opts.Root, err)

@@ -73,10 +73,10 @@ func gatherLinear(c *simmpi.Comm, root int, block simmpi.Buf) simmpi.Buf {
 
 // execGather runs one gather algorithm (msgBytes is the per-rank block
 // size, OSU convention) and verifies the root's assembled buffer.
-func execGather(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execGather(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		block := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), block)
 		var out simmpi.Buf

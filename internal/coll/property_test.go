@@ -16,6 +16,14 @@ import (
 
 var propOps = []simmpi.Op{simmpi.OpSum, simmpi.OpMax, simmpi.OpXor}
 
+// testEngine returns an engine that the test's cleanup closes, so the
+// executions of one test run on warm coroutines.
+func testEngine(t testing.TB) *simmpi.Engine {
+	e := new(simmpi.Engine)
+	t.Cleanup(e.Close)
+	return e
+}
+
 // randomCell draws one (collective, algorithm) pair from the registry.
 func randomCell(rng *rand.Rand) (Collective, string) {
 	cs := Collectives()
@@ -126,6 +134,7 @@ func TestTimeMonotoneInSizeProperty(t *testing.T) {
 // algorithms agreeing is far stronger evidence than each one passing
 // its own postcondition.
 func TestCrossScheduleIdenticalProperty(t *testing.T) {
+	e := testEngine(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cs := Collectives()
@@ -139,13 +148,13 @@ func TestCrossScheduleIdenticalProperty(t *testing.T) {
 		}
 		model := modelFor(t, nodes, ppn)
 		algs := AlgorithmNames(c)
-		ref, _, err := execOutputs(model, c, algs[0], msg, opts)
+		ref, _, err := execOutputs(e, model, c, algs[0], msg, opts)
 		if err != nil {
 			t.Logf("seed %d: %v/%s: %v", seed, c, algs[0], err)
 			return false
 		}
 		for _, alg := range algs[1:] {
-			outs, _, err := execOutputs(model, c, alg, msg, opts)
+			outs, _, err := execOutputs(e, model, c, alg, msg, opts)
 			if err != nil {
 				t.Logf("seed %d: %v/%s: %v", seed, c, alg, err)
 				return false
@@ -170,6 +179,7 @@ func TestCrossScheduleIdenticalProperty(t *testing.T) {
 // collectives whose payload is the root's own data (bcast, scatter),
 // the postcondition must hold at every sampled root.
 func TestRootInvarianceProperty(t *testing.T) {
+	e := testEngine(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var rooted []Collective
@@ -189,7 +199,7 @@ func TestRootInvarianceProperty(t *testing.T) {
 		roots := []int{0, rng.Intn(nodes * ppn), rng.Intn(nodes * ppn)}
 		var ref []byte
 		for _, root := range roots {
-			outs, _, err := execOutputs(model, c, alg, msg, Options{WithData: true, Op: op, Root: root})
+			outs, _, err := execOutputs(e, model, c, alg, msg, Options{WithData: true, Op: op, Root: root})
 			if err != nil {
 				t.Logf("seed %d: %v/%s root=%d: %v", seed, c, alg, root, err)
 				return false
@@ -216,6 +226,7 @@ func TestRootInvarianceProperty(t *testing.T) {
 // per-rank segment must equal the corresponding ceilSegments slice of
 // an independently computed full reduction.
 func TestReduceScatterIdentityProperty(t *testing.T) {
+	e := testEngine(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		algs := AlgorithmNames(ReduceScatter)
@@ -226,12 +237,12 @@ func TestReduceScatterIdentityProperty(t *testing.T) {
 		op := propOps[rng.Intn(len(propOps))]
 		model := modelFor(t, nodes, ppn)
 		n := nodes * ppn
-		rsOuts, _, err := execOutputs(model, ReduceScatter, alg, msg, Options{WithData: true, Op: op})
+		rsOuts, _, err := execOutputs(e, model, ReduceScatter, alg, msg, Options{WithData: true, Op: op})
 		if err != nil {
 			t.Logf("seed %d: reduce_scatter/%s: %v", seed, alg, err)
 			return false
 		}
-		redOuts, _, err := execOutputs(model, Reduce, "binomial", msg, Options{WithData: true, Op: op})
+		redOuts, _, err := execOutputs(e, model, Reduce, "binomial", msg, Options{WithData: true, Op: op})
 		if err != nil {
 			t.Logf("seed %d: reduce/binomial: %v", seed, err)
 			return false

@@ -120,10 +120,10 @@ func reduceScatterGather(c *simmpi.Comm, root int, vec simmpi.Buf, op simmpi.Op)
 }
 
 // execReduce runs one reduce algorithm and verifies the root's result.
-func execReduce(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execReduce(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		vec := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), vec)
 		var out simmpi.Buf

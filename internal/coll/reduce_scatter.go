@@ -99,11 +99,11 @@ func reduceScatterPairwise(c *simmpi.Comm, vec simmpi.Buf, op simmpi.Op, segs se
 // the scatter-based bcast/reduce schedules use, so
 // reduce_scatter ≡ reduce + scatterv) and verifies every rank's
 // segment.
-func execReduceScatter(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execReduceScatter(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
 	segs := ceilSegments(msgBytes, n)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		vec := newBuf(msgBytes, opts.WithData)
 		fillInput(c.Rank(), vec)
 		var out simmpi.Buf

@@ -50,10 +50,10 @@ func scatterLinear(c *simmpi.Comm, root int, send simmpi.Buf, m int) simmpi.Buf 
 // execScatter runs one scatter algorithm (msgBytes is the per-rank
 // block size, OSU convention: the root distributes n distinct blocks)
 // and verifies every rank's received block.
-func execScatter(model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
+func execScatter(e *simmpi.Engine, model *netmodel.Model, alg string, msgBytes int, opts Options) ([]simmpi.Buf, simmpi.Result, error) {
 	n := model.Ranks()
 	outs := make([]simmpi.Buf, n)
-	res, err := simmpi.Run(model, func(c *simmpi.Comm) {
+	res, err := e.Run(model, func(c *simmpi.Comm) {
 		// Only the root has meaningful send data; other ranks still size
 		// their buffers from it.
 		send := newBuf(n*msgBytes, opts.WithData)

@@ -16,12 +16,14 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"acclaim/internal/benchmark"
 	"acclaim/internal/cluster"
 	"acclaim/internal/coll"
 	"acclaim/internal/featspace"
 	"acclaim/internal/sched"
+	"acclaim/internal/simmpi"
 )
 
 // Key identifies one benchmarked configuration.
@@ -119,8 +121,13 @@ type CollectOptions struct {
 // Collect benchmarks every (collective, algorithm, point) combination on
 // the runner and returns the dataset. Points whose node demand exceeds
 // the runner's allocation, or with fewer than two ranks, are skipped.
-// Simulator executions run on Workers goroutines; results are
-// deterministic because measurement noise is derived per-spec.
+// Simulator executions run on Workers goroutines, each with one
+// simulation engine for the whole sweep, claiming specs in order;
+// results are deterministic because measurement noise is derived
+// per-spec. After a failure no further spec is handed out, and the error
+// returned is that of the failing spec with the lowest index: every spec
+// before it was handed out first, so the choice does not depend on
+// scheduling.
 func Collect(r *benchmark.Runner, points []featspace.Point, opts CollectOptions) (*Dataset, error) {
 	colls := opts.Collectives
 	if colls == nil {
@@ -143,23 +150,30 @@ func Collect(r *benchmark.Runner, points []featspace.Point, opts CollectOptions)
 	}
 	d := New()
 	var (
-		mu   sync.Mutex
-		done int
-		wg   sync.WaitGroup
-		errs = make([]error, workers)
+		mu     sync.Mutex
+		done   int
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		errs   = make([]error, len(specs))
 	)
-	work := make(chan benchmark.Spec)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
+	for w := min(workers, len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			for s := range work {
-				m, err := r.Run(s)
+			var e simmpi.Engine
+			defer e.Close()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				s := specs[i]
+				m, err := r.RunOn(&e, s)
 				if err != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("dataset: %v: %w", s, err)
-					}
-					continue
+					errs[i] = fmt.Errorf("dataset: %v: %w", s, err)
+					failed.Store(true)
+					return
 				}
 				mu.Lock()
 				d.Put(Key{Coll: s.Coll, Alg: s.Alg, Point: s.Point},
@@ -170,12 +184,8 @@ func Collect(r *benchmark.Runner, points []featspace.Point, opts CollectOptions)
 				}
 				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
-	for _, s := range specs {
-		work <- s
-	}
-	close(work)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

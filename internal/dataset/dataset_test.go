@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"acclaim/internal/benchmark"
@@ -234,5 +236,53 @@ func TestCollectProgress(t *testing.T) {
 	wantTotal := coll.NumAlgorithms(coll.Bcast) * 2
 	if calls != wantTotal || last != wantTotal {
 		t.Errorf("progress calls=%d last total=%d, want %d", calls, last, wantTotal)
+	}
+}
+
+// TestCollectStopsAtFirstFailure holds Collect's failure path: two
+// points whose PPN exceeds the machine's cores per node pass
+// Point.Valid but fail in netmodel. The sweep must stop handing out
+// specs once one fails, so Progress sees fewer than all of them, and
+// return the error of the failing spec with the lowest index at every
+// worker count.
+func TestCollectStopsAtFirstFailure(t *testing.T) {
+	alloc := cluster.TopologyTwoPairs()
+	r, err := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, benchmark.Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := alloc.Machine.CoresPerNode
+	var pts []featspace.Point
+	for i := 0; i < 12; i++ {
+		pts = append(pts, featspace.Point{Nodes: 2 + i%3, PPN: 1 + i%2, MsgBytes: 64 << i})
+	}
+	pts[3].PPN = cores + 1
+	pts[7].PPN = cores + 2
+	failing := 0 // every (collective, algorithm) fails at both points
+	for _, c := range coll.Collectives() {
+		failing += 2 * coll.NumAlgorithms(c)
+	}
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		total, seen := 0, 0
+		_, err := Collect(r, pts, CollectOptions{
+			Workers:  workers,
+			Progress: func(done, n int) { seen, total = max(seen, done), n },
+		})
+		if err == nil {
+			t.Fatalf("Workers=%d: no error for ppn %d > %d cores", workers, cores+1, cores)
+		}
+		if want == "" {
+			want = err.Error()
+			if !strings.Contains(want, fmt.Sprint(pts[3])) {
+				t.Errorf("Workers=%d: error %q does not name the first failing point %v", workers, want, pts[3])
+			}
+		} else if err.Error() != want {
+			t.Errorf("Workers=%d: error %q, Workers=1 returned %q", workers, err, want)
+		}
+		if total == 0 || seen >= total-failing {
+			t.Errorf("Workers=%d: progress reached %d of the %d specs that succeed; the sweep went on after a failure",
+				workers, seen, total-failing)
+		}
 	}
 }

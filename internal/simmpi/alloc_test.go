@@ -44,3 +44,27 @@ func TestRingAllgatherAllocsScaleWithRanks(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEngineSweep is the warm path the tuner's workers take: an
+// 18-size sweep of a 128-rank recursive-doubling allreduce on one
+// engine. The CI bench gate holds its allocs/op to the baseline, so
+// creating coroutines or scheduler arrays per rank again, about 12
+// allocations a rank, fails it.
+func BenchmarkEngineSweep(b *testing.B) {
+	model := engineModel(b, 32, 4)
+	var e simmpi.Engine
+	defer e.Close()
+	sweep := func() {
+		for i := 0; i < 18; i++ {
+			if _, err := coll.ExecOn(&e, model, coll.Allreduce, "recursive_doubling", 1<<i, coll.Options{Op: simmpi.OpSum}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}

@@ -33,7 +33,15 @@ func execBoth(model *netmodel.Model, c coll.Collective, alg string, msg int, opt
 // output buffers agree wherever the collective defines them. The oracle
 // resumes ranks in whatever order the Go scheduler picks; agreement is
 // the executable form of the package comment's Kahn-network claim.
+//
+// A third leg runs every case on one warm Engine, shared by every input
+// of the fuzz run, so each case starts from whatever coroutines, inbox
+// rows and arena the cases before it left behind; its result must equal
+// the other two bit for bit as well.
 func FuzzRunDifferential(f *testing.F) {
+	warm := new(simmpi.Engine)
+	f.Cleanup(warm.Close)
+
 	// One seed per schedule, alternating P2 and non-P2 shapes and sizes.
 	k := 0
 	for ci, c := range coll.Collectives() {
@@ -89,20 +97,27 @@ func FuzzRunDifferential(f *testing.F) {
 		}
 
 		got, want, gotErr, wantErr := execBoth(model, c, alg, msg, opts)
-		if gotErr != nil || wantErr != nil {
-			t.Fatalf("%v/%s %dx%d msg=%d root=%d data=%v: Run err %v, oracle err %v",
-				c, alg, nodes, ppn, msg, opts.Root, withData, gotErr, wantErr)
+		hot, hotErr := coll.ExecOn(warm, model, c, alg, msg, opts)
+		if gotErr != nil || wantErr != nil || hotErr != nil {
+			t.Fatalf("%v/%s %dx%d msg=%d root=%d data=%v: Run err %v, oracle err %v, warm engine err %v",
+				c, alg, nodes, ppn, msg, opts.Root, withData, gotErr, wantErr, hotErr)
 		}
-		if got.Sent != want.Sent {
-			t.Fatalf("%v/%s %dx%d msg=%d: Sent = %d, oracle %d", c, alg, nodes, ppn, msg, got.Sent, want.Sent)
-		}
-		if math.Float64bits(got.MaxClock) != math.Float64bits(want.MaxClock) {
-			t.Fatalf("%v/%s %dx%d msg=%d: MaxClock = %v, oracle %v", c, alg, nodes, ppn, msg, got.MaxClock, want.MaxClock)
-		}
-		for r := range want.Clocks {
-			if math.Float64bits(got.Clocks[r]) != math.Float64bits(want.Clocks[r]) {
-				t.Fatalf("%v/%s %dx%d msg=%d root=%d: rank %d clock = %v, oracle %v",
-					c, alg, nodes, ppn, msg, opts.Root, r, got.Clocks[r], want.Clocks[r])
+		for _, leg := range []struct {
+			name string
+			res  simmpi.Result
+		}{{"Run", got}, {"warm engine", hot}} {
+			if leg.res.Sent != want.Sent {
+				t.Fatalf("%v/%s %dx%d msg=%d: %s Sent = %d, oracle %d", c, alg, nodes, ppn, msg, leg.name, leg.res.Sent, want.Sent)
+			}
+			if math.Float64bits(leg.res.MaxClock) != math.Float64bits(want.MaxClock) {
+				t.Fatalf("%v/%s %dx%d msg=%d: %s MaxClock = %v, oracle %v",
+					c, alg, nodes, ppn, msg, leg.name, leg.res.MaxClock, want.MaxClock)
+			}
+			for r := range want.Clocks {
+				if math.Float64bits(leg.res.Clocks[r]) != math.Float64bits(want.Clocks[r]) {
+					t.Fatalf("%v/%s %dx%d msg=%d root=%d: %s rank %d clock = %v, oracle %v",
+						c, alg, nodes, ppn, msg, opts.Root, leg.name, r, leg.res.Clocks[r], want.Clocks[r])
+				}
 			}
 		}
 	})

@@ -97,11 +97,13 @@ func RunOracle(model *netmodel.Model, fn func(*Comm)) (Result, error) {
 	return collect(comms), nil
 }
 
-// UseOracle makes Run execute on the oracle until the returned function
-// is called, so a test can put the schedules of internal/coll — which
-// reach the runtime only through Run — on either side of a comparison.
-// Not for parallel tests.
+// UseOracle makes Run and Engine.Run execute on the oracle until the
+// returned function is called, so a test can put the schedules of
+// internal/coll — which reach the runtime only through Engine.Run — on
+// either side of a comparison. Not for parallel tests.
 func UseOracle() (restore func()) {
-	run = RunOracle
-	return func() { run = runCoroutines }
+	run = func(_ *Engine, model *netmodel.Model, fn func(*Comm)) (Result, error) {
+		return RunOracle(model, fn)
+	}
+	return func() { run = coroutines }
 }

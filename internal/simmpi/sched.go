@@ -17,6 +17,17 @@ import (
 // arena is never scanned by the garbage collector and a timing-only
 // message costs 24 bytes; the payloads of data-mode messages sit in a
 // side table at the same index.
+//
+// All of it belongs to an Engine and outlives one run. Coroutine r
+// serves rank r of every run: when the rank function returns, the
+// coroutine parks in its loop, keeping the stack it grew, and the next
+// run resumes it with a new rank. Only a panic, or the unwinding of a
+// failed run, ends a coroutine early; the next run replaces it. The
+// rank states, Comms, run queue, arena and side table are reset for
+// each run and keep their capacity, so a warm engine allocates nothing
+// per rank. An engine is driven from one goroutine at a time and is not
+// for concurrent use. Close stops every coroutine; nothing an engine
+// started outlives it.
 
 // slot is one in-flight message in the arena.
 type slot struct {
@@ -48,7 +59,8 @@ const maxFew = 8
 // what is pending rather than the rank count: the non-empty FIFOs are a
 // short unsorted list until more than maxFew sources are pending at
 // once, and only then does the rank get a row indexed by source, which
-// it keeps for the rest of the run.
+// it keeps for the rest of the run. An empty dense row with capacity is
+// a row kept from an earlier run, not in use.
 type inbox struct {
 	few   [maxFew]srcFifo
 	nfew  int
@@ -56,9 +68,10 @@ type inbox struct {
 }
 
 // push appends arena slot i to src's FIFO at this rank; n is the rank
-// count, the length of a dense row.
+// count, the length of a dense row. A row left by an earlier run of the
+// engine is reused when it is long enough.
 func (b *inbox) push(arena []slot, src, i int32, n int) {
-	if b.dense == nil {
+	if len(b.dense) == 0 {
 		for k := 0; k < b.nfew; k++ {
 			if f := &b.few[k]; f.src == src {
 				arena[f.tail].next = i
@@ -71,7 +84,11 @@ func (b *inbox) push(arena []slot, src, i int32, n int) {
 			b.nfew++
 			return
 		}
-		b.dense = make([]fifo, n)
+		if cap(b.dense) >= n {
+			b.dense = b.dense[:n]
+		} else {
+			b.dense = make([]fifo, n)
+		}
 		for k := range b.dense {
 			b.dense[k].head = -1
 		}
@@ -92,7 +109,7 @@ func (b *inbox) push(arena []slot, src, i int32, n int) {
 // pop unlinks and returns the arena slot of the oldest message from src,
 // or false if none is pending.
 func (b *inbox) pop(arena []slot, src int32) (int32, bool) {
-	if b.dense != nil {
+	if len(b.dense) != 0 {
 		f := &b.dense[src]
 		i := f.head
 		if i < 0 {
@@ -121,27 +138,35 @@ func (b *inbox) pop(arena []slot, src int32) (int32, bool) {
 // notBlocked is rankState.wait for a rank that is not suspended in Recv.
 const notBlocked = -1
 
-// rankState is the scheduler's view of one rank.
+// rankState is the scheduler's view of one rank and of the coroutine
+// that runs it.
 type rankState struct {
 	inbox inbox
 	wait  int32                   // source the rank is blocked on, or notBlocked
-	yield func(struct{}) bool     // suspends the rank; false tells it to unwind
-	next  func() (struct{}, bool) // resumes the rank; false once it has returned
-	stop  func()                  // unwinds a suspended rank; no-op once returned
+	busy  bool                    // the rank has started and not yet returned in this run
+	yield func(struct{}) bool     // parks the coroutine; false tells it to end
+	next  func() (struct{}, bool) // resumes the coroutine; nil while there is none
+	stop  func()                  // ends the coroutine; nil while there is none
 }
 
 // stopped is the panic value that unwinds a rank suspended in Recv when
 // the run is abandoned.
 type stopped struct{}
 
-// sched is the cooperative runtime behind Run.
+// sched is the cooperative runtime of an Engine.
 type sched struct {
-	ranks []rankState
-	arena []slot
-	data  [][]byte // payloads of data-mode messages, by arena index
-	free  int32    // head of the arena's free list, -1 when empty
-	runq  []int32  // ranks unblocked by a Send, resumed last-in first-out
-	err   error    // first rank panic
+	// ranks has the current run's length; ranks[:cap(ranks)] holds
+	// every coroutine the engine has created.
+	ranks   []rankState
+	comms   []Comm
+	arena   []slot
+	data    [][]byte    // payloads of data-mode messages, by arena index
+	free    int32       // head of the arena's free list, -1 when empty
+	runq    []int32     // ranks unblocked by a Send, resumed last-in first-out
+	fn      func(*Comm) // the current run's rank function
+	abandon bool        // the run has failed: a suspended rank unwinds when resumed
+	once    bool        // a one-shot engine: a coroutine ends with its rank instead of parking
+	err     error       // the run's failure: the first rank panic, or a deadlock
 }
 
 // put links a message into dst's FIFO from src and wakes dst if it is
@@ -188,14 +213,14 @@ func (s *sched) take(dst, src int) (n int, data []byte, arrival float64) {
 			return n, data, arrival
 		}
 		r.wait = int32(src)
-		suspend(r)
+		s.suspend(r)
 	}
 }
 
 // suspend parks a rank blocked in take until a put wakes it, and unwinds
 // it instead if the run is abandoned.
-func suspend(r *rankState) {
-	if !r.yield(struct{}{}) {
+func (s *sched) suspend(r *rankState) {
+	if !r.yield(struct{}{}) || s.abandon {
 		panic(stopped{})
 	}
 }
@@ -214,19 +239,61 @@ func (s *sched) keep(i int32, data []byte) {
 	s.data[i] = data
 }
 
-// start creates rank r's coroutine. It runs nothing until first resumed.
-func (s *sched) start(r int, c *Comm, fn func(*Comm)) {
-	rs := &s.ranks[r]
-	rs.next, rs.stop = iter.Pull(func(yield func(struct{}) bool) {
-		rs.yield = yield
-		defer func() {
-			p := recover()
-			if _, unwound := p.(stopped); p != nil && !unwound && s.err == nil {
-				s.err = fmt.Errorf("simmpi: rank %d panicked: %v", r, p)
+// reset readies the engine's arrays for an n-rank run of fn. Every
+// array keeps its capacity, and ranks every coroutine.
+func (s *sched) reset(n int, fn func(*Comm)) {
+	if n > cap(s.ranks) {
+		s.ranks = append(s.ranks[:cap(s.ranks)], make([]rankState, n-cap(s.ranks))...)
+	}
+	s.ranks = s.ranks[:n]
+	for r := range s.ranks {
+		rs := &s.ranks[r]
+		rs.wait = notBlocked
+		rs.inbox.nfew = 0
+		rs.inbox.dense = rs.inbox.dense[:0]
+	}
+	if n > cap(s.comms) {
+		s.comms = make([]Comm, n)
+	}
+	s.comms = s.comms[:n]
+	// A rank joins runq only while blocked and at most once, so n slots
+	// always suffice and put never grows it.
+	if n > cap(s.runq) {
+		s.runq = make([]int32, 0, n)
+	}
+	s.runq = s.runq[:0]
+	s.arena = s.arena[:0]
+	s.free = -1
+	clear(s.data)
+	s.data = s.data[:0]
+	s.fn = fn
+}
+
+// spawn creates the coroutine that runs rank r in this run and in every
+// later run of the engine. It runs nothing until first resumed. The rank
+// function runs directly in the coroutine's body, which has no deferred
+// call: a rank's stack is no deeper than before engines existed, and a
+// deeper one would make more ranks grow their stacks. A panic ends the
+// coroutine and comes out of next, where the scheduler recovers it; the
+// next run spawns a new coroutine for the rank.
+func (s *sched) spawn(r int) {
+	s.ranks[r].next, s.ranks[r].stop = iter.Pull(func(yield func(struct{}) bool) {
+		s.ranks[r].yield = yield
+		for {
+			s.fn(&s.comms[r])
+			s.ranks[r].busy = false
+			if s.once || !yield(struct{}{}) {
+				return
 			}
-		}()
-		fn(c)
+		}
 	})
+}
+
+// drop forgets rank r's coroutine, which a panic has ended.
+func (s *sched) drop(r int) {
+	rs := &s.ranks[r]
+	rs.busy = false
+	rs.next, rs.stop, rs.yield = nil, nil, nil
 }
 
 // deadlock describes a state in which every unfinished rank is blocked.
@@ -253,21 +320,44 @@ func (s *sched) deadlock() error {
 	return fmt.Errorf("simmpi: deadlock, no rank can proceed: %s", b.String())
 }
 
-// runCoroutines is Run. Ranks unblocked by a Send are resumed first,
-// most recent first (its message is the one just written); when none is
-// runnable the next never-started rank begins, in rank order. The order
-// is a performance choice only — see the package comment.
-func runCoroutines(model *netmodel.Model, fn func(*Comm)) (Result, error) {
-	n := model.Ranks()
-	// A rank joins runq only while blocked and at most once, so n slots
-	// always suffice and put never grows it.
-	s := &sched{ranks: make([]rankState, n), free: -1, runq: make([]int32, 0, n)}
-	for r := range s.ranks {
-		s.ranks[r].wait = notBlocked
+// run is Engine.Run on the coroutines. On failure every suspended rank
+// is resumed again until it has unwound, and the engine stays usable.
+func (s *sched) run(model *netmodel.Model, fn func(*Comm)) (Result, error) {
+	s.reset(model.Ranks(), fn)
+	started := s.drive(model)
+	var res Result
+	err := s.err
+	if err != nil {
+		s.abandon = true
+		for r := 0; r < started; r++ {
+			for s.ranks[r].busy {
+				s.unwind(r)
+			}
+		}
+	} else {
+		res = collect(s.comms)
 	}
-	comms := make([]Comm, n)
-	started, done := 0, 0
-	for done < n && s.err == nil {
+	s.fn, s.abandon, s.err = nil, false, nil
+	return res, err
+}
+
+// drive resumes ranks until all have returned or the run fails, and
+// returns how many it started. Ranks unblocked by a Send are resumed
+// first, most recent first (its message is the one just written); when
+// none is runnable the next never-started rank begins, in rank order.
+// The order is a performance choice only — see the package comment. A
+// rank's panic ends the run with the first error.
+func (s *sched) drive(model *netmodel.Model) (started int) {
+	n := len(s.ranks)
+	cur := -1 // the rank being resumed
+	defer func() {
+		if cur < 0 {
+			return // not a rank's panic: let it through
+		}
+		s.err = fmt.Errorf("simmpi: rank %d panicked: %v", cur, recover())
+		s.drop(cur)
+	}()
+	for done := 0; done < n; {
 		var r int
 		if k := len(s.runq); k > 0 {
 			r = int(s.runq[k-1])
@@ -275,21 +365,43 @@ func runCoroutines(model *netmodel.Model, fn func(*Comm)) (Result, error) {
 		} else if started < n {
 			r = started
 			started++
-			comms[r] = newComm(s, model, r)
-			s.start(r, &comms[r], fn)
+			s.comms[r] = newComm(s, model, r)
+			s.ranks[r].busy = true
+			if s.ranks[r].next == nil {
+				s.spawn(r)
+			}
 		} else {
 			s.err = s.deadlock()
 			break
 		}
-		if _, suspended := s.ranks[r].next(); !suspended {
+		cur = r
+		s.ranks[r].next()
+		cur = -1
+		if !s.ranks[r].busy {
 			done++
 		}
 	}
-	if s.err != nil {
-		for r := 0; r < started; r++ {
-			s.ranks[r].stop()
+	return started
+}
+
+// unwind resumes abandoned rank r, which panics out of its Recv with
+// its deferred calls run; the panic ends its coroutine. A rank that
+// recovers and suspends again stays busy and is resumed again.
+func (s *sched) unwind(r int) {
+	defer func() {
+		if recover() != nil {
+			s.drop(r)
 		}
-		return Result{}, s.err
+	}()
+	s.ranks[r].next()
+}
+
+// close ends every coroutine. Each is parked in its loop between runs,
+// so stopping it returns from the loop and ends its goroutine.
+func (s *sched) close() {
+	for _, rs := range s.ranks[:cap(s.ranks)] {
+		if rs.stop != nil {
+			rs.stop()
+		}
 	}
-	return collect(comms), nil
 }

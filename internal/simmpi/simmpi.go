@@ -22,18 +22,27 @@
 // replaced survives in oracle_test.go as the differential oracle that
 // holds the scheduler to that claim bit for bit.
 //
+// Ranks run on the coroutines of an Engine. An engine runs simulations
+// one after another on the calling goroutine and keeps its coroutines
+// and scheduler arrays between them, so a worker that simulates a whole
+// batch holds one engine, and Run is a single simulation on a fresh
+// one. An engine is not for concurrent use, and nothing it started
+// outlives its Close. A result does not depend on what the engine ran
+// before: FuzzRunDifferential runs every case on one warm engine too.
+//
 // Buffers may omit their backing bytes (timing-only mode) so large
 // exhaustive benchmark sweeps do not pay for megabyte memcpy traffic;
 // the virtual-time accounting is identical either way.
 //
-// Every schedule the tuner benchmarks runs here, so the host cost of one
-// simulated message is kept to a constant with no allocation: a Comm
-// reuses the wire time of the last (destination, size) it priced, which
-// is exact because netmodel's Transfer is a pure function; an in-flight
-// message is a pointer-free 24-byte arena slot (length, arrival, FIFO
-// link), with data-mode payloads in a side table the timing-only path
-// never touches. TestClockGolden pins the resulting clocks across
-// commits.
+// Every schedule the tuner benchmarks runs here, so the host cost of
+// one simulated rank and of one simulated message is kept to a constant
+// with no allocation. On a warm engine a rank reuses a parked coroutine,
+// with the stack it grew, and the engine's arrays. A Comm reuses the
+// wire time of the last (destination, size) it priced, which is exact
+// because netmodel's Transfer is a pure function; an in-flight message
+// is a pointer-free 24-byte arena slot (length, arrival, FIFO link),
+// with data-mode payloads in a side table the timing-only path never
+// touches. TestClockGolden pins the resulting clocks across commits.
 package simmpi
 
 import (
@@ -166,7 +175,7 @@ func (op Op) Combine(dst, src Buf) {
 // pair (MPI's non-overtaking guarantee); take blocks until a message
 // from src is pending at dst. A message is its logical length n, its
 // payload (nil in timing-only mode) and the virtual time it arrives at.
-// *sched is the implementation Run uses; the seam exists so
+// *sched is the implementation an Engine uses; the seam exists so
 // oracle_test.go can drive the same Comm over goroutines and mailboxes.
 type transport interface {
 	put(src, dst, n int, data []byte, arrival float64)
@@ -279,20 +288,58 @@ type Result struct {
 	Sent     int       // total messages sent
 }
 
+// Engine runs simulations one after another on the calling goroutine.
+// Between runs it keeps its rank coroutines, parked with the stacks
+// they grew, and its scheduler arrays, so a worker that simulates a
+// whole batch on one engine pays for a rank's coroutine once rather
+// than once per run. A result does not depend on what the engine ran
+// before. The zero value is ready to use; an Engine must not be copied
+// after first use and is not for concurrent use. Close stops every
+// coroutine, so nothing an engine started outlives it.
+type Engine struct {
+	s sched
+}
+
 // Run executes fn once per rank, each with a fresh Comm starting at
 // clock 0, and returns when all have finished. A panic in any rank ends
 // the run and is returned as an error naming the rank; if every
 // unfinished rank is blocked in Recv the error names the blocked ranks
 // and the sources they wait on. Either way the remaining ranks are
-// unwound before Run returns, so nothing outlives it.
+// unwound before Run returns, and the engine stays usable. On a nil
+// *Engine, Run is the package-level Run.
+func (e *Engine) Run(model *netmodel.Model, fn func(*Comm)) (Result, error) {
+	if e == nil {
+		return Run(model, fn)
+	}
+	return run(e, model, fn)
+}
+
+// Close ends every coroutine of the engine and drops its arrays. The
+// engine may be used again afterwards, as if new.
+func (e *Engine) Close() {
+	e.s.close()
+	*e = Engine{}
+}
+
+// Run is one run on a fresh engine: it executes fn once per rank and
+// reports failures as Engine.Run does. Nothing it starts outlives it.
+// The engine is one-shot: a rank's coroutine ends with the rank rather
+// than parking for a run that will not come.
 func Run(model *netmodel.Model, fn func(*Comm)) (Result, error) {
-	return run(model, fn)
+	e := Engine{s: sched{once: true}}
+	defer e.Close()
+	return run(&e, model, fn)
 }
 
 // run is a variable only so that the differential fuzz target can route
-// internal/coll's schedules, which call Run, through the oracle runtime
-// in oracle_test.go; nothing outside _test.go assigns it.
-var run = runCoroutines
+// internal/coll's schedules, which call Engine.Run, through the oracle
+// runtime in oracle_test.go; nothing outside _test.go assigns it.
+var run = coroutines
+
+// coroutines runs fn on the engine's coroutines.
+func coroutines(e *Engine, model *netmodel.Model, fn func(*Comm)) (Result, error) {
+	return e.s.run(model, fn)
+}
 
 // collect summarises the ranks' final state.
 func collect(comms []Comm) Result {

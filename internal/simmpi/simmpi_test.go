@@ -477,10 +477,8 @@ func TestPanicWithWaitingPeer(t *testing.T) {
 // the inbox is a short list or a dense row.
 func TestPutTakeZeroAlloc(t *testing.T) {
 	const n = 4 * maxFew
-	s := &sched{ranks: make([]rankState, n), free: -1, runq: make([]int32, 0, n)}
-	for r := range s.ranks {
-		s.ranks[r].wait = notBlocked
-	}
+	s := new(sched)
+	s.reset(n, nil)
 	roundTrip := func() {
 		for src := 1; src < n; src++ {
 			s.put(src, 0, 4096, nil, float64(src))
