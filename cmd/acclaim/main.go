@@ -6,6 +6,13 @@
 // the application — reporting the collective speedup over the library's
 // default heuristic selections and the break-even runtime.
 //
+// The steps after tuning are the production job pipeline, written once
+// and shared with the determinism gate (TestLiveJobDeterministic) and
+// examples/jobtuning: core.Tuner.JobFile verifies the job's own
+// (nodes, ppn) cell exhaustively and builds the rule file, and
+// benchmark.Runner.Replay prices the application's call sites under
+// the compiled file and under the library defaults.
+//
 // Usage:
 //
 //	acclaim -nodes 32 -ppn 4 [-app LAMMPS | -collectives bcast,allreduce]
@@ -14,9 +21,10 @@
 //	        [-scenario baseline|degraded-links|congestion-storm|hetero-nodes]
 //
 // The whole pipeline is instrumented through internal/obs: every
-// tuning round emits fit/score/pick/collect spans, and the forest,
-// scheduler, collection, and allocation layers report into one metrics
-// registry. A per-phase summary table is printed when tuning ends;
+// tuning round emits fit/score/pick/collect spans, the job cell and
+// the file build emit exhaustive.cell and rules.build spans, and the
+// forest, scheduler, collection, and allocation layers report into one
+// metrics registry. A per-phase summary table is printed when tuning ends;
 // -run-report additionally dumps the span timeline, the per-collective
 // convergence-variance series, and the final metric snapshot as JSON.
 package main
@@ -29,6 +37,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,13 +46,10 @@ import (
 	"acclaim/internal/cluster"
 	"acclaim/internal/coll"
 	"acclaim/internal/core"
-	"acclaim/internal/exhaustive"
 	"acclaim/internal/featspace"
 	"acclaim/internal/forest"
-	"acclaim/internal/heuristic"
 	"acclaim/internal/netmodel"
 	"acclaim/internal/obs"
-	"acclaim/internal/rules"
 	"acclaim/internal/ruleserver"
 	"acclaim/internal/traces"
 )
@@ -160,6 +166,18 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "total training: %.2f s machine time (%.1f s wall on this host)\n",
 		machineTime/1e6, time.Since(wall).Seconds())
 
+	// --- Job-cell verification and configuration file generation:
+	// exact winners at the job's own (nodes, ppn), model selections
+	// everywhere else. It runs before the report is built so the cell's
+	// spans and benchmark counts land in it and in the event log.
+	file, cells, err := tuner.JobFile(results, colls, *nodes, *ppn, "theta-sim")
+	if err != nil {
+		return err
+	}
+	for _, ex := range cells {
+		machineTime += ex.Ledger.Collection
+	}
+
 	// --- Observability report: per-phase breakdown table now, full
 	// JSON (spans + convergence series + metrics) on request.
 	report := core.BuildRunReport("theta-sim", results, trace, reg)
@@ -176,71 +194,40 @@ func run(args []string, stdout io.Writer) error {
 			*runReport, len(report.Spans), len(report.Metrics))
 	}
 	if events != nil {
-		// Tuning has ended and nothing records into the log any more:
-		// flush and close it first, so the counts below are lines that
-		// reached the file.
+		// Nothing records into the log any more: flush and close it
+		// first, so the counts below are lines that reached the file.
 		if err := events.close(); err != nil {
 			return fmt.Errorf("event log %s: %w", *eventLog, err)
 		}
 		fmt.Fprintf(stdout, "event log %s: %d lines, %d dropped\n", *eventLog, events.Events(), events.Dropped())
 	}
 
-	// --- Job-cell verification: the tool knows the job's exact
-	// (nodes, ppn), so it additionally benchmarks every algorithm at
-	// the job's own configuration across the P2 message grid
-	// (MPITune/OPTO-style, ~a minute of machine time) and prefers those
-	// exact winners there. The ML model still covers every other
-	// configuration (subcommunicators, later jobs on the allocation).
-	space := tuner.Config().Space
-	cellPts := make([]featspace.Point, 0, len(space.Msgs))
-	for _, msg := range space.Msgs {
-		cellPts = append(cellPts, featspace.Point{Nodes: *nodes, PPN: *ppn, MsgBytes: msg})
-	}
-	exact := make(map[coll.Collective]*exhaustive.Result, len(colls))
-	for _, c := range colls {
-		ex, err := exhaustive.Tune(autotune.LiveBackend{Runner: runner}, c, cellPts, nil)
-		if err != nil {
-			return err
-		}
-		exact[c] = ex
-		machineTime += ex.Ledger.Collection
-	}
-
-	// --- Configuration file generation: model selections everywhere,
-	// exact winners at the job cell.
-	file := rules.NewFile("theta-sim")
-	file.Comment = "generated by ACCLAiM (Go reproduction)"
-	for c, res := range results {
-		model := res.Model
-		ex := exact[c]
-		table := rules.BuildTable(c.String(), space, func(p featspace.Point) string {
-			if p.Nodes == *nodes && p.PPN == *ppn {
-				if alg, ok := ex.Best[featspace.Point{Nodes: p.Nodes, PPN: p.PPN, MsgBytes: p.MsgBytes}]; ok {
-					return alg
-				}
-			}
-			return model.Select(p)
-		})
-		if err := table.Validate(); err != nil {
-			return err
-		}
-		file.Tables[c.String()] = table
-	}
-	if err := file.Validate(); err != nil {
-		return err
-	}
 	if err := file.WriteFile(*out); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d tables, job cell verified exhaustively)\n", *out, len(file.Tables))
 
-	// --- Application execution: replay the application's collective
-	// calls under tuned vs default selections.
+	// --- Application execution: replay the application's calls to the
+	// tuned collectives under the compiled rule file (the lock-free
+	// lookup a deployed library would use) and under the defaults.
 	appName := *app
 	if appName == "" {
 		appName = "LAMMPS"
 	}
-	tuned, def, err := replayApp(runner, file, appName, *nodes, *ppn, *seed, colls)
+	tr, err := traces.Synthesize(appName, *nodes, *seed)
+	if err != nil {
+		return err
+	}
+	calls := slices.DeleteFunc(tr.Calls, func(call traces.Call) bool { return !slices.Contains(colls, call.Coll) })
+	idx, err := ruleserver.Compile(file)
+	if err != nil {
+		return err
+	}
+	tuned, err := runner.Replay(calls, *nodes, *ppn, idx)
+	if err != nil {
+		return err
+	}
+	def, err := runner.Replay(calls, *nodes, *ppn, nil)
 	if err != nil {
 		return err
 	}
@@ -287,49 +274,6 @@ func collectiveList(app, list string) ([]coll.Collective, error) {
 		return traces.Collectives(app)
 	}
 	return coll.Collectives(), nil
-}
-
-// replayApp prices every collective call of the application's trace
-// under the tuned rule file and under the default heuristics, returning
-// total collective time for one pass over the trace (microseconds). The
-// rule file is compiled once into the serving engine and every tuned
-// selection goes through the same lock-free lookup a deployed MPI
-// library would use; collectives the file does not cover fall back to
-// the default heuristic inside RunSelected, exactly like an untuned
-// library call.
-func replayApp(runner *benchmark.Runner, file *rules.File, app string, nodes, ppn int, seed int64, colls []coll.Collective) (tuned, def float64, err error) {
-	tr, err := traces.Synthesize(app, nodes, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	srv, err := ruleserver.NewFromFile(file)
-	if err != nil {
-		return 0, 0, err
-	}
-	use := make(map[coll.Collective]bool, len(colls))
-	for _, c := range colls {
-		use[c] = true
-	}
-	for _, call := range tr.Calls {
-		if !use[call.Coll] {
-			continue
-		}
-		p := featspace.Point{Nodes: nodes, PPN: ppn, MsgBytes: call.MsgBytes}
-
-		defAlg := heuristic.Select(call.Coll, p)
-		dm, err := runner.Run(benchmark.Spec{Coll: call.Coll, Alg: defAlg, Point: p})
-		if err != nil {
-			return 0, 0, err
-		}
-		def += dm.MeanTime * float64(call.Count)
-
-		tm, _, err := runner.RunSelected(call.Coll, srv, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		tuned += tm.MeanTime * float64(call.Count)
-	}
-	return tuned, def, nil
 }
 
 // eventLogFile is the -event-log destination: an obs.EventLog writing

@@ -1,9 +1,9 @@
 // Jobtuning: the full production pipeline of the paper's Figure 1(b),
 // as a library user would script it — submit a job to a best-effort
-// scheduler, train ACCLAiM for the application's collectives, compare
-// tuned vs default selections on the application's own communication
-// mix, and decide whether tuning paid off (the Figure 15 break-even
-// analysis).
+// scheduler, train ACCLAiM for the application's collectives, verify
+// the job's own cell and write the rule file, compare tuned vs default
+// selections on the application's own communication mix, and decide
+// whether tuning paid off (the Figure 15 break-even analysis).
 //
 // Run with: go run ./examples/jobtuning
 package main
@@ -16,12 +16,11 @@ import (
 	"acclaim/internal/autotune"
 	"acclaim/internal/benchmark"
 	"acclaim/internal/cluster"
-	"acclaim/internal/coll"
 	"acclaim/internal/core"
 	"acclaim/internal/featspace"
 	"acclaim/internal/forest"
-	"acclaim/internal/heuristic"
 	"acclaim/internal/netmodel"
+	"acclaim/internal/ruleserver"
 	"acclaim/internal/traces"
 )
 
@@ -65,50 +64,42 @@ func main() {
 		BatchSize: 4,
 	}, autotune.LiveBackend{Runner: runner})
 
-	results := make(map[coll.Collective]*core.Result)
-	var trainTime float64
-	for _, c := range colls {
-		res, err := tuner.Tune(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results[c] = res
-		trainTime += res.Ledger.Collection
-	}
-	fmt.Printf("training consumed %.2f s of machine time (no test set — Section IV-C)\n", trainTime/1e6)
-
-	file, err := tuner.BuildRulesFile(results, "jobtuning")
+	results, err := tuner.TuneAll(colls)
 	if err != nil {
 		log.Fatal(err)
 	}
+	var trainTime float64
+	for _, c := range colls {
+		trainTime += results[c].Ledger.Collection
+	}
 
-	// Replay the application's collective mix under both selectors.
+	// The production job pipeline: verify the job's own cell
+	// exhaustively, build the rule file, and replay the application's
+	// collective mix under it and under the library defaults.
+	file, cells, err := tuner.JobFile(results, colls, jobNodes, jobPPN, "jobtuning")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, ex := range cells {
+		trainTime += ex.Ledger.Collection
+	}
+	fmt.Printf("training and job-cell verification consumed %.2f s of machine time (no test set — Section IV-C)\n", trainTime/1e6)
+
+	idx, err := ruleserver.Compile(file)
+	if err != nil {
+		log.Fatal(err)
+	}
 	tr, err := traces.Synthesize(app, jobNodes, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var tuned, def float64
-	for _, call := range tr.Calls {
-		tab, ok := file.Tables[call.Coll.String()]
-		if !ok {
-			continue
-		}
-		p := featspace.Point{Nodes: jobNodes, PPN: jobPPN, MsgBytes: call.MsgBytes}
-		tunedAlg, err := tab.Select(jobNodes, jobPPN, call.MsgBytes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defAlg := heuristic.Select(call.Coll, p)
-		mt, err := runner.Run(benchmark.Spec{Coll: call.Coll, Alg: tunedAlg, Point: p})
-		if err != nil {
-			log.Fatal(err)
-		}
-		md, err := runner.Run(benchmark.Spec{Coll: call.Coll, Alg: defAlg, Point: p})
-		if err != nil {
-			log.Fatal(err)
-		}
-		tuned += mt.MeanTime * float64(call.Count)
-		def += md.MeanTime * float64(call.Count)
+	tuned, err := runner.Replay(tr.Calls, jobNodes, jobPPN, idx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	def, err := runner.Replay(tr.Calls, jobNodes, jobPPN, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
 	speedup := def / tuned
 	fmt.Printf("one pass over the app's collectives: tuned %.2f s, default %.2f s (%.3fx)\n",

@@ -2,7 +2,10 @@ package acclaim_test
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -13,7 +16,6 @@ import (
 	"acclaim/internal/coll"
 	"acclaim/internal/core"
 	"acclaim/internal/dataset"
-	"acclaim/internal/exhaustive"
 	"acclaim/internal/featspace"
 	"acclaim/internal/forest"
 	"acclaim/internal/heuristic"
@@ -149,21 +151,30 @@ func TestTraceDrivenCollectiveList(t *testing.T) {
 	}
 }
 
+// update regenerates testdata/live_job.golden:
+//
+//	go test -run LiveJobDeterministic -update .
+var update = flag.Bool("update", false, "rewrite the live-job golden file")
+
 // TestLiveJobDeterministic is the tuner-level determinism gate. Each
 // row is one small job: "live" as cmd/acclaim runs it (core.Tuner.Tune
-// per collective, exhaustive.Tune on the job cell, then the rule file),
-// "replay" as a tuning service runs it over a precollected dataset
+// per collective, then core.Tuner.JobFile on the job cell), "replay" as
+// a tuning service runs it over a precollected dataset
 // (core.Tuner.TuneAll on a dataset.Replay, then BuildRulesFile). Each
 // job writes the same bytes and charges the same machine time at
-// GOMAXPROCS 1 and 2 and at forest Workers 1, 2 and 4.
+// GOMAXPROCS 1 and 2 and at forest Workers 1, 2 and 4. The live job's
+// rule file and machine-time bits are also pinned across commits by
+// testdata/live_job.golden, so a diff there is a change to what a
+// production job computes.
 func TestLiveJobDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, job := range []struct {
-		name string
-		run  func(t *testing.T, workers int) ([]byte, float64)
+		name   string
+		run    func(t *testing.T, workers int) ([]byte, float64)
+		golden string
 	}{
-		{"live", liveJob},
-		{"replay", replayJob},
+		{"live", liveJob, filepath.Join("testdata", "live_job.golden")},
+		{"replay", replayJob, ""},
 	} {
 		t.Run(job.name, func(t *testing.T) {
 			var want []byte
@@ -184,13 +195,36 @@ func TestLiveJobDeterministic(t *testing.T) {
 					}
 				}
 			}
+			if job.golden != "" {
+				checkGolden(t, job.golden, fmt.Appendf(nil, "machine_us %016x\n%s", math.Float64bits(wantMachine), want))
+			}
 		})
 	}
 }
 
-// liveJob tunes two collectives on an 8-node x 4-ppn allocation, verifies
-// the job cell exhaustively, and returns the rule file's bytes and the
-// machine time charged.
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from this run's output (first line: machine-time bits); rerun with -update only if the change is intended", path)
+	}
+}
+
+// liveJob tunes two collectives on an 8-node x 4-ppn allocation, runs
+// the production job pipeline on the job cell, and returns the rule
+// file's bytes and the machine time charged: the tuning ledgers, then
+// the cell ledgers, each in list order.
 func liveJob(t *testing.T, workers int) ([]byte, float64) {
 	t.Helper()
 	const nodes, ppn, seed = 8, 4, 5
@@ -203,41 +237,29 @@ func liveJob(t *testing.T, workers int) ([]byte, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := autotune.LiveBackend{Runner: runner}
-	space := featspace.P2Grid(nodes, ppn, 8, 1<<16)
 	tuner := core.New(core.Config{
-		Space:         space,
+		Space:         featspace.P2Grid(nodes, ppn, 8, 1<<16),
 		Forest:        forest.Config{NTrees: 20, Seed: seed, Workers: workers},
 		Seed:          seed,
 		Parallel:      true,
 		BatchSize:     4,
 		MaxIterations: 12,
-	}, backend)
-	cell := make([]featspace.Point, 0, len(space.Msgs))
-	for _, msg := range space.Msgs {
-		cell = append(cell, featspace.Point{Nodes: nodes, PPN: ppn, MsgBytes: msg})
-	}
-	file := rules.NewFile("determinism")
-	var machine float64
-	for _, c := range []coll.Collective{coll.Bcast, coll.Allreduce} {
-		res, err := tuner.Tune(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := exhaustive.Tune(backend, c, cell, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		machine += res.Ledger.Collection + ex.Ledger.Collection
-		file.Tables[c.String()] = rules.BuildTable(c.String(), space, func(p featspace.Point) string {
-			if alg, ok := ex.Best[p]; ok {
-				return alg
-			}
-			return res.Model.Select(p)
-		})
-	}
-	if err := file.Validate(); err != nil {
+	}, autotune.LiveBackend{Runner: runner})
+	colls := []coll.Collective{coll.Bcast, coll.Allreduce}
+	results, err := tuner.TuneAll(colls)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var machine float64
+	for _, c := range colls {
+		machine += results[c].Ledger.Collection
+	}
+	file, cells, err := tuner.JobFile(results, colls, nodes, ppn, "determinism")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range cells {
+		machine += ex.Ledger.Collection
 	}
 	var buf bytes.Buffer
 	if err := file.Write(&buf); err != nil {

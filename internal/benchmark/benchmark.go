@@ -33,6 +33,7 @@ import (
 	"acclaim/internal/sched"
 	"acclaim/internal/simmpi"
 	"acclaim/internal/stats"
+	"acclaim/internal/traces"
 )
 
 // Metrics are the collection layer's registry handles: how much
@@ -266,12 +267,17 @@ func (r *Runner) RunOn(e *simmpi.Engine, spec Spec) (Measurement, error) {
 
 // RunSelected prices one collective call the way a tuned MPI library
 // would: the algorithm comes from the selection source (a
-// ruleserver.Server over the tuned rule file) when it has a rule for
+// ruleserver.Index over the tuned rule file) when it has a rule for
 // the call, and from the library's built-in size-cutoff heuristic when
 // it does not (an untuned collective, or no source at all — exactly
 // MPICH's behaviour when no tuning file is loaded). It returns the
 // measurement and the algorithm that was used.
 func (r *Runner) RunSelected(c coll.Collective, src coll.AlgSource, p featspace.Point) (Measurement, string, error) {
+	return r.runSelected(nil, c, src, p)
+}
+
+// runSelected is RunSelected on engine e (a fresh one when e is nil).
+func (r *Runner) runSelected(e *simmpi.Engine, c coll.Collective, src coll.AlgSource, p featspace.Point) (Measurement, string, error) {
 	alg, ok := "", false
 	if src != nil {
 		alg, ok = src.Lookup(c, p.Nodes, p.PPN, p.MsgBytes)
@@ -279,8 +285,27 @@ func (r *Runner) RunSelected(c coll.Collective, src coll.AlgSource, p featspace.
 	if !ok {
 		alg = heuristic.Select(c, p)
 	}
-	m, err := r.Run(Spec{Coll: c, Alg: alg, Point: p})
+	m, err := r.RunOn(e, Spec{Coll: c, Alg: alg, Point: p})
 	return m, alg, err
+}
+
+// Replay runs an application on a nodes x ppn job: it prices every call
+// site as RunSelected does under src (nil: the library defaults) and
+// returns one pass's collective time, each site's mean time counted
+// once per execution, summed in call order (microseconds). Every call
+// site is simulated on one engine.
+func (r *Runner) Replay(calls []traces.Call, nodes, ppn int, src coll.AlgSource) (float64, error) {
+	var e simmpi.Engine
+	defer e.Close()
+	var total float64
+	for _, call := range calls {
+		m, _, err := r.runSelected(&e, call.Coll, src, featspace.Point{Nodes: nodes, PPN: ppn, MsgBytes: call.MsgBytes})
+		if err != nil {
+			return 0, err
+		}
+		total += m.MeanTime * float64(call.Count)
+	}
+	return total, nil
 }
 
 // RunSequential executes the specs one after another, returning the

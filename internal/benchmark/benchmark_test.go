@@ -13,6 +13,7 @@ import (
 	"acclaim/internal/featspace"
 	"acclaim/internal/netmodel"
 	"acclaim/internal/sched"
+	"acclaim/internal/traces"
 )
 
 func testRunner(t testing.TB, alloc cluster.Allocation) *Runner {
@@ -294,5 +295,50 @@ func TestSpecString(t *testing.T) {
 	s := spec(coll.Bcast, "binomial", 2, 1, 8)
 	if s.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// lastAlg is a selection source with a rule for bcast only (its last
+// registered algorithm); every other collective falls back to the
+// default heuristic.
+type lastAlg struct{}
+
+func (lastAlg) Lookup(c coll.Collective, nodes, ppn, msg int) (string, bool) {
+	if c != coll.Bcast {
+		return "", false
+	}
+	names := coll.AlgorithmNames(c)
+	return names[len(names)-1], true
+}
+
+// TestReplayMatchesRunSelected: a replay on one engine prices every
+// call site bit for bit as one-shot RunSelected calls do, under a
+// source and under the defaults, and sums them in call order.
+func TestReplayMatchesRunSelected(t *testing.T) {
+	r := testRunner(t, cluster.TopologyTwoPairs())
+	tr, err := traces.Synthesize("LAMMPS", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := tr.Calls[:40]
+	for _, src := range []coll.AlgSource{nil, lastAlg{}} {
+		var want float64
+		for _, call := range calls {
+			m, _, err := r.RunSelected(call.Coll, src, featspace.Point{Nodes: 8, PPN: 2, MsgBytes: call.MsgBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += m.MeanTime * float64(call.Count)
+		}
+		got, err := r.Replay(calls, 8, 2, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("source %T: Replay = %v, one-shot RunSelected sum = %v", src, got, want)
+		}
+	}
+	if _, err := r.Replay(calls, 1000, 1, nil); err == nil {
+		t.Error("replay on more nodes than the allocation has succeeded")
 	}
 }

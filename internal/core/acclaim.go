@@ -20,7 +20,8 @@
 //
 // After convergence the trained models are lowered to an MPICH-style
 // JSON rule file (Section V, Figure 9) that the library consults at
-// collective-call time.
+// collective-call time: BuildRulesFile for a tuning service, JobFile
+// for a production job, which first verifies the job's own cell.
 package core
 
 import (
@@ -32,11 +33,11 @@ import (
 	"acclaim/internal/autotune"
 	"acclaim/internal/benchmark"
 	"acclaim/internal/coll"
+	"acclaim/internal/exhaustive"
 	"acclaim/internal/featspace"
 	"acclaim/internal/forest"
 	"acclaim/internal/obs"
 	"acclaim/internal/rules"
-	"acclaim/internal/ruleserver"
 	"acclaim/internal/stats"
 )
 
@@ -506,11 +507,66 @@ func (t *Tuner) TuneAll(colls []coll.Collective) (map[coll.Collective]*Result, e
 // selection file (Section V), one table per tuned collective, using the
 // Figure 9 midpoint logic over the tuner's grid.
 func (t *Tuner) BuildRulesFile(results map[coll.Collective]*Result, machine string) (*rules.File, error) {
+	return buildFile(t.cfg.Space, results, machine)
+}
+
+// JobFile is the step after tuning in a production job (Figure 1(b)).
+// The job's exact (nodes, ppn) is known, so every algorithm is
+// benchmarked there across the grid's P2 message sizes, MPITune/OPTO
+// style, through the tuner's backend: one batch per collective, in
+// colls order. The file then takes those exact winners at the job cell
+// and each collective's model selection everywhere else, where
+// subcommunicators and later jobs on the allocation land.
+//
+// The cell is recorded as an "exhaustive.cell" root span and the file
+// build as a "rules.build" root span. The cell results come back in
+// colls order; their ledgers are the machine time the cell charged.
+func (t *Tuner) JobFile(results map[coll.Collective]*Result, colls []coll.Collective,
+	nodes, ppn int, machine string) (*rules.File, []*exhaustive.Result, error) {
+
+	wb, ok := t.backend.(autotune.WaveBackend)
+	if !ok {
+		return nil, nil, fmt.Errorf("core: job-cell verification needs a wave backend")
+	}
+	cell := make([]featspace.Point, len(t.cfg.Space.Msgs))
+	for i, msg := range t.cfg.Space.Msgs {
+		cell[i] = featspace.Point{Nodes: nodes, PPN: ppn, MsgBytes: msg}
+	}
+	rec := t.cfg.Recorder
+	sp := rec.StartSpan("exhaustive.cell", obs.NoSpan)
+	cells := make([]*exhaustive.Result, len(colls))
+	exact := make(map[coll.Collective]*exhaustive.Result, len(colls))
+	for i, c := range colls {
+		res := results[c]
+		if res == nil {
+			rec.EndSpan(sp)
+			return nil, nil, fmt.Errorf("core: no tuning result for %v", c)
+		}
+		ex, err := exhaustive.Tune(wb, c, cell, res.Model.Select)
+		if err != nil {
+			rec.EndSpan(sp)
+			return nil, nil, err
+		}
+		cells[i], exact[c] = ex, ex
+	}
+	rec.EndSpan(sp)
+
+	sp = rec.StartSpan("rules.build", obs.NoSpan)
+	f, err := buildFile(t.cfg.Space, exact, machine)
+	rec.EndSpan(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, cells, nil
+}
+
+// buildFile lowers one selector per collective into a validated rule
+// file over space.
+func buildFile[S autotune.Selector](space featspace.Space, sels map[coll.Collective]S, machine string) (*rules.File, error) {
 	f := rules.NewFile(machine)
 	f.Comment = "generated by ACCLAiM (Go reproduction)"
-	for c, r := range results {
-		sel := r.Model.Select
-		table := rules.BuildTable(c.String(), t.cfg.Space, sel)
+	for c, sel := range sels {
+		table := rules.BuildTable(c.String(), space, sel.Select)
 		if err := table.Validate(); err != nil {
 			return nil, err
 		}
@@ -520,26 +576,6 @@ func (t *Tuner) BuildRulesFile(results map[coll.Collective]*Result, machine stri
 		return nil, err
 	}
 	return f, nil
-}
-
-// Serve lowers trained results into a rule file and installs it in a
-// ruleserver.Server, ready to answer collective-call-time selection
-// queries lock-free. This is the full paper pipeline in one call:
-// training output (Section IV) -> MPICH-style rule file (Section V) ->
-// serving snapshot. The rule file is returned alongside the server so
-// callers can also persist it; a later retuning round can hot-swap the
-// same server via Server.Swap or Server.Load without interrupting
-// in-flight lookups.
-func (t *Tuner) Serve(results map[coll.Collective]*Result, machine string) (*ruleserver.Server, *rules.File, error) {
-	f, err := t.BuildRulesFile(results, machine)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv, err := ruleserver.NewFromFile(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, f, nil
 }
 
 // LearningCurve trains unified models on prefixes of a completed run's

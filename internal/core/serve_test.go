@@ -10,7 +10,25 @@ import (
 	"acclaim/internal/coll"
 	"acclaim/internal/featspace"
 	"acclaim/internal/netmodel"
+	"acclaim/internal/rules"
+	"acclaim/internal/ruleserver"
 )
+
+// serve lowers tuning results into a rule file and installs it in a
+// fresh ruleserver.Server, as cmd/acclaim-serve does with a file the
+// tuner wrote.
+func serve(t *testing.T, tuner *Tuner, results map[coll.Collective]*Result, machine string) (*ruleserver.Server, *rules.File) {
+	t.Helper()
+	file, err := tuner.BuildRulesFile(results, machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ruleserver.NewFromFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, file
+}
 
 // TestServeEndToEnd is the full-pipeline determinism test: a seeded
 // ACCLAiM run over every collective, lowered to a rule file, compiled
@@ -24,10 +42,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, file, err := tuner.Serve(results, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, file := serve(t, tuner, results, "sim")
 	if got := srv.Stats().Tables; got != len(file.Tables) {
 		t.Fatalf("server holds %d tables, file has %d", got, len(file.Tables))
 	}
@@ -82,7 +97,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeTopologyEndToEnd runs the seeded TuneAll→Serve pipeline for
+// TestServeTopologyEndToEnd runs the seeded TuneAll → rule file → server pipeline for
 // the scenario-diversity collectives on the non-default interconnects:
 // tuning alltoall on a fat-tree and reduce_scatter on a 3D torus must
 // produce a complete rule table whose served selections are always
@@ -116,10 +131,7 @@ func TestServeTopologyEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, file, err := tuner.Serve(results, "sim-"+tc.topo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv, file := serve(t, tuner, results, "sim-"+tc.topo)
 			tab := file.Tables[tc.c.String()]
 			if tab == nil {
 				t.Fatalf("no rule table emitted for %v", tc.c)
@@ -153,10 +165,7 @@ func TestServeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, _, err := tuner.Serve(results, "sim")
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv, _ := serve(t, tuner, results, "sim")
 		out := make(map[coll.Collective]map[featspace.Point]string)
 		for _, c := range coll.Collectives() {
 			out[c] = make(map[featspace.Point]string)
