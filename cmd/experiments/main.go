@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,27 +29,37 @@ import (
 )
 
 func main() {
-	var (
-		fig   = flag.String("fig", "all", "figure to regenerate (3,4,5,6,7,9,10,11,12,13,14,15 or 'all')")
-		space = flag.String("space", "tiny", "testbed grid: 'tiny' or 'sim' (paper-scale)")
-		cache = flag.String("cache", "", "dataset cache path (used with -space sim)")
-		seed  = flag.Int64("seed", 42, "experiment seed")
-		nodes = flag.Int("nodes", 32, "production node count for figure 14 (paper: 128)")
-		ppn   = flag.Int("ppn", 4, "production max ppn for figure 14 (paper: 16)")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
 
-		matrix      = flag.Bool("matrix", false, "run the scenario matrix instead of paper figures")
-		matrixColls = flag.String("matrix-collectives", "", "comma-separated collectives for -matrix (default: all)")
-		matrixTopos = flag.String("matrix-topologies", "", "comma-separated topologies for -matrix (default: all)")
-		matrixScens = flag.String("matrix-scenarios", "", "comma-separated scenarios for -matrix (default: all)")
-		msg         = flag.Int("msg", 4096, "message size in bytes for -matrix")
+// run is the whole command: the figure tables go to stdout, progress
+// and timing lines to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig   = fs.String("fig", "all", "figure to regenerate (3,4,5,6,7,9,10,11,12,13,14,15 or 'all')")
+		space = fs.String("space", "tiny", "testbed grid: 'tiny' or 'sim' (paper-scale)")
+		cache = fs.String("cache", "", "dataset cache path (used with -space sim)")
+		seed  = fs.Int64("seed", 42, "experiment seed")
+		nodes = fs.Int("nodes", 32, "production node count for figure 14 (paper: 128)")
+		ppn   = fs.Int("ppn", 4, "production max ppn for figure 14 (paper: 16)")
+
+		matrix      = fs.Bool("matrix", false, "run the scenario matrix instead of paper figures")
+		matrixColls = fs.String("matrix-collectives", "", "comma-separated collectives for -matrix (default: all)")
+		matrixTopos = fs.String("matrix-topologies", "", "comma-separated topologies for -matrix (default: all)")
+		matrixScens = fs.String("matrix-scenarios", "", "comma-separated scenarios for -matrix (default: all)")
+		msg         = fs.Int("msg", 4096, "message size in bytes for -matrix")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *matrix {
-		if err := runMatrix(*matrixColls, *matrixTopos, *matrixScens, *nodes, *ppn, *msg, *seed); err != nil {
-			fatal(err)
-		}
-		return
+		return runMatrix(stdout, stderr, *matrixColls, *matrixTopos, *matrixScens, *nodes, *ppn, *msg, *seed)
 	}
 
 	want := map[int]bool{}
@@ -60,7 +71,7 @@ func main() {
 		for _, part := range strings.Split(*fig, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
-				fatal(fmt.Errorf("bad -fig value %q", part))
+				return fmt.Errorf("bad -fig value %q", part)
 			}
 			want[n] = true
 		}
@@ -73,7 +84,7 @@ func main() {
 	case "sim":
 		grid = experiments.SimSpace()
 	default:
-		fatal(fmt.Errorf("unknown -space %q", *space))
+		return fmt.Errorf("unknown -space %q", *space)
 	}
 
 	needsLab := false
@@ -85,127 +96,131 @@ func main() {
 	var lab *experiments.Lab
 	if needsLab {
 		start := time.Now()
-		fmt.Fprintf(os.Stderr, "building testbed (%d grid points)...\n", grid.Size())
+		fmt.Fprintf(stderr, "building testbed (%d grid points)...\n", grid.Size())
 		var err error
 		lab, err = experiments.NewLab(grid, *cache, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "testbed ready: %d dataset entries in %v\n", lab.DS.Len(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "testbed ready: %d dataset entries in %v\n", lab.DS.Len(), time.Since(start).Round(time.Millisecond))
 	}
-
-	run := func(n int, f func() (string, error)) {
-		if !want[n] {
-			return
-		}
-		start := time.Now()
-		out, err := f()
-		if err != nil {
-			fatal(fmt.Errorf("figure %d: %w", n, err))
-		}
-		fmt.Println(out)
-		fmt.Fprintf(os.Stderr, "[figure %d done in %v]\n\n", n, time.Since(start).Round(time.Millisecond))
-	}
-
-	run(3, func() (string, error) {
-		rows, err := experiments.Fig3(lab, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig3(rows), nil
-	})
-	run(4, func() (string, error) {
-		rows, agg := experiments.Fig4(*seed)
-		return experiments.ReportFig4(rows, agg), nil
-	})
-	run(5, func() (string, error) {
-		series, err := experiments.Fig5(lab, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig5(series), nil
-	})
-	run(6, func() (string, error) {
-		rows, err := experiments.Fig6(lab)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig6(rows), nil
-	})
-	run(7, func() (string, error) {
-		pts, err := experiments.Fig7(lab, coll.Bcast)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig7(pts), nil
-	})
-	run(9, func() (string, error) {
-		file, err := experiments.Fig9(lab)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		b.WriteString("Figure 9 — generated MPICH-style selection file\n")
-		if err := file.Write(&b); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	})
-	run(10, func() (string, error) {
-		rows, cum, err := experiments.Fig10(lab, 0)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig10(rows, cum), nil
-	})
-	run(11, func() (string, error) {
-		series, err := experiments.Fig11(lab, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig11(series), nil
-	})
-	run(12, func() (string, error) {
-		rows, ratio, err := experiments.Fig12(lab)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig12(rows, ratio), nil
-	})
-	run(13, func() (string, error) {
-		rows, err := experiments.Fig13(lab)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ReportFig13(rows), nil
-	})
 
 	var prodTotal float64
-	run(14, func() (string, error) {
-		rows, total, err := experiments.Fig14(*nodes, *ppn, *seed)
-		if err != nil {
-			return "", err
-		}
-		prodTotal = total
-		return experiments.ReportFig14(rows, total), nil
-	})
-	run(15, func() (string, error) {
-		if prodTotal == 0 {
-			// Figure 15 needs a training time; derive one from a small
-			// production run if figure 14 was not requested.
-			_, total, err := experiments.Fig14(*nodes, *ppn, *seed)
+	figures := []struct {
+		n      int
+		report func() (string, error)
+	}{
+		{3, func() (string, error) {
+			rows, err := experiments.Fig3(lab, nil)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig3(rows), nil
+		}},
+		{4, func() (string, error) {
+			rows, agg := experiments.Fig4(*seed)
+			return experiments.ReportFig4(rows, agg), nil
+		}},
+		{5, func() (string, error) {
+			series, err := experiments.Fig5(lab, nil)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig5(series), nil
+		}},
+		{6, func() (string, error) {
+			rows, err := experiments.Fig6(lab)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig6(rows), nil
+		}},
+		{7, func() (string, error) {
+			pts, err := experiments.Fig7(lab, coll.Bcast)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig7(pts), nil
+		}},
+		{9, func() (string, error) {
+			file, err := experiments.Fig9(lab)
+			if err != nil {
+				return "", err
+			}
+			var b strings.Builder
+			b.WriteString("Figure 9 — generated MPICH-style selection file\n")
+			if err := file.Write(&b); err != nil {
+				return "", err
+			}
+			return b.String(), nil
+		}},
+		{10, func() (string, error) {
+			rows, cum, err := experiments.Fig10(lab, 0)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig10(rows, cum), nil
+		}},
+		{11, func() (string, error) {
+			series, err := experiments.Fig11(lab, nil)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig11(series), nil
+		}},
+		{12, func() (string, error) {
+			rows, ratio, err := experiments.Fig12(lab)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig12(rows, ratio), nil
+		}},
+		{13, func() (string, error) {
+			rows, err := experiments.Fig13(lab)
+			if err != nil {
+				return "", err
+			}
+			return experiments.ReportFig13(rows), nil
+		}},
+		{14, func() (string, error) {
+			rows, total, err := experiments.Fig14(*nodes, *ppn, *seed)
 			if err != nil {
 				return "", err
 			}
 			prodTotal = total
+			return experiments.ReportFig14(rows, total), nil
+		}},
+		{15, func() (string, error) {
+			if prodTotal == 0 {
+				// Figure 15 needs a training time; derive one from a small
+				// production run if figure 14 was not requested.
+				_, total, err := experiments.Fig14(*nodes, *ppn, *seed)
+				if err != nil {
+					return "", err
+				}
+				prodTotal = total
+			}
+			rows := experiments.Fig15(prodTotal, nil)
+			return experiments.ReportFig15(rows, prodTotal), nil
+		}},
+	}
+	for _, f := range figures {
+		if !want[f.n] {
+			continue
 		}
-		rows := experiments.Fig15(prodTotal, nil)
-		return experiments.ReportFig15(rows, prodTotal), nil
-	})
+		start := time.Now()
+		out, err := f.report()
+		if err != nil {
+			return fmt.Errorf("figure %d: %w", f.n, err)
+		}
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stderr, "[figure %d done in %v]\n\n", f.n, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
 }
 
 // runMatrix parses the -matrix-* lists and prints the scenario matrix.
-func runMatrix(collList, topoList, scenList string, nodes, ppn, msg int, seed int64) error {
+func runMatrix(stdout, stderr io.Writer, collList, topoList, scenList string, nodes, ppn, msg int, seed int64) error {
 	var colls []coll.Collective
 	for _, name := range splitList(collList) {
 		c, err := coll.ParseCollective(name)
@@ -228,8 +243,8 @@ func runMatrix(collList, topoList, scenList string, nodes, ppn, msg int, seed in
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.ReportScenarioMatrix(results))
-	fmt.Fprintf(os.Stderr, "[scenario matrix: %d cells in %v]\n", len(results), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(stdout, experiments.ReportScenarioMatrix(results))
+	fmt.Fprintf(stderr, "[scenario matrix: %d cells in %v]\n", len(results), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -243,9 +258,4 @@ func splitList(s string) []string {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
 	return parts
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }
