@@ -257,7 +257,8 @@ func reportSpeedup(w io.Writer, app string, tuned, def, machineTime float64) {
 }
 
 // collectiveList resolves the user's collective list (Section V: the
-// only extra input ACCLAiM needs).
+// only extra input ACCLAiM needs). A collective named twice is an
+// error: it would be tuned, and charged, twice.
 func collectiveList(app, list string) ([]coll.Collective, error) {
 	if list != "" {
 		var out []coll.Collective
@@ -265,6 +266,9 @@ func collectiveList(app, list string) ([]coll.Collective, error) {
 			c, err := coll.ParseCollective(strings.TrimSpace(name))
 			if err != nil {
 				return nil, err
+			}
+			if slices.Contains(out, c) {
+				return nil, fmt.Errorf("collective %v listed twice in -collectives", c)
 			}
 			out = append(out, c)
 		}

@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"acclaim/internal/coll"
 	"acclaim/internal/obs"
 )
 
@@ -131,5 +133,39 @@ func TestRunFailureKeepsEventLog(t *testing.T) {
 	}
 	if lines == 0 || !rootEnded {
 		t.Fatalf("event log has %d lines, tune:bcast span ended: %v", lines, rootEnded)
+	}
+}
+
+// TestCollectiveList: a collective named twice in -collectives fails
+// the run before any tuning, naming the collective.
+func TestCollectiveList(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []coll.Collective
+		err  string
+	}{
+		{list: "bcast, allreduce", want: []coll.Collective{coll.Bcast, coll.Allreduce}},
+		{list: "bcast,bcast", err: "bcast listed twice"},
+		{list: "reduce,bcast, reduce", err: "reduce listed twice"},
+		{list: "bcast,nope", err: "nope"},
+	} {
+		got, err := collectiveList("", tc.list)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("collectiveList(%q) = %v, %v, want an error containing %q", tc.list, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("collectiveList(%q) = %v, %v, want %v", tc.list, got, err, tc.want)
+		}
+	}
+	dir := t.TempDir()
+	err := run(tinyRun(dir, "-collectives", "bcast,bcast"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "bcast listed twice") {
+		t.Fatalf("run -collectives bcast,bcast = %v, want the repeated-collective error", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tuned.json")); !os.IsNotExist(err) {
+		t.Errorf("failed run left a rule file (stat: %v)", err)
 	}
 }

@@ -105,118 +105,117 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "testbed ready: %d dataset entries in %v\n", lab.DS.Len(), time.Since(start).Round(time.Millisecond))
 	}
 
+	var failed error
+	figure := func(n int, f func() (string, error)) {
+		if failed != nil || !want[n] {
+			return
+		}
+		start := time.Now()
+		out, err := f()
+		if err != nil {
+			failed = fmt.Errorf("figure %d: %w", n, err)
+			return
+		}
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stderr, "[figure %d done in %v]\n\n", n, time.Since(start).Round(time.Millisecond))
+	}
+
+	figure(3, func() (string, error) {
+		rows, err := experiments.Fig3(lab, nil)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig3(rows), nil
+	})
+	figure(4, func() (string, error) {
+		rows, agg := experiments.Fig4(*seed)
+		return experiments.ReportFig4(rows, agg), nil
+	})
+	figure(5, func() (string, error) {
+		series, err := experiments.Fig5(lab, nil)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig5(series), nil
+	})
+	figure(6, func() (string, error) {
+		rows, err := experiments.Fig6(lab)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig6(rows), nil
+	})
+	figure(7, func() (string, error) {
+		pts, err := experiments.Fig7(lab, coll.Bcast)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig7(pts), nil
+	})
+	figure(9, func() (string, error) {
+		file, err := experiments.Fig9(lab)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		b.WriteString("Figure 9 — generated MPICH-style selection file\n")
+		if err := file.Write(&b); err != nil {
+			return "", err
+		}
+		return b.String(), nil
+	})
+	figure(10, func() (string, error) {
+		rows, cum, err := experiments.Fig10(lab, 0)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig10(rows, cum), nil
+	})
+	figure(11, func() (string, error) {
+		series, err := experiments.Fig11(lab, nil)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig11(series), nil
+	})
+	figure(12, func() (string, error) {
+		rows, ratio, err := experiments.Fig12(lab)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig12(rows, ratio), nil
+	})
+	figure(13, func() (string, error) {
+		rows, err := experiments.Fig13(lab)
+		if err != nil {
+			return "", err
+		}
+		return experiments.ReportFig13(rows), nil
+	})
+
 	var prodTotal float64
-	figures := []struct {
-		n      int
-		report func() (string, error)
-	}{
-		{3, func() (string, error) {
-			rows, err := experiments.Fig3(lab, nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig3(rows), nil
-		}},
-		{4, func() (string, error) {
-			rows, agg := experiments.Fig4(*seed)
-			return experiments.ReportFig4(rows, agg), nil
-		}},
-		{5, func() (string, error) {
-			series, err := experiments.Fig5(lab, nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig5(series), nil
-		}},
-		{6, func() (string, error) {
-			rows, err := experiments.Fig6(lab)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig6(rows), nil
-		}},
-		{7, func() (string, error) {
-			pts, err := experiments.Fig7(lab, coll.Bcast)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig7(pts), nil
-		}},
-		{9, func() (string, error) {
-			file, err := experiments.Fig9(lab)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString("Figure 9 — generated MPICH-style selection file\n")
-			if err := file.Write(&b); err != nil {
-				return "", err
-			}
-			return b.String(), nil
-		}},
-		{10, func() (string, error) {
-			rows, cum, err := experiments.Fig10(lab, 0)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig10(rows, cum), nil
-		}},
-		{11, func() (string, error) {
-			series, err := experiments.Fig11(lab, nil)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig11(series), nil
-		}},
-		{12, func() (string, error) {
-			rows, ratio, err := experiments.Fig12(lab)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig12(rows, ratio), nil
-		}},
-		{13, func() (string, error) {
-			rows, err := experiments.Fig13(lab)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ReportFig13(rows), nil
-		}},
-		{14, func() (string, error) {
-			rows, total, err := experiments.Fig14(*nodes, *ppn, *seed)
+	figure(14, func() (string, error) {
+		rows, total, err := experiments.Fig14(*nodes, *ppn, *seed)
+		if err != nil {
+			return "", err
+		}
+		prodTotal = total
+		return experiments.ReportFig14(rows, total), nil
+	})
+	figure(15, func() (string, error) {
+		if prodTotal == 0 {
+			// Figure 15 needs a training time; derive one from a small
+			// production run if figure 14 was not requested.
+			_, total, err := experiments.Fig14(*nodes, *ppn, *seed)
 			if err != nil {
 				return "", err
 			}
 			prodTotal = total
-			return experiments.ReportFig14(rows, total), nil
-		}},
-		{15, func() (string, error) {
-			if prodTotal == 0 {
-				// Figure 15 needs a training time; derive one from a small
-				// production run if figure 14 was not requested.
-				_, total, err := experiments.Fig14(*nodes, *ppn, *seed)
-				if err != nil {
-					return "", err
-				}
-				prodTotal = total
-			}
-			rows := experiments.Fig15(prodTotal, nil)
-			return experiments.ReportFig15(rows, prodTotal), nil
-		}},
-	}
-	for _, f := range figures {
-		if !want[f.n] {
-			continue
 		}
-		start := time.Now()
-		out, err := f.report()
-		if err != nil {
-			return fmt.Errorf("figure %d: %w", f.n, err)
-		}
-		fmt.Fprintln(stdout, out)
-		fmt.Fprintf(stderr, "[figure %d done in %v]\n\n", f.n, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+		rows := experiments.Fig15(prodTotal, nil)
+		return experiments.ReportFig15(rows, prodTotal), nil
+	})
+	return failed
 }
 
 // runMatrix parses the -matrix-* lists and prints the scenario matrix.

@@ -11,7 +11,7 @@ import (
 
 // update regenerates testdata/figures_tiny.golden:
 //
-//	go test -run FiguresTinyGolden -update ./cmd/experiments
+//	go test ./cmd/experiments -run FiguresTinyGolden -update
 var update = flag.Bool("update", false, "rewrite the figure golden file")
 
 // TestFiguresTinyGolden pins every figure table the command prints on

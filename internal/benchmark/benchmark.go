@@ -341,15 +341,11 @@ func (r *Runner) RunSequential(specs []Spec) ([]Measurement, float64, error) {
 // depends only on its spec and placement, so the results, the wave
 // maxima and their sum are the same at every GOMAXPROCS.
 func (r *Runner) RunParallel(specs []Spec) ([]Measurement, float64, []int, error) {
-	reqs := make([]sched.Request, len(specs))
-	for i, s := range specs {
-		reqs[i] = sched.Request{ID: i, Nodes: s.Point.Nodes, Priority: float64(len(specs) - i)}
-	}
 	var schedMet *sched.Metrics
 	if r.Metrics != nil {
 		schedMet = r.Metrics.Sched
 	}
-	waves, err := sched.PlanAllObs(r.Alloc, reqs, schedMet)
+	waves, err := sched.PlanAllObs(r.Alloc, WaveRequests(specs), schedMet)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -377,6 +373,17 @@ func (r *Runner) RunParallel(specs []Spec) ([]Measurement, float64, []int, error
 		m.WaveRuns.Add(uint64(len(out)))
 	}
 	return out, total, sched.Parallelism(waves), nil
+}
+
+// WaveRequests turns a batch into scheduler requests, one per spec:
+// request i is spec i, and input order is priority order (the first
+// spec has the highest priority).
+func WaveRequests(specs []Spec) []sched.Request {
+	reqs := make([]sched.Request, len(specs))
+	for i, s := range specs {
+		reqs[i] = sched.Request{ID: i, Nodes: s.Point.Nodes, Priority: float64(len(specs) - i)}
+	}
+	return reqs
 }
 
 // evaluate measures every placement on a pool of at most GOMAXPROCS

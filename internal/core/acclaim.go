@@ -520,7 +520,9 @@ func (t *Tuner) BuildRulesFile(results map[coll.Collective]*Result, machine stri
 //
 // The cell is recorded as an "exhaustive.cell" root span and the file
 // build as a "rules.build" root span. The cell results come back in
-// colls order; their ledgers are the machine time the cell charged.
+// colls order; their ledgers are the machine time the cell charged. A
+// collective listed twice in colls is an error, found before its second
+// cell sweep.
 func (t *Tuner) JobFile(results map[coll.Collective]*Result, colls []coll.Collective,
 	nodes, ppn int, machine string) (*rules.File, []*exhaustive.Result, error) {
 
@@ -537,6 +539,10 @@ func (t *Tuner) JobFile(results map[coll.Collective]*Result, colls []coll.Collec
 	cells := make([]*exhaustive.Result, len(colls))
 	exact := make(map[coll.Collective]*exhaustive.Result, len(colls))
 	for i, c := range colls {
+		if exact[c] != nil {
+			rec.EndSpan(sp)
+			return nil, nil, fmt.Errorf("core: collective %v listed twice", c)
+		}
 		res := results[c]
 		if res == nil {
 			rec.EndSpan(sp)

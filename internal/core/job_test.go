@@ -156,6 +156,7 @@ func TestJobFileErrors(t *testing.T) {
 	}{
 		{"no wave backend", struct{ autotune.Backend }{&cellStub{}}, []coll.Collective{coll.Bcast}, "wave backend"},
 		{"untuned collective", &cellStub{}, []coll.Collective{coll.Bcast, coll.Reduce}, "no tuning result for reduce"},
+		{"repeated collective", &cellStub{}, []coll.Collective{coll.Bcast, coll.Bcast}, "bcast listed twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := New(Config{Space: space}, tc.backend).JobFile(results, tc.colls, 8, 2, "stub")

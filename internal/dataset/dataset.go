@@ -5,7 +5,8 @@
 // them, answers lookups, and exposes a Replay backend that serves
 // autotuners "benchmark results" from the table while charging the
 // recorded machine time — including topology-aware parallel replay for
-// the Figure 13 study.
+// the Figure 13 study — and, when given a live runner, simulates the
+// configurations the table lacks.
 package dataset
 
 import (
@@ -233,15 +234,29 @@ var ErrMissing = errors.New("dataset: configuration not in dataset")
 type Replay struct {
 	DS    *Dataset
 	Alloc cluster.Allocation
+
+	// Live, when non-nil, is the fallback for configurations absent
+	// from the table (ACCLAiM's randomly drawn non-P2 message sizes):
+	// a miss is simulated as Live.Run would, and nothing is written
+	// back to DS. With Live nil a miss is ErrMissing.
+	Live *benchmark.Runner
 }
 
 // Measure looks up one configuration, charging its recorded wall time.
 func (r *Replay) Measure(spec benchmark.Spec) (benchmark.Measurement, error) {
-	e, ok := r.DS.Lookup(Key{Coll: spec.Coll, Alg: spec.Alg, Point: spec.Point})
-	if !ok {
+	return r.measureOn(nil, spec)
+}
+
+// measureOn is Measure with table misses simulated on engine e (a
+// fresh one when e is nil).
+func (r *Replay) measureOn(e *simmpi.Engine, spec benchmark.Spec) (benchmark.Measurement, error) {
+	if en, ok := r.DS.Lookup(Key{Coll: spec.Coll, Alg: spec.Alg, Point: spec.Point}); ok {
+		return benchmark.Measurement{Spec: spec, MeanTime: en.MeanTime, WallTime: en.WallTime}, nil
+	}
+	if r.Live == nil {
 		return benchmark.Measurement{}, fmt.Errorf("%w: %v", ErrMissing, spec)
 	}
-	return benchmark.Measurement{Spec: spec, MeanTime: e.MeanTime, WallTime: e.WallTime}, nil
+	return r.Live.RunOn(e, spec)
 }
 
 // MaxNodes returns the replay topology's node count.
@@ -249,22 +264,21 @@ func (r *Replay) MaxNodes() int { return r.Alloc.Size() }
 
 // MeasureWave replays a batch of benchmarks as topology-scheduled
 // parallel waves and returns the measurements plus the total machine
-// time (the sum of per-wave maxima).
+// time (the sum of per-wave maxima). The batch's table misses are
+// simulated on one engine, closed before MeasureWave returns.
 func (r *Replay) MeasureWave(specs []benchmark.Spec) ([]benchmark.Measurement, float64, error) {
-	reqs := make([]sched.Request, len(specs))
-	for i, s := range specs {
-		reqs[i] = sched.Request{ID: i, Nodes: s.Point.Nodes, Priority: float64(len(specs) - i)}
-	}
-	waves, err := sched.PlanAll(r.Alloc, reqs)
+	waves, err := sched.PlanAll(r.Alloc, benchmark.WaveRequests(specs))
 	if err != nil {
 		return nil, 0, err
 	}
+	var e simmpi.Engine
+	defer e.Close()
 	out := make([]benchmark.Measurement, 0, len(specs))
 	var total float64
 	for _, wave := range waves {
 		var waveTime float64
 		for _, p := range wave {
-			m, err := r.Measure(specs[p.ID])
+			m, err := r.measureOn(&e, specs[p.ID])
 			if err != nil {
 				return nil, 0, err
 			}

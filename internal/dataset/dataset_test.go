@@ -1,11 +1,16 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"acclaim/internal/benchmark"
 	"acclaim/internal/cluster"
@@ -284,5 +289,105 @@ func TestCollectStopsAtFirstFailure(t *testing.T) {
 			t.Errorf("Workers=%d: progress reached %d of the %d specs that succeed; the sweep went on after a failure",
 				workers, seen, total-failing)
 		}
+	}
+}
+
+// TestReplayLiveFallback holds Replay's live fallback. A table hit is
+// served from the table even where the table disagrees with the live
+// simulator; a miss is Live.Run bit for bit, through Measure and
+// MeasureWave alike; MeasureWave charges what a strict replay charges
+// over a table that already holds the simulated values; the table is
+// never written; and MeasureWave's engine leaves no goroutine behind.
+// With Live nil a miss is ErrMissing.
+func TestReplayLiveFallback(t *testing.T) {
+	live, err := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.DefaultEnv(), cluster.TopologyTwoPairs(), benchmark.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := collectTiny(t)
+	hit := benchmark.Spec{Coll: coll.Bcast, Alg: "binomial", Point: featspace.Point{Nodes: 4, PPN: 2, MsgBytes: 64}}
+	doctored := Entry{MeanTime: 1.5, WallTime: 7}
+	d.Put(Key{Coll: hit.Coll, Alg: hit.Alg, Point: hit.Point}, doctored)
+	miss := func(c coll.Collective, alg string, nodes, msg int) benchmark.Spec {
+		return benchmark.Spec{Coll: c, Alg: alg, Point: featspace.Point{Nodes: nodes, PPN: 2, MsgBytes: msg}}
+	}
+	// Four nodes, so the 4-node benchmarks run in waves of one.
+	alloc, err := cluster.Contiguous(cluster.Bebop(), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		specs []benchmark.Spec
+	}{
+		{"hit", []benchmark.Spec{hit}},
+		{"miss", []benchmark.Spec{miss(coll.Reduce, "binomial", 4, 1000)}},
+		{"mixed batch", []benchmark.Spec{
+			miss(coll.Allreduce, "recursive_doubling", 2, 3000), hit, miss(coll.Bcast, "binomial", 4, 100),
+			miss(coll.Allreduce, "recursive_doubling", 2, 3000), miss(coll.Reduce, "binomial", 2, 5000),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := map[benchmark.Spec]benchmark.Measurement{hit: {Spec: hit, MeanTime: doctored.MeanTime, WallTime: doctored.WallTime}}
+			full := New() // d plus every miss, as a strict replay's table
+			full.Merge(d)
+			for _, s := range tc.specs {
+				if s == hit {
+					continue
+				}
+				m, err := live.Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[s] = m
+				full.Put(Key{Coll: s.Coll, Alg: s.Alg, Point: s.Point}, Entry{MeanTime: m.MeanTime, WallTime: m.WallTime})
+			}
+			if lm, _ := live.Run(hit); lm.MeanTime == doctored.MeanTime {
+				t.Fatal("doctored entry equals the live simulation")
+			}
+			rp := &Replay{DS: d, Alloc: alloc, Live: live}
+			n := d.Len()
+			for _, s := range tc.specs {
+				if m, err := rp.Measure(s); err != nil || m != want[s] {
+					t.Errorf("Measure(%v) = %+v, %v, want %+v", s, m, err, want[s])
+				}
+			}
+			base := runtime.NumGoroutine()
+			got, total, err := rp.MeasureWave(tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after MeasureWave, %d before", runtime.NumGoroutine(), base)
+				}
+				runtime.Gosched()
+			}
+			for _, m := range got {
+				if m != want[m.Spec] {
+					t.Errorf("MeasureWave: %+v, want %+v", m, want[m.Spec])
+				}
+			}
+			strict, strictTotal, err := (&Replay{DS: full, Alloc: alloc}).MeasureWave(tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, strict) || math.Float64bits(total) != math.Float64bits(strictTotal) {
+				t.Errorf("MeasureWave = %+v, total %v; strict replay = %+v, total %v", got, total, strict, strictTotal)
+			}
+			if d.Len() != n {
+				t.Errorf("table grew from %d to %d entries", n, d.Len())
+			}
+			if tc.name == "hit" {
+				return
+			}
+			noLive := &Replay{DS: d, Alloc: alloc}
+			if _, err := noLive.Measure(tc.specs[0]); !errors.Is(err, ErrMissing) {
+				t.Errorf("Measure without Live = %v, want ErrMissing", err)
+			}
+			if _, _, err := noLive.MeasureWave(tc.specs); !errors.Is(err, ErrMissing) {
+				t.Errorf("MeasureWave without Live = %v, want ErrMissing", err)
+			}
+		})
 	}
 }

@@ -274,7 +274,7 @@ func Fig13(l *Lab) ([]Fig13Row, error) {
 		}
 		for _, name := range topologyOrder() {
 			alloc := topologies()[name]
-			rp := &dataset.Replay{DS: l.DS, Alloc: alloc}
+			rp := &dataset.Replay{DS: l.DS, Alloc: alloc, Live: l.Runner}
 			_, par, err := rp.MeasureWave(specs)
 			if err != nil {
 				return nil, fmt.Errorf("fig13 %v on %s: %w", c, name, err)

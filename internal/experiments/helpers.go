@@ -22,11 +22,7 @@ func forestConfig(seed int64) forest.Config {
 // planWaves schedules the specs on the allocation and returns the
 // benchmarks-per-wave histogram (the Figure 13(b) series).
 func planWaves(alloc cluster.Allocation, specs []benchmark.Spec) ([]int, error) {
-	reqs := make([]sched.Request, len(specs))
-	for i, s := range specs {
-		reqs[i] = sched.Request{ID: i, Nodes: s.Point.Nodes, Priority: float64(len(specs) - i)}
-	}
-	waves, err := sched.PlanAll(alloc, reqs)
+	waves, err := sched.PlanAll(alloc, benchmark.WaveRequests(specs))
 	if err != nil {
 		return nil, err
 	}

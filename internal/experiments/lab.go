@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 
 	"acclaim/internal/autotune"
 	"acclaim/internal/benchmark"
@@ -29,7 +28,9 @@ import (
 // Lab is the shared simulated testbed: the paper's Figure 1(a)
 // methodology. It owns the replay dataset (exhaustive P2 grid plus the
 // Section III-B non-P2 test sets) and a live runner for configurations
-// outside the table.
+// outside the table. The dataset is only read after NewLab returns: a
+// configuration outside it is simulated each time it is asked for, so
+// the table a figure reads does not depend on which figures ran before.
 type Lab struct {
 	Space        featspace.Space
 	DS           *dataset.Dataset
@@ -99,20 +100,11 @@ func NewLab(space featspace.Space, cachePath string, seed int64) (*Lab, error) {
 	return lab, nil
 }
 
-// Replay returns a replay backend over the lab's dataset with the given
-// wave-scheduling topology (the lab allocation by default).
-func (l *Lab) Replay(alloc cluster.Allocation) *dataset.Replay {
-	if alloc.Machine.Nodes == 0 {
-		alloc = l.Alloc
-	}
-	return &dataset.Replay{DS: l.DS, Alloc: alloc}
-}
-
 // Backend returns the default experiment backend: replay with live
 // fallback for configurations outside the precollected table (ACCLAiM's
 // randomly drawn non-P2 message sizes).
 func (l *Lab) Backend() autotune.WaveBackend {
-	return &hybridBackend{lab: l, replay: l.Replay(cluster.Allocation{})}
+	return &dataset.Replay{DS: l.DS, Alloc: l.Alloc, Live: l.Runner}
 }
 
 // Eval returns an average-slowdown evaluator over the given points.
@@ -127,41 +119,4 @@ func (l *Lab) EvalFor(c coll.Collective, pts []featspace.Point) func(autotune.Se
 	return func(sel autotune.Selector) (float64, error) {
 		return autotune.EvalSlowdown(l.DS, c, pts, sel)
 	}
-}
-
-// hybridBackend serves measurements from the dataset and falls back to
-// the live simulator for missing configurations, caching the result so
-// the experiment stays a "precollected data" replay afterwards.
-type hybridBackend struct {
-	lab    *Lab
-	replay *dataset.Replay
-	mu     sync.Mutex
-}
-
-func (h *hybridBackend) Measure(spec benchmark.Spec) (benchmark.Measurement, error) {
-	if m, err := h.replay.Measure(spec); err == nil {
-		return m, nil
-	}
-	m, err := h.lab.Runner.Run(spec)
-	if err != nil {
-		return benchmark.Measurement{}, err
-	}
-	h.mu.Lock()
-	h.lab.DS.Put(dataset.Key{Coll: spec.Coll, Alg: spec.Alg, Point: spec.Point},
-		dataset.Entry{MeanTime: m.MeanTime, WallTime: m.WallTime})
-	h.mu.Unlock()
-	return m, nil
-}
-
-func (h *hybridBackend) MaxNodes() int { return h.replay.MaxNodes() }
-
-func (h *hybridBackend) MeasureWave(specs []benchmark.Spec) ([]benchmark.Measurement, float64, error) {
-	// Fill any table misses first, then let the replay backend account
-	// for the wave timing.
-	for _, s := range specs {
-		if _, err := h.Measure(s); err != nil {
-			return nil, 0, err
-		}
-	}
-	return h.replay.MeasureWave(specs)
 }
