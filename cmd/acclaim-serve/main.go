@@ -22,23 +22,28 @@
 // With -tcp, the compact binary selection protocol is served instead
 // of the stdin stream: length-prefixed frames, interned tenant and
 // collective ids negotiated per connection, batched lookups — the
-// transport cmd/acclaim-loadgen's -tcp mode drives. Multi-tenant
-// serving uses repeatable -tenant flags, each loading one rule file
-// into a registry shard keyed cluster/jobclass/mpiver:
+// transport cmd/acclaim-loadgen's -tcp mode drives. Every rule file is
+// one tenant of a ruleserver.Registry: repeatable -tenant flags each
+// load one file into a shard keyed cluster/jobclass/mpiver, and
+// -rules P is short for -tenant default/default/default=P. A key given
+// twice is an error.
 //
 //	acclaim-serve -tcp :9090 \
 //	    -tenant frontier/batch/mpich-4.2=frontier.json \
 //	    -tenant summit/debug/ompi-5.0=summit.json
 //
-// Shards hot-reload independently under -watch: each tenant's file is
-// polled and swapped on its own, never perturbing another tenant's
-// served snapshot or counters.
+// One-shot queries, the stdin stream and -stats address one tenant:
+// the default tenant when -rules is given, else the first -tenant. Shards
+// hot-reload independently under -watch: each tenant's file is polled
+// and swapped on its own, never perturbing another tenant's served
+// snapshot or counters.
 //
 // With -debug-addr, an HTTP observability endpoint is served for the
 // life of the process (most useful with streaming or -tcp mode):
 // /metrics answers Prometheus text by default and expvar-style JSON
-// with ?format=json (the per-epoch hit/miss/latency counters, read
-// through the lock-free snapshot pointer), /debug/vars is the standard
+// with ?format=json (fleet totals plus each tenant's per-epoch
+// hit/miss/latency series, read through the lock-free snapshot
+// pointers, and the wire transport counters), /debug/vars is the standard
 // expvar page with the registry published under "acclaim", and
 // /debug/pprof/ exposes the usual profiles.
 package main
@@ -115,34 +120,25 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	// Every mode serves from one registry. -rules loads the default
-	// tenant — the shard the one-shot and streaming modes answer from —
-	// and each -tenant loads its own independently swappable shard for
-	// the binary protocol.
-	reg := ruleserver.NewRegistry()
-	var srv *ruleserver.Server
-	if *rulesPath != "" {
-		srv = reg.Ensure(ruleserver.DefaultTenant)
-		if err := srv.Load(*rulesPath); err != nil {
-			fatal(err)
-		}
+	tenants, err := withRules(*rulesPath, tenants)
+	if err != nil {
+		fatal(err)
 	}
+
+	reg := ruleserver.NewRegistry()
 	for _, t := range tenants {
 		if err := reg.Load(t.key, t.path); err != nil {
 			fatal(fmt.Errorf("tenant %s: %v", t.key, err))
 		}
 	}
-	if srv == nil {
-		// No default tenant: point the single-tenant modes at the first
-		// -tenant shard so -query and -stats still work.
-		srv, _ = reg.Tenant(tenants[0].key)
-	}
+	// The one-shot and streaming modes answer from the first tenant:
+	// the default tenant when -rules is given, else the first -tenant.
+	key := tenants[0].key
 
 	ws := ruleserver.NewWireServer(reg)
 	if *debugAddr != "" {
 		//acclaim:goroutine-owner lives for the whole process by design; a failed listen exits via fatal
-		go serveDebug(srv, reg, ws, *debugAddr)
+		go serveDebug(reg, ws, *debugAddr)
 	}
 
 	// watchDone stops the rule-file pollers: closed when streaming
@@ -154,19 +150,7 @@ func main() {
 		if *watch <= 0 {
 			return
 		}
-		if *rulesPath != "" {
-			path := *rulesPath
-			//acclaim:goroutine-owner rule-file poller; returns when watchDone closes
-			go watchFile("default tenant", path, *watch, watchDone, func() error {
-				if err := srv.Load(path); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "acclaim-serve: hot-swapped default tenant to v%d\n", srv.Stats().Version)
-				return nil
-			})
-		}
 		for _, t := range tenants {
-			t := t
 			//acclaim:goroutine-owner per-tenant rule-file poller; returns when watchDone closes
 			go watchFile(t.key.String(), t.path, *watch, watchDone, func() error {
 				if err := reg.Load(t.key, t.path); err != nil {
@@ -185,7 +169,7 @@ func main() {
 			if len(parts) != 4 {
 				fatal(fmt.Errorf("bad -query %q: want collective:nodes:ppn:msgbytes", q))
 			}
-			alg, err := answer(srv, parts[0], parts[1], parts[2], parts[3])
+			alg, err := answer(reg, key, parts[0], parts[1], parts[2], parts[3])
 			if err != nil {
 				fatal(err)
 			}
@@ -212,7 +196,7 @@ func main() {
 			if len(f) != 4 {
 				fatal(fmt.Errorf("bad query %q: want <collective> <nodes> <ppn> <msgbytes>", line))
 			}
-			alg, err := answer(srv, f[0], f[1], f[2], f[3])
+			alg, err := answer(reg, key, f[0], f[1], f[2], f[3])
 			if err != nil {
 				fatal(err)
 			}
@@ -225,8 +209,30 @@ func main() {
 	}
 
 	if *stats {
+		srv, _ := reg.Tenant(key)
 		printStats(os.Stderr, srv.Stats())
 	}
+}
+
+// withRules returns the tenants to load: -rules, when given, first as
+// the default tenant, then every -tenant in flag order. A tenant key
+// given twice is an error naming it, since both files would otherwise
+// load into one shard and the later would silently replace the earlier.
+func withRules(rulesPath string, tenants tenantList) (tenantList, error) {
+	if rulesPath != "" {
+		tenants = append(tenantList{{key: ruleserver.DefaultTenant, path: rulesPath}}, tenants...)
+	}
+	seen := make(map[ruleserver.TenantKey]bool, len(tenants))
+	for _, t := range tenants {
+		if seen[t.key] {
+			if t.key == ruleserver.DefaultTenant && rulesPath != "" {
+				return nil, fmt.Errorf("tenant %s given twice: -rules P is -tenant %s=P", t.key, t.key)
+			}
+			return nil, fmt.Errorf("tenant %s given twice", t.key)
+		}
+		seen[t.key] = true
+	}
+	return tenants, nil
 }
 
 // printStats renders the end-of-run serving summary: headline
@@ -248,11 +254,11 @@ func printStats(w io.Writer, st ruleserver.Stats) {
 	}
 }
 
-// answer resolves one query against the current snapshot. A collective
-// the rule file does not cover is an error, like a malformed field: both
-// callers exit 1 on it, so a one-shot -query proves that a tuned file
-// covers its collective.
-func answer(srv *ruleserver.Server, cs, ns, ps, ms string) (string, error) {
+// answer resolves one query against key's current snapshot. A
+// collective the rule file does not cover is an error, like a malformed
+// field: both callers exit 1 on it, so a one-shot -query proves that a
+// tuned file covers its collective.
+func answer(reg *ruleserver.Registry, key ruleserver.TenantKey, cs, ns, ps, ms string) (string, error) {
 	c, err := coll.ParseCollective(cs)
 	if err != nil {
 		return "", err
@@ -269,22 +275,21 @@ func answer(srv *ruleserver.Server, cs, ns, ps, ms string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("bad message size %q: %v", ms, err)
 	}
-	alg, ok := srv.Lookup(c, nodes, ppn, msg)
+	alg, ok := reg.Lookup(key, c, nodes, ppn, msg)
 	if !ok {
 		return "", fmt.Errorf("no rule for collective %v (file does not cover it)", c)
 	}
 	return alg, nil
 }
 
-// serveDebug runs the observability endpoint: the default shard's
-// counters, the multi-tenant registry aggregates and per-tenant
-// labeled series, and the wire transport counters on a fresh metrics
-// registry (all epoch-scoped, read lock-free through the snapshot
-// pointers), plus expvar and pprof. It never returns; a failed listen
-// is fatal because the operator asked for the endpoint explicitly.
-func serveDebug(srv *ruleserver.Server, rreg *ruleserver.Registry, ws *ruleserver.WireServer, addr string) {
+// serveDebug runs the observability endpoint: the registry's fleet
+// aggregates and every tenant's labeled series, and the wire transport
+// counters on a fresh metrics registry (all epoch-scoped, read
+// lock-free through the snapshot pointers), plus expvar and pprof. It
+// never returns; a failed listen is fatal because the operator asked
+// for the endpoint explicitly.
+func serveDebug(rreg *ruleserver.Registry, ws *ruleserver.WireServer, addr string) {
 	reg := obs.NewRegistry()
-	srv.Register(reg)
 	rreg.Register(reg)
 	ws.Register(reg)
 	reg.Publish("acclaim")

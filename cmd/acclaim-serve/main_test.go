@@ -9,9 +9,10 @@ import (
 	"acclaim/internal/ruleserver"
 )
 
-// bcastOnlyServer serves one bcast table: binomial up to 4 KiB, ring
-// allgather above. Every other collective is uncovered.
-func bcastOnlyServer(t *testing.T) *ruleserver.Server {
+// bcastOnlyRegistry serves one bcast table as the default tenant:
+// binomial up to 4 KiB, ring allgather above. Every other collective
+// is uncovered.
+func bcastOnlyRegistry(t *testing.T) *ruleserver.Registry {
 	t.Helper()
 	f := rules.NewFile("serve-test")
 	f.Tables[coll.Bcast.String()] = &rules.Table{
@@ -23,18 +24,18 @@ func bcastOnlyServer(t *testing.T) *ruleserver.Server {
 			}},
 		}}},
 	}
-	srv, err := ruleserver.NewFromFile(f)
-	if err != nil {
+	reg := ruleserver.NewRegistry()
+	if err := reg.Swap(ruleserver.DefaultTenant, f); err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	return reg
 }
 
 // TestAnswer pins the contract both query modes rely on: a covered
 // query returns its algorithm, and an uncovered collective is an error
 // just like a malformed field, so the process exits 1 on it.
 func TestAnswer(t *testing.T) {
-	srv := bcastOnlyServer(t)
+	reg := bcastOnlyRegistry(t)
 	for _, tc := range []struct {
 		name            string
 		cs, ns, ps, ms  string
@@ -49,7 +50,7 @@ func TestAnswer(t *testing.T) {
 		{name: "bad msg", cs: "bcast", ns: "4", ps: "2", ms: "", wantError: "bad message size"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := answer(srv, tc.cs, tc.ns, tc.ps, tc.ms)
+			got, err := answer(reg, ruleserver.DefaultTenant, tc.cs, tc.ns, tc.ps, tc.ms)
 			if tc.wantError != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantError) {
 					t.Fatalf("answer = (%q, %v), want error containing %q", got, err, tc.wantError)
@@ -58,6 +59,51 @@ func TestAnswer(t *testing.T) {
 			}
 			if err != nil || got != tc.want {
 				t.Fatalf("answer = (%q, %v), want (%q, nil)", got, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestWithRules pins how -rules and -tenant combine into the tenant
+// list: -rules is the default tenant, loaded first, and a key given
+// twice is an error naming it rather than a silent replacement.
+func TestWithRules(t *testing.T) {
+	tenant := func(s string) tenantFlag {
+		t.Helper()
+		var l tenantList
+		if err := l.Set(s); err != nil {
+			t.Fatal(err)
+		}
+		return l[0]
+	}
+	a := tenant("a/b/c=a.json")
+	a2 := tenant("a/b/c=other.json")
+	x := tenant("x/y/z=x.json")
+	def := tenant("default/default/default=d.json")
+	rulesDefault := tenantFlag{key: ruleserver.DefaultTenant, path: "r.json"}
+	for _, tc := range []struct {
+		name      string
+		rules     string
+		tenants   tenantList
+		want      tenantList
+		wantError string
+	}{
+		{name: "rules only", rules: "r.json", want: tenantList{rulesDefault}},
+		{name: "tenants only", tenants: tenantList{a, x}, want: tenantList{a, x}},
+		{name: "rules first", rules: "r.json", tenants: tenantList{a}, want: tenantList{rulesDefault, a}},
+		{name: "repeated tenant", tenants: tenantList{a, x, a2}, wantError: "tenant a/b/c given twice"},
+		{name: "rules and default tenant", rules: "r.json", tenants: tenantList{def}, wantError: "tenant default/default/default given twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := withRules(tc.rules, tc.tenants)
+			if tc.wantError != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantError) {
+					t.Fatalf("withRules = (%v, %v), want error containing %q", got, err, tc.wantError)
+				}
+				return
+			}
+			if err != nil || got.String() != tc.want.String() {
+				t.Fatalf("withRules = (%v, %v), want (%v, nil)", got, err, tc.want)
 			}
 		})
 	}

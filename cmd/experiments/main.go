@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,6 +28,9 @@ import (
 	"acclaim/internal/experiments"
 	"acclaim/internal/featspace"
 )
+
+// figures lists every figure the command can regenerate, in order.
+var figures = []int{3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -64,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	want := map[int]bool{}
 	if *fig == "all" {
-		for _, n := range []int{3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15} {
+		for _, n := range figures {
 			want[n] = true
 		}
 	} else {
@@ -72,6 +76,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				return fmt.Errorf("bad -fig value %q", part)
+			}
+			if !slices.Contains(figures, n) {
+				return fmt.Errorf("-fig %d: no such figure (valid: %v or all)", n, figures)
 			}
 			want[n] = true
 		}

@@ -70,14 +70,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 6. Compile the file into the serving engine — the lock-free,
-	// zero-allocation lookup path a deployed MPI library would hit at
-	// every collective call (also available standalone as
-	// cmd/acclaim-serve).
-	srv, err := ruleserver.NewFromFile(file)
-	if err != nil {
+	// 6. Install the file as the default tenant of the serving
+	// registry — the lock-free, zero-allocation lookup path a deployed
+	// MPI library would hit at every collective call (cmd/acclaim-serve
+	// -rules does the same with a file on disk).
+	reg := ruleserver.NewRegistry()
+	if err := reg.Swap(ruleserver.DefaultTenant, file); err != nil {
 		log.Fatal(err)
 	}
+	srv, _ := reg.Tenant(ruleserver.DefaultTenant)
 	alg, ok := srv.Lookup(coll.Bcast, 16, 4, 100000)
 	if !ok {
 		log.Fatal("no rule for bcast")

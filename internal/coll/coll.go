@@ -228,8 +228,8 @@ func execOutputs(e *simmpi.Engine, model *netmodel.Model, c Collective, alg stri
 // AlgSource answers "which algorithm should this collective call use"
 // at collective-call time. It is the seam between the execution layer
 // and a tuned selection source: *ruleserver.Index implements it over a
-// compiled rule file, *ruleserver.Server over a lock-free snapshot of
-// one, and tests implement it with fixtures.
+// compiled rule file, a *ruleserver.Server registry shard over a
+// lock-free snapshot of one, and tests implement it with fixtures.
 // A false return means the source has no rule for the query.
 type AlgSource interface {
 	Lookup(c Collective, nodes, ppn, msg int) (string, bool)

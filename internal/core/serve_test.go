@@ -14,20 +14,22 @@ import (
 	"acclaim/internal/ruleserver"
 )
 
-// serve lowers tuning results into a rule file and installs it in a
-// fresh ruleserver.Server, as cmd/acclaim-serve does with a file the
-// tuner wrote.
-func serve(t *testing.T, tuner *Tuner, results map[coll.Collective]*Result, machine string) (*ruleserver.Server, *rules.File) {
+// serve lowers tuning results into a rule file and installs it as the
+// default tenant of a fresh ruleserver.Registry, as cmd/acclaim-serve
+// -rules does with a file the tuner wrote. It returns the registry, the
+// tenant's shard and the file.
+func serve(t *testing.T, tuner *Tuner, results map[coll.Collective]*Result, machine string) (*ruleserver.Registry, *ruleserver.Server, *rules.File) {
 	t.Helper()
 	file, err := tuner.BuildRulesFile(results, machine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ruleserver.NewFromFile(file)
-	if err != nil {
+	reg := ruleserver.NewRegistry()
+	if err := reg.Swap(ruleserver.DefaultTenant, file); err != nil {
 		t.Fatal(err)
 	}
-	return srv, file
+	srv, _ := reg.Tenant(ruleserver.DefaultTenant)
+	return reg, srv, file
 }
 
 // TestServeEndToEnd is the full-pipeline determinism test: a seeded
@@ -42,7 +44,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, file := serve(t, tuner, results, "sim")
+	reg, srv, file := serve(t, tuner, results, "sim")
 	if got := srv.Stats().Tables; got != len(file.Tables) {
 		t.Fatalf("server holds %d tables, file has %d", got, len(file.Tables))
 	}
@@ -82,7 +84,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err := file.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Load(path); err != nil {
+	if err := reg.Load(ruleserver.DefaultTenant, path); err != nil {
 		t.Fatalf("hot reload of emitted file: %v", err)
 	}
 	if st := srv.Stats(); st.Version != 2 || st.Swaps != 2 {
@@ -131,7 +133,7 @@ func TestServeTopologyEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, file := serve(t, tuner, results, "sim-"+tc.topo)
+			_, srv, file := serve(t, tuner, results, "sim-"+tc.topo)
 			tab := file.Tables[tc.c.String()]
 			if tab == nil {
 				t.Fatalf("no rule table emitted for %v", tc.c)
@@ -165,7 +167,7 @@ func TestServeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, _ := serve(t, tuner, results, "sim")
+		_, srv, _ := serve(t, tuner, results, "sim")
 		out := make(map[coll.Collective]map[featspace.Point]string)
 		for _, c := range coll.Collectives() {
 			out[c] = make(map[featspace.Point]string)

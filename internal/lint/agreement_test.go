@@ -38,15 +38,12 @@ var zeroAllocManifest = map[string][]string{
 	},
 	"internal/ruleserver": {
 		"Index.Lookup",
-		"Index.LookupName",
 		"Server.Lookup",
-		"Server.LookupName",
 		"getReqRecord",
 		"getRespRecord",
 		"putReqRecord",
 		"putRespRecord",
 		"snapshot.lookup",
-		"tableIndex.lookup",
 		"tableIndex.walk",
 	},
 	"internal/core": {

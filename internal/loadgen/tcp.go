@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"net"
+	"strings"
 
 	"acclaim/internal/ruleserver"
 )
@@ -160,4 +161,13 @@ func (t *TCPTarget) Close() {
 	}
 }
 
-func (t *TCPTarget) Name() string { return ruleserver.WireTargetName(t.addr) }
+func (t *TCPTarget) Name() string { return wireTargetName(t.addr) }
+
+// wireTargetName is the report label for a wire target at addr: the
+// address itself when it names a scheme, tcp://addr otherwise.
+func wireTargetName(addr string) string {
+	if strings.Contains(addr, "://") {
+		return addr
+	}
+	return "tcp://" + addr
+}

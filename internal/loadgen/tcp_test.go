@@ -328,3 +328,20 @@ func TestWriteBenchPrefixed(t *testing.T) {
 		t.Fatalf("prefixed bench line missing prefixed units: %q", line)
 	}
 }
+
+// TestWireTargetName pins the report label of a wire target: a bare
+// host:port gains tcp://, an address that names a scheme stays as is.
+func TestWireTargetName(t *testing.T) {
+	for addr, want := range map[string]string{
+		"127.0.0.1:9090":     "tcp://127.0.0.1:9090",
+		"unix:///tmp/a.sock": "unix:///tmp/a.sock",
+	} {
+		tgt, err := loadgen.NewTCPTarget(addr, wireTenants(1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tgt.Name(); got != want {
+			t.Errorf("Name() for %q = %q, want %q", addr, got, want)
+		}
+	}
+}

@@ -64,13 +64,11 @@ func recordBenchFile() *rules.File {
 // clock, not the recorder. DESIGN.md section 8 documents the trade.)
 func BenchmarkLookupRecordHeadroom(b *testing.B) {
 	f := recordBenchFile()
-	recorded, err := NewFromFile(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseline, err := NewFromFile(f)
-	if err != nil {
-		b.Fatal(err)
+	recorded, baseline := newServer(), newServer()
+	for _, s := range []*Server{recorded, baseline} {
+		if err := s.Swap(f); err != nil {
+			b.Fatal(err)
+		}
 	}
 	baseline.cur.Load().lat = nil // no concurrent readers yet: safe to strip pre-measurement
 

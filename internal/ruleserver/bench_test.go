@@ -7,7 +7,6 @@ import (
 
 	"acclaim/internal/coll"
 	"acclaim/internal/rules"
-	"acclaim/internal/ruleserver"
 )
 
 // benchTable builds a production-shaped rule table: node, ppn, and
@@ -91,10 +90,7 @@ func benchQueries(n int) queryWorkload {
 // TestLookupZeroAlloc; the acceptance criterion compares it against
 // BenchmarkTableSelectNested (>= 5x).
 func BenchmarkRuleServerSelect(b *testing.B) {
-	srv, err := ruleserver.NewFromFile(benchFile())
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv := serverOf(b, benchFile())
 	ix := srv.Index()
 	qs := benchQueries(1024)
 	b.ReportAllocs()
@@ -112,10 +108,7 @@ func BenchmarkRuleServerSelect(b *testing.B) {
 // what benchmark.Runner.RunSelected pays per collective call when its
 // source is a Server, over the bare Index.Lookup measured above.
 func BenchmarkRuleServerLookupCounted(b *testing.B) {
-	srv, err := ruleserver.NewFromFile(benchFile())
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv := serverOf(b, benchFile())
 	qs := benchQueries(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -159,10 +152,7 @@ func BenchmarkTableSelectNested(b *testing.B) {
 // -benchtime=1x.
 func BenchmarkRuleServerSpeedup(b *testing.B) {
 	f := benchFile()
-	srv, err := ruleserver.NewFromFile(f)
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv := serverOf(b, f)
 	ix := srv.Index()
 	qs := benchQueries(1024)
 	const inner = 500_000

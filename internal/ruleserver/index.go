@@ -11,10 +11,11 @@
 // into a shared string table so a lookup touches a handful of cache
 // lines and allocates nothing.
 //
-// Server wraps an Index in an atomic.Pointer snapshot so unbounded
-// concurrent readers never take a lock, and a retuning round can
-// hot-swap a freshly emitted rule file while in-flight lookups finish
-// on the old snapshot. See DESIGN.md, "Serving layer".
+// Registry holds one Server shard per tenant, and each shard wraps an
+// Index in an atomic.Pointer snapshot so unbounded concurrent readers
+// never take a lock, and a retuning round can hot-swap a freshly
+// emitted rule file while in-flight lookups finish on the old
+// snapshot. See DESIGN.md, "Serving layer".
 package ruleserver
 
 import (
@@ -161,13 +162,15 @@ func startTable(dst []int32, span []int64, base int32) []int32 {
 //
 //acclaim:frozen
 type Index struct {
-	byColl [coll.NumCollectives]*tableIndex // fast path: known collectives
-	byName map[string]*tableIndex           // generic path: any table name
+	byColl [coll.NumCollectives]*tableIndex // one table per collective, nil if untuned
 	rules  int                              // total message-level rules
 }
 
-// Compile validates the file and flattens every table. The input file
-// is not retained: the index copies what it needs, so callers may keep
+// Compile validates the file and flattens every table. Every table must
+// be named after a collective: a lookup is keyed by the collective, so
+// a table under any other name could never be reached, and accepting it
+// would hide a typo in a hand-edited file. The input file is not
+// retained: the index copies what it needs, so callers may keep
 // mutating the File afterwards.
 func Compile(f *rules.File) (*Index, error) {
 	if f == nil {
@@ -176,14 +179,15 @@ func Compile(f *rules.File) (*Index, error) {
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("ruleserver: %w", err)
 	}
-	ix := &Index{byName: make(map[string]*tableIndex, len(f.Tables))}
+	ix := &Index{}
 	for name, t := range f.Tables {
-		ti := flatten(t)
-		ix.byName[name] = ti
-		ix.rules += len(ti.msgMax)
-		if c, err := coll.ParseCollective(name); err == nil {
-			ix.byColl[int(c)] = ti
+		c, err := coll.ParseCollective(name)
+		if err != nil {
+			return nil, fmt.Errorf("ruleserver: table %q is not named after a collective", name)
 		}
+		ti := flatten(t)
+		ix.byColl[int(c)] = ti
+		ix.rules += len(ti.msgMax)
 	}
 	return ix, nil
 }
@@ -277,45 +281,6 @@ func searchGE(a []int64, v int64) int {
 	return lo
 }
 
-// lookup resolves one query against the flattened table: exact-resolve
-// loads for the node and ppn dimensions, exponent cell plus in-cell
-// scan for the message dimension, falling back to the general walk for
-// the rare table too large to enumerate. Misses are impossible for
-// tables compiled from a validated file, so the result bool only
-// exists for symmetry with Index.Lookup.
-//
-//acclaim:zeroalloc
-func (ti *tableIndex) lookup(nodes, ppn, msg int) (string, bool) {
-	if ti.ppnResolve == nil {
-		return ti.walk(nodes, ppn, msg)
-	}
-	nv := nodes
-	if nv < 0 {
-		nv = 0
-	}
-	if nv > len(ti.nodeResolve)-1 {
-		nv = len(ti.nodeResolve) - 1
-	}
-	i := int(ti.nodeResolve[nv])
-	pv := ppn
-	if pv < 0 {
-		pv = 0
-	}
-	if pv > ti.ppnLimit-1 {
-		pv = ti.ppnLimit - 1
-	}
-	j := int(ti.ppnResolve[i*ti.ppnLimit+pv])
-	k := int(ti.msgStart[j<<expShift|(expOf(msg)&(numExp-1))])
-	if k < 0 {
-		k = ^k
-	} else {
-		for m := int64(msg); ti.msgMax[k] < m; {
-			k++
-		}
-	}
-	return ti.algAt[k], true
-}
-
 // walk is the general three-level resolution. Each level jumps to its
 // exponent cell's start position and scans only the thresholds inside
 // the query's own power-of-two cell — a step or two at most in real
@@ -362,10 +327,11 @@ func (ti *tableIndex) walk(nodes, ppn, msg int) (string, bool) {
 // itself cannot miss (validation guarantees Unbounded catch-alls at
 // every level).
 //
-// The per-table walk is manually inlined here (rather than calling
-// tableIndex.lookup) to keep the hot path a single non-inlined call
-// deep; at single-digit nanoseconds per lookup a second call frame is
-// measurable.
+// The exact-resolve path is written out here rather than in a method
+// of tableIndex to keep the hot path a single non-inlined call deep; at
+// single-digit nanoseconds per lookup a second call frame is
+// measurable. Only the rare table too large to enumerate pays the
+// second frame, in walk.
 //
 //acclaim:zeroalloc
 func (ix *Index) Lookup(c coll.Collective, nodes, ppn, msg int) (string, bool) {
@@ -406,26 +372,16 @@ func (ix *Index) Lookup(c coll.Collective, nodes, ppn, msg int) (string, bool) {
 	return ti.algAt[k], true
 }
 
-// LookupName resolves a query by table name, for tables whose names are
-// not known collectives (or callers holding only strings).
-//
-//acclaim:zeroalloc
-func (ix *Index) LookupName(collective string, nodes, ppn, msg int) (string, bool) {
-	ti := ix.byName[collective]
-	if ti == nil {
-		return "", false
-	}
-	return ti.lookup(nodes, ppn, msg)
-}
-
-// Tables returns the table names in the index (unordered).
-func (ix *Index) Tables() []string {
-	out := make([]string, 0, len(ix.byName))
-	for name := range ix.byName {
-		out = append(out, name)
-	}
-	return out
-}
-
 // NumRules returns the total number of message-level rules compiled in.
 func (ix *Index) NumRules() int { return ix.rules }
+
+// numTables returns the number of collectives with a compiled table.
+func (ix *Index) numTables() int {
+	n := 0
+	for _, ti := range ix.byColl {
+		if ti != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -9,60 +9,68 @@ import (
 	"acclaim/internal/ruleserver"
 )
 
-// TestRegisterMatchesStats pins the migration contract: the registry
-// view and the legacy Stats() view read the same per-epoch counters, so
-// they must always agree — including after a hot swap resets the epoch.
+// defaultPrefix is the metric-name prefix Registry.Register gives the
+// default tenant's series.
+const defaultPrefix = "ruleserver.tenant.default_default_default."
+
+// TestRegisterMatchesStats pins the metrics contract: a tenant's
+// registry series and its shard's Stats() view read the same per-epoch
+// counters, so they must always agree — including after a hot swap
+// resets the epoch.
 func TestRegisterMatchesStats(t *testing.T) {
-	srv, err := ruleserver.NewFromFile(fixtureFile())
-	if err != nil {
+	rreg := ruleserver.NewRegistry()
+	if err := rreg.Swap(ruleserver.DefaultTenant, fixtureFile()); err != nil {
 		t.Fatal(err)
 	}
+	srv, _ := rreg.Tenant(ruleserver.DefaultTenant)
 	reg := obs.NewRegistry()
-	srv.Register(reg)
+	rreg.Register(reg)
 
 	check := func(when string) {
 		t.Helper()
 		st := srv.Stats()
 		snap := reg.Snapshot()
 		want := map[string]float64{
-			"ruleserver.lookups":          float64(st.Hits + st.Misses),
-			"ruleserver.hits":             float64(st.Hits),
-			"ruleserver.misses":           float64(st.Misses),
-			"ruleserver.snapshot_version": float64(st.Version),
-			"ruleserver.tables":           float64(st.Tables),
-			"ruleserver.rules":            float64(st.Rules),
-			"ruleserver.swaps_total":      float64(st.Swaps),
+			"lookups":          float64(st.Hits + st.Misses),
+			"hits":             float64(st.Hits),
+			"misses":           float64(st.Misses),
+			"snapshot_version": float64(st.Version),
+			"tables":           float64(st.Tables),
+			"rules":            float64(st.Rules),
+			"swaps_total":      float64(st.Swaps),
 		}
 		for name, w := range want {
-			if got := snap[name]; got != w {
+			if got := snap[defaultPrefix+name]; got != w {
 				t.Errorf("%s: %s = %v, want %v (stats %+v)", when, name, got, w, st)
 			}
 		}
-		lat, ok := snap["ruleserver.lookup_latency_ns"].(obs.HDRSnapshot)
+		lat, ok := snap[defaultPrefix+"lookup_latency_ns"].(obs.HDRSnapshot)
 		if !ok {
-			t.Fatalf("%s: lookup_latency_ns is %T", when, snap["ruleserver.lookup_latency_ns"])
+			t.Fatalf("%s: lookup_latency_ns is %T", when, snap[defaultPrefix+"lookup_latency_ns"])
 		}
 		// Every lookup is recorded: the histogram population equals the
 		// lookup counters exactly.
 		if lat.Count != uint64(st.Hits+st.Misses) {
 			t.Errorf("%s: latency samples %d != lookups %d", when, lat.Count, st.Hits+st.Misses)
 		}
-		// Per-collective counters roll up to the totals.
+		// Per-collective counters roll up to the totals, and match the
+		// Stats rows.
 		var perLookups, perMisses float64
-		for name, v := range snap {
-			if !strings.HasPrefix(name, "ruleserver.") {
-				continue
-			}
-			if strings.HasSuffix(name, ".lookups") && strings.Count(name, ".") == 2 {
-				perLookups += v.(float64)
-			}
-			if strings.HasSuffix(name, ".misses") && strings.Count(name, ".") == 2 {
-				perMisses += v.(float64)
-			}
+		for _, c := range coll.Collectives() {
+			perLookups += snap[defaultPrefix+c.String()+".lookups"].(float64)
+			perMisses += snap[defaultPrefix+c.String()+".misses"].(float64)
 		}
 		if perLookups != float64(st.Hits+st.Misses) || perMisses != float64(st.Misses) {
 			t.Errorf("%s: per-collective rollup %v/%v != totals %d/%d",
 				when, perLookups, perMisses, st.Hits+st.Misses, st.Misses)
+		}
+		for _, cs := range st.PerCollective {
+			if got := snap[defaultPrefix+cs.Collective+".lookups"]; got != float64(cs.Lookups) {
+				t.Errorf("%s: %s.lookups = %v, Stats row %+v", when, cs.Collective, got, cs)
+			}
+		}
+		if got := snap["ruleserver.registry.lookups"]; got != float64(st.Hits+st.Misses) {
+			t.Errorf("%s: registry.lookups = %v, want %d", when, got, st.Hits+st.Misses)
 		}
 	}
 
@@ -78,7 +86,7 @@ func TestRegisterMatchesStats(t *testing.T) {
 
 	// Swap starts a new epoch: both views must read zero lookup counters
 	// and the bumped version, with no re-Register needed.
-	if err := srv.Swap(fixtureFile()); err != nil {
+	if err := rreg.Swap(ruleserver.DefaultTenant, fixtureFile()); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
@@ -91,16 +99,22 @@ func TestRegisterMatchesStats(t *testing.T) {
 	check("new epoch traffic")
 }
 
-// TestRegisterPrometheus smoke-checks that the migrated counters render
-// on the /metrics endpoint acclaim-serve exposes.
+// TestRegisterPrometheus smoke-checks that every tenant's series render
+// on the /metrics endpoint acclaim-serve exposes, each under its own
+// label, latency histogram included.
 func TestRegisterPrometheus(t *testing.T) {
-	srv, err := ruleserver.NewFromFile(fixtureFile())
-	if err != nil {
-		t.Fatal(err)
+	rreg := ruleserver.NewRegistry()
+	other := ruleserver.TenantKey{Cluster: "t0", JobClass: "default", MPIVer: "default"}
+	for _, k := range []ruleserver.TenantKey{ruleserver.DefaultTenant, other} {
+		if err := rreg.Swap(k, fixtureFile()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg := obs.NewRegistry()
-	srv.Register(reg)
-	srv.Lookup(coll.Bcast, 4, 2, 256)
+	rreg.Register(reg)
+	rreg.Lookup(ruleserver.DefaultTenant, coll.Bcast, 4, 2, 256)
+	rreg.Lookup(other, coll.Reduce, 4, 2, 256)
+	rreg.Lookup(other, coll.Gather, 4, 2, 256)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -108,11 +122,18 @@ func TestRegisterPrometheus(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"ruleserver_lookups 1",
-		"ruleserver_hits 1",
-		"ruleserver_misses 0",
-		"ruleserver_snapshot_version 1",
-		"# TYPE ruleserver_lookup_latency_ns histogram",
+		"ruleserver_tenant_default_default_default_lookups 1",
+		"ruleserver_tenant_default_default_default_hits 1",
+		"ruleserver_tenant_default_default_default_misses 0",
+		"ruleserver_tenant_default_default_default_snapshot_version 1",
+		"ruleserver_tenant_default_default_default_tables 2",
+		"ruleserver_tenant_default_default_default_bcast_lookups 1",
+		"# TYPE ruleserver_tenant_default_default_default_lookup_latency_ns histogram",
+		"ruleserver_tenant_t0_default_default_lookups 2",
+		"ruleserver_tenant_t0_default_default_misses 1",
+		"ruleserver_tenant_t0_default_default_gather_misses 1",
+		"ruleserver_tenant_t0_default_default_lookup_latency_ns_count 2",
+		"ruleserver_registry_lookups 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n%s", want, out)
@@ -123,9 +144,9 @@ func TestRegisterPrometheus(t *testing.T) {
 // TestRegisterNilRegistry pins that Register on a nil registry is a
 // no-op rather than a panic.
 func TestRegisterNilRegistry(t *testing.T) {
-	srv, err := ruleserver.NewFromFile(fixtureFile())
-	if err != nil {
+	rreg := ruleserver.NewRegistry()
+	if err := rreg.Swap(ruleserver.DefaultTenant, fixtureFile()); err != nil {
 		t.Fatal(err)
 	}
-	srv.Register(nil)
+	rreg.Register(nil)
 }

@@ -127,10 +127,15 @@ func (r *Registry) Swap(key TenantKey, f *rules.File) error {
 }
 
 // Load reads, validates, compiles, and installs a rule file from disk
-// on key's shard. On any error the shard's current snapshot keeps
-// serving.
+// on key's shard — the reload entry point after an ACCLAiM retuning
+// round rewrites the file. On any error the shard's current snapshot
+// keeps serving, and a tenant that did not exist is not created.
 func (r *Registry) Load(key TenantKey, path string) error {
-	return r.Ensure(key).Load(path)
+	f, err := rules.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("ruleserver: %w", err)
+	}
+	return r.Swap(key, f)
 }
 
 // Lookup resolves one query against key's shard. An unknown tenant is
@@ -190,12 +195,15 @@ func (r *Registry) Stats() RegistryStats {
 	return out
 }
 
-// Register exposes fleet-wide aggregates plus per-tenant labeled
-// counters on a metrics registry. Aggregates follow the live shard
-// table, so tenants added later are included; the per-tenant series
-// are registered for the tenants present at call time (labels are
-// sanitized through obs.MetricLabel). Per-tenant reads follow each
-// shard's atomic snapshot pointer, adding nothing to the lookup path.
+// Register exposes fleet-wide aggregates plus every tenant's series on
+// a metrics registry. Aggregates follow the live shard table, so
+// tenants added later are included; the per-tenant series are
+// registered for the tenants present at call time, each under
+// ruleserver.tenant.<label>. with the key sanitized through
+// obs.MetricLabel: lookups, hits, misses, snapshot_version, tables,
+// rules, swaps_total, lookup_latency_ns and <collective>.lookups /
+// <collective>.misses. Per-tenant reads follow each shard's atomic
+// snapshot pointer, adding nothing to the lookup path.
 func (r *Registry) Register(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -204,21 +212,8 @@ func (r *Registry) Register(reg *obs.Registry) {
 	reg.Func("ruleserver.registry.lookups", func() float64 { return float64(r.Stats().Lookups) })
 	reg.Func("ruleserver.registry.misses", func() float64 { return float64(r.Stats().Misses) })
 	reg.Func("ruleserver.registry.swaps_total", func() float64 { return float64(r.Stats().Swaps) })
-	for _, k := range r.Tenants() {
-		srv, _ := r.Tenant(k)
-		label := obs.MetricLabel(k.String())
-		//acclaim:allow metricname per-tenant counter ruleserver.tenant.<label>.lookups; label is the sanitized tenant key, fixed at registration
-		reg.Func("ruleserver.tenant."+label+".lookups", func() float64 {
-			st := srv.Stats()
-			return float64(st.Hits + st.Misses)
-		})
-		//acclaim:allow metricname per-tenant counter ruleserver.tenant.<label>.misses; label is the sanitized tenant key, fixed at registration
-		reg.Func("ruleserver.tenant."+label+".misses", func() float64 {
-			return float64(srv.Stats().Misses)
-		})
-		//acclaim:allow metricname per-tenant gauge ruleserver.tenant.<label>.snapshot_version; label is the sanitized tenant key, fixed at registration
-		reg.Func("ruleserver.tenant."+label+".snapshot_version", func() float64 {
-			return float64(srv.Stats().Version)
-		})
+	tab := r.tab.Load()
+	for _, k := range tab.keys {
+		tab.shards[k].register(reg, "ruleserver.tenant."+obs.MetricLabel(k.String())+".")
 	}
 }

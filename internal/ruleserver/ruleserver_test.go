@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,12 +48,29 @@ func fixtureFile() *rules.File {
 	return f
 }
 
+// serverOf installs f on the default tenant of a fresh registry and
+// returns that tenant's shard.
+func serverOf(tb testing.TB, f *rules.File) *ruleserver.Server {
+	tb.Helper()
+	srv := ruleserver.NewRegistry().Ensure(ruleserver.DefaultTenant)
+	if err := srv.Swap(f); err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
 // diffTable asserts the index answers byte-identically to the nested
-// table walk for the given query, including agreeing on misses.
+// table walk for the given query, including agreeing on misses. It
+// queries Index.Lookup, the path every server lookup takes, with the
+// table's collective parsed from its name.
 func diffTable(t *testing.T, ix *ruleserver.Index, tab *rules.Table, nodes, ppn, msg int) {
 	t.Helper()
+	c, err := coll.ParseCollective(tab.Collective)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, wantErr := tab.Select(nodes, ppn, msg)
-	got, ok := ix.LookupName(tab.Collective, nodes, ppn, msg)
+	got, ok := ix.Lookup(c, nodes, ppn, msg)
 	if wantErr != nil {
 		if ok {
 			t.Fatalf("(%d,%d,%d): index hit %q where table errors: %v", nodes, ppn, msg, got, wantErr)
@@ -85,29 +103,26 @@ func TestIndexMatchesFixture(t *testing.T) {
 	if n := ix.NumRules(); n != 7 {
 		t.Errorf("NumRules = %d, want 7", n)
 	}
-	if got := len(ix.Tables()); got != 2 {
-		t.Errorf("Tables = %d, want 2", got)
-	}
 }
 
-func TestIndexEnumAndNameAgree(t *testing.T) {
+// TestIndexLookupMisses pins the only ways Index.Lookup misses: a
+// collective with no table, and a Collective value out of the enum's
+// range on either side, which must never index the table array.
+func TestIndexLookupMisses(t *testing.T) {
 	ix, err := ruleserver.Compile(fixtureFile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byEnum, ok1 := ix.Lookup(coll.Bcast, 16, 8, 100)
-	byName, ok2 := ix.LookupName("bcast", 16, 8, 100)
-	if !ok1 || !ok2 || byEnum != byName {
-		t.Fatalf("enum path (%q,%v) != name path (%q,%v)", byEnum, ok1, byName, ok2)
+	if alg, ok := ix.Lookup(coll.Bcast, 16, 8, 100); !ok || alg != "scatter_recursive_doubling_allgather" {
+		t.Fatalf("bcast = (%q, %v)", alg, ok)
 	}
 	if _, ok := ix.Lookup(coll.Allgather, 2, 1, 8); ok {
 		t.Error("hit for a collective with no table")
 	}
-	if _, ok := ix.Lookup(coll.Collective(-1), 2, 1, 8); ok {
-		t.Error("hit for out-of-range collective")
-	}
-	if _, ok := ix.LookupName("alltoall", 2, 1, 8); ok {
-		t.Error("hit for unknown table name")
+	for _, c := range []coll.Collective{-1, coll.Collective(coll.NumCollectives)} {
+		if _, ok := ix.Lookup(c, 2, 1, 8); ok {
+			t.Errorf("hit for out-of-range collective %d", int(c))
+		}
 	}
 }
 
@@ -149,6 +164,33 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsNonCollectiveTable pins that a table named after no
+// collective is an error naming it: no lookup could ever reach it, so
+// accepting it would hide a typo. Every rule file the repository ships
+// names its tables after collectives and still compiles.
+func TestCompileRejectsNonCollectiveTable(t *testing.T) {
+	f := fixtureFile()
+	f.Tables["bcats"] = f.Tables["bcast"]
+	_, err := ruleserver.Compile(f)
+	if err == nil || !strings.Contains(err.Error(), `"bcats"`) {
+		t.Fatalf("Compile = %v, want an error naming table \"bcats\"", err)
+	}
+
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "rules", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no rule fixtures found: %v", err)
+	}
+	for _, path := range paths {
+		f, err := rules.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ruleserver.Compile(f); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
 func TestServerSwapAndStats(t *testing.T) {
 	srv := ruleserver.NewRegistry().Ensure(ruleserver.DefaultTenant)
 	if _, ok := srv.Lookup(coll.Bcast, 4, 2, 64); ok {
@@ -166,12 +208,18 @@ func TestServerSwapAndStats(t *testing.T) {
 	if _, ok := srv.Lookup(coll.Allgather, 4, 2, 64); ok {
 		t.Fatal("hit for untuned collective")
 	}
+	// Out-of-range values are counted misses under no collective.
+	for _, c := range []coll.Collective{-1, coll.Collective(coll.NumCollectives)} {
+		if _, ok := srv.Lookup(c, 4, 2, 64); ok {
+			t.Fatalf("hit for out-of-range collective %d", int(c))
+		}
+	}
 	st := srv.Stats()
 	if st.Version != 1 || st.Swaps != 1 {
 		t.Errorf("version/swaps = %d/%d, want 1/1", st.Version, st.Swaps)
 	}
-	if st.Hits != 512 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 512/1", st.Hits, st.Misses)
+	if st.Hits != 512 || st.Misses != 3 {
+		t.Errorf("hits/misses = %d/%d, want 512/3", st.Hits, st.Misses)
 	}
 	if st.Tables != 2 || st.Rules != 7 {
 		t.Errorf("tables/rules = %d/%d, want 2/7", st.Tables, st.Rules)
@@ -209,20 +257,40 @@ func TestServerSwapAndStats(t *testing.T) {
 	}
 }
 
+// TestServerLoadFromDisk checks the shard a disk load lands on: a
+// failed first load creates no shard, a good one publishes version 1,
+// and a failed reload leaves that snapshot serving.
 func TestServerLoadFromDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tuned.json")
 	if err := fixtureFile().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	srv := ruleserver.NewRegistry().Ensure(ruleserver.DefaultTenant)
-	if err := srv.Load(path); err != nil {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	reg := ruleserver.NewRegistry()
+	if err := reg.Load(ruleserver.DefaultTenant, missing); err == nil {
+		t.Fatal("missing file accepted")
+	}
+	if _, ok := reg.Tenant(ruleserver.DefaultTenant); ok || reg.Len() != 0 {
+		t.Fatalf("failed Load created a tenant: %v", reg.Tenants())
+	}
+	if err := reg.Load(ruleserver.DefaultTenant, path); err != nil {
 		t.Fatal(err)
+	}
+	srv, ok := reg.Tenant(ruleserver.DefaultTenant)
+	if !ok {
+		t.Fatal("Load created no tenant")
 	}
 	if alg, ok := srv.Lookup(coll.Reduce, 32, 16, 1<<20); !ok || alg != "scatter_gather" {
 		t.Fatalf("Lookup after Load = %q, %v", alg, ok)
 	}
-	if err := srv.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if err := reg.Load(ruleserver.DefaultTenant, missing); err == nil {
 		t.Error("missing file accepted")
+	}
+	if alg, ok := srv.Lookup(coll.Reduce, 32, 16, 1<<20); !ok || alg != "scatter_gather" {
+		t.Fatalf("Lookup after failed reload = %q, %v", alg, ok)
+	}
+	if v := srv.Stats().Version; v != 1 {
+		t.Errorf("version after failed reload = %d, want 1", v)
 	}
 }
 
@@ -231,10 +299,7 @@ func TestServerLoadFromDisk(t *testing.T) {
 // deterministic, so this is a hard tier-1 gate, stronger than the
 // benchguard baseline.
 func TestLookupZeroAlloc(t *testing.T) {
-	srv, err := ruleserver.NewFromFile(fixtureFile())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serverOf(t, fixtureFile())
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := srv.Lookup(coll.Bcast, 16, 8, 4096); !ok {
 			t.Fatal("lookup missed")
@@ -242,14 +307,6 @@ func TestLookupZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Lookup allocates %.1f objects per call, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		if _, ok := srv.LookupName("reduce", 16, 8, 4096); !ok {
-			t.Fatal("lookup missed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("LookupName allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
@@ -279,10 +336,7 @@ func TestConcurrentSwap(t *testing.T) {
 		}
 	}
 
-	srv, err := ruleserver.NewFromFile(fileA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serverOf(t, fileA)
 
 	swaps := 400
 	readers := 8

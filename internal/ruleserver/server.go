@@ -1,7 +1,6 @@
 package ruleserver
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,16 +19,18 @@ type collCounters struct {
 	_       [48]byte    // pad to 64 bytes
 }
 
-// nameSlot is the perColl index that aggregates LookupName traffic
-// (string-keyed callers) and out-of-range enum values.
-const nameSlot = coll.NumCollectives
+// straySlot is the perColl index for out-of-range Collective values:
+// such a lookup misses without indexing the table array, and is
+// counted here so the snapshot totals stay exact. It is listed under
+// no collective's name.
+const straySlot = coll.NumCollectives
 
 // snapshot is one published generation of the index plus its
 // observability counters — obs primitives since the registry
 // migration, but still owned by the snapshot, not the server (and not
 // the registry): a hot-swap starts a fresh ledger, and the stats of
 // the generation that served a query are the stats that count it. The
-// registry sees them through Register's read-on-demand func metrics,
+// registry sees them through Registry.Register's read-on-demand func metrics,
 // which follow the atomic snapshot pointer, so registry reads always
 // reflect the current epoch without adding anything to the lock-free
 // lookup path.
@@ -51,7 +52,7 @@ type snapshot struct {
 	loadedAt time.Time
 
 	// perColl[c] counts traffic per Collective enum value; the final
-	// nameSlot aggregates LookupName traffic.
+	// straySlot counts out-of-range values.
 	perColl [coll.NumCollectives + 1]collCounters
 	lat     *obs.HDRRecorder // one latency sample (ns) per lookup, sharded to spread write contention
 }
@@ -61,10 +62,10 @@ func newSnapshot(idx *Index, version uint64) *snapshot {
 }
 
 // slot maps a Collective to its perColl index, folding out-of-range
-// values into nameSlot.
+// values into straySlot.
 func slot(c coll.Collective) int {
 	if c < 0 || int(c) >= coll.NumCollectives {
-		return nameSlot
+		return straySlot
 	}
 	return int(c)
 }
@@ -98,8 +99,8 @@ func (sn *snapshot) totals() (lookups, misses uint64) {
 // lock-free: a lookup is one atomic pointer load, one atomic counter
 // add, and binary searches over the immutable snapshot, so any number
 // of ranks can query concurrently while a writer installs a retuned
-// rule file. The zero value is not usable; call NewFromFile, or get a
-// shard from Registry.Ensure.
+// rule file. A Server is one Registry shard: get it from
+// Registry.Ensure or Registry.Tenant; the zero value is not usable.
 type Server struct {
 	cur atomic.Pointer[snapshot]
 
@@ -115,26 +116,6 @@ func newServer() *Server {
 	s := &Server{}
 	s.cur.Store(newSnapshot(&Index{}, 0))
 	return s
-}
-
-// NewFromFile compiles and installs a rule file.
-func NewFromFile(f *rules.File) (*Server, error) {
-	s := newServer()
-	if err := s.Swap(f); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Load reads, validates, compiles, and installs a rule file from disk —
-// the reload entry point after an ACCLAiM retuning round rewrites the
-// file. On any error the currently installed snapshot keeps serving.
-func (s *Server) Load(path string) error {
-	f, err := rules.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("ruleserver: %w", err)
-	}
-	return s.Swap(f)
 }
 
 // Swap compiles the file and atomically publishes it. In-flight lookups
@@ -171,25 +152,6 @@ func (s *Server) Lookup(c coll.Collective, nodes, ppn, msg int) (string, bool) {
 	return alg, ok
 }
 
-// LookupName resolves by table name (for rule tables that are not named
-// after a known collective, or callers holding only strings). Traffic
-// lands in the aggregate nameSlot ledger; latency is recorded exactly
-// like Lookup.
-//
-//acclaim:zeroalloc
-func (s *Server) LookupName(collective string, nodes, ppn, msg int) (string, bool) {
-	sn := s.cur.Load()
-	pc := &sn.perColl[nameSlot]
-	pc.lookups.Add(1)
-	t0 := obs.NowNs()
-	alg, ok := sn.idx.LookupName(collective, nodes, ppn, msg)
-	sn.lat.Record(t0, obs.NowNs()-t0)
-	if !ok {
-		pc.misses.Add(1)
-	}
-	return alg, ok
-}
-
 // Index returns the currently published index (for bulk operations that
 // want to pin one generation across many lookups).
 func (s *Server) Index() *Index { return s.cur.Load().idx }
@@ -197,7 +159,7 @@ func (s *Server) Index() *Index { return s.cur.Load().idx }
 // CollStats is one collective's share of the serving snapshot's
 // traffic.
 type CollStats struct {
-	Collective string // collective name, or "by_name" for LookupName traffic
+	Collective string // collective name
 	Lookups    uint64 // lookups routed to this collective
 	Misses     uint64 // of those, lookups with no matching rule
 }
@@ -220,84 +182,73 @@ type Stats struct {
 	P50, P99, P999 time.Duration
 
 	// PerCollective lists the collectives that saw traffic, in enum
-	// order, with LookupName traffic aggregated last under "by_name".
+	// order. Lookups of an out-of-range Collective value count in Misses
+	// but under no collective.
 	PerCollective []CollStats
 }
 
-// Stats reads the current snapshot's counters. Since the obs
-// migration this is a thin view over the same obs state Register
-// exposes to a metrics registry.
+// Stats reads the current snapshot's counters: the same obs state
+// Registry.Register exposes to a metrics registry.
 func (s *Server) Stats() Stats {
 	sn := s.cur.Load()
 	lat := sn.lat.Snapshot()
+	lookups, misses := sn.totals()
 	st := Stats{
 		Version:  sn.version,
 		LoadedAt: sn.loadedAt,
-		Tables:   len(sn.idx.byName),
+		Tables:   sn.idx.numTables(),
 		Rules:    sn.idx.rules,
+		Hits:     lookups - misses,
+		Misses:   misses,
 		Swaps:    s.swaps.Load(),
 		P50:      time.Duration(lat.P50),
 		P99:      time.Duration(lat.P99),
 		P999:     time.Duration(lat.P999),
 	}
-	for i := range sn.perColl {
-		lookups := sn.perColl[i].lookups.Load()
-		misses := sn.perColl[i].misses.Load()
-		if lookups == 0 && misses == 0 {
-			continue
+	for i := range coll.NumCollectives {
+		pc := &sn.perColl[i]
+		if n := pc.lookups.Load(); n > 0 {
+			st.PerCollective = append(st.PerCollective, CollStats{Collective: coll.Collective(i).String(), Lookups: n, Misses: pc.misses.Load()})
 		}
-		name := "by_name"
-		if i < coll.NumCollectives {
-			name = coll.Collective(i).String()
-		}
-		st.PerCollective = append(st.PerCollective, CollStats{Collective: name, Lookups: lookups, Misses: misses})
-		st.Hits += lookups - misses
-		st.Misses += misses
 	}
 	return st
 }
 
-// Register exposes the server's counters on a metrics registry as
-// read-on-demand metrics. Every read follows the atomic snapshot
-// pointer, so the values always describe the currently serving epoch
-// (they reset on Swap, exactly like Stats) and nothing is added to the
-// lock-free lookup path. The server-lifetime swap counter is the one
-// cumulative metric.
-func (s *Server) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
+// register exposes the shard's counters on a metrics registry, each
+// name under prefix, as read-on-demand metrics. Every read follows the
+// atomic snapshot pointer, so the values always describe the currently
+// serving epoch (they reset on Swap, exactly like Stats) and nothing is
+// added to the lock-free lookup path. The shard-lifetime swap counter
+// is the one cumulative metric.
+func (s *Server) register(reg *obs.Registry, prefix string) {
+	totals := func() (lookups, misses uint64) { return s.cur.Load().totals() }
+	for _, m := range []struct {
+		name string
+		read func() float64
+	}{
+		{"lookups", func() float64 { n, _ := totals(); return float64(n) }},
+		{"hits", func() float64 { n, miss := totals(); return float64(n - miss) }},
+		{"misses", func() float64 { _, miss := totals(); return float64(miss) }},
+		{"snapshot_version", func() float64 { return float64(s.cur.Load().version) }},
+		{"tables", func() float64 { return float64(s.cur.Load().idx.numTables()) }},
+		{"rules", func() float64 { return float64(s.cur.Load().idx.rules) }},
+		{"swaps_total", func() float64 { return float64(s.swaps.Load()) }},
+	} {
+		//acclaim:allow metricname <prefix><name>: prefix is ruleserver.tenant.<sanitized tenant key>., names are the fixed lower_snake literals above
+		reg.Func(prefix+m.name, m.read)
 	}
-	reg.Func("ruleserver.lookups", func() float64 {
-		lookups, _ := s.cur.Load().totals()
-		return float64(lookups)
-	})
-	reg.Func("ruleserver.hits", func() float64 {
-		lookups, misses := s.cur.Load().totals()
-		return float64(lookups - misses)
-	})
-	reg.Func("ruleserver.misses", func() float64 {
-		_, misses := s.cur.Load().totals()
-		return float64(misses)
-	})
-	reg.Func("ruleserver.snapshot_version", func() float64 { return float64(s.cur.Load().version) })
-	reg.Func("ruleserver.tables", func() float64 { return float64(len(s.cur.Load().idx.byName)) })
-	reg.Func("ruleserver.rules", func() float64 { return float64(s.cur.Load().idx.rules) })
-	reg.Func("ruleserver.swaps_total", func() float64 { return float64(s.swaps.Load()) })
-	reg.Describe("ruleserver.lookup_latency_ns", "lookup latency, one sample per lookup the serving snapshot answered: in-process lookups timed one by one, wire lookups as their frame's service time shared evenly over its lookups")
-	reg.HDRFunc("ruleserver.lookup_latency_ns", func() *obs.HDRRecorder { return s.cur.Load().lat })
-	for i := 0; i <= coll.NumCollectives; i++ {
-		slot := i
-		name := "by_name"
-		if i < coll.NumCollectives {
-			name = coll.Collective(i).String()
-		}
-		//acclaim:allow metricname per-collective counter ruleserver.<collective>.lookups; segments are fixed lower-case enum names (or by_name)
-		reg.Func("ruleserver."+name+".lookups", func() float64 {
-			return float64(s.cur.Load().perColl[slot].lookups.Load())
+	reg.Describe(prefix+"lookup_latency_ns", "lookup latency, one sample per lookup the serving snapshot answered: in-process lookups timed one by one, wire lookups as their frame's service time shared evenly over its lookups")
+	//acclaim:allow metricname <prefix>lookup_latency_ns: prefix is ruleserver.tenant.<sanitized tenant key>.
+	reg.HDRFunc(prefix+"lookup_latency_ns", func() *obs.HDRRecorder { return s.cur.Load().lat })
+	for _, c := range coll.Collectives() {
+		pc := int(c)
+		//acclaim:allow metricname per-collective counter <prefix><collective>.lookups; the collective segment is a fixed lower-case enum name
+		reg.Func(prefix+c.String()+".lookups", func() float64 {
+			return float64(s.cur.Load().perColl[pc].lookups.Load())
 		})
-		//acclaim:allow metricname per-collective counter ruleserver.<collective>.misses; segments are fixed lower-case enum names (or by_name)
-		reg.Func("ruleserver."+name+".misses", func() float64 {
-			return float64(s.cur.Load().perColl[slot].misses.Load())
+		//acclaim:allow metricname per-collective counter <prefix><collective>.misses; the collective segment is a fixed lower-case enum name
+		reg.Func(prefix+c.String()+".misses", func() float64 {
+			return float64(s.cur.Load().perColl[pc].misses.Load())
 		})
 	}
 }

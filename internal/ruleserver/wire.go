@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 
 	"acclaim/internal/coll"
 	"acclaim/internal/obs"
@@ -779,15 +778,3 @@ func (c *WireClient) Lookup(q WireQuery) (string, bool, error) {
 
 // Close closes the underlying connection.
 func (c *WireClient) Close() error { return c.conn.Close() }
-
-// wireAddrName renders a dial address for report labels.
-func wireAddrName(addr string) string {
-	if strings.Contains(addr, "://") {
-		return addr
-	}
-	return "tcp://" + addr
-}
-
-// WireTargetName is the loadgen report label for a wire target at
-// addr.
-func WireTargetName(addr string) string { return wireAddrName(addr) }

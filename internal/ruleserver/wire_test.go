@@ -299,15 +299,6 @@ func TestWireServeListener(t *testing.T) {
 	}
 }
 
-func TestWireTargetName(t *testing.T) {
-	if got := ruleserver.WireTargetName("127.0.0.1:9090"); got != "tcp://127.0.0.1:9090" {
-		t.Fatalf("WireTargetName = %q", got)
-	}
-	if got := ruleserver.WireTargetName("unix:///tmp/a.sock"); got != "unix:///tmp/a.sock" {
-		t.Fatalf("WireTargetName with scheme = %q", got)
-	}
-}
-
 // TestWireServerRegister checks the wire.* transport metrics: one
 // handshaken connection serving one batch, then a second connection
 // dropped on a protocol error.
