@@ -33,7 +33,7 @@ var (
 func benchLab(b *testing.B) *experiments.Lab {
 	b.Helper()
 	labOnce.Do(func() {
-		lab, labErr = experiments.NewLab(experiments.TinySpace(), "", 77)
+		lab, labErr = experiments.NewLab(experiments.TinySpace(), 77)
 	})
 	if labErr != nil {
 		b.Fatal(labErr)

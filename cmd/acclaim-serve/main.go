@@ -218,11 +218,15 @@ func main() {
 // the default tenant, then every -tenant in flag order. A tenant key
 // given twice is an error naming it, since both files would otherwise
 // load into one shard and the later would silently replace the earlier.
+// So are two keys that obs.MetricLabel maps to one label (a/b/c and
+// A/b/c): their /metrics series share names, and the later tenant's
+// would silently be missing.
 func withRules(rulesPath string, tenants tenantList) (tenantList, error) {
 	if rulesPath != "" {
 		tenants = append(tenantList{{key: ruleserver.DefaultTenant, path: rulesPath}}, tenants...)
 	}
 	seen := make(map[ruleserver.TenantKey]bool, len(tenants))
+	labels := make(map[string]ruleserver.TenantKey, len(tenants))
 	for _, t := range tenants {
 		if seen[t.key] {
 			if t.key == ruleserver.DefaultTenant && rulesPath != "" {
@@ -231,6 +235,11 @@ func withRules(rulesPath string, tenants tenantList) (tenantList, error) {
 			return nil, fmt.Errorf("tenant %s given twice", t.key)
 		}
 		seen[t.key] = true
+		label := obs.MetricLabel(t.key.String())
+		if prev, ok := labels[label]; ok {
+			return nil, fmt.Errorf("tenants %s and %s share the metric label %s", prev, t.key, label)
+		}
+		labels[label] = t.key
 	}
 	return tenants, nil
 }

@@ -93,6 +93,9 @@ func TestWithRules(t *testing.T) {
 		{name: "rules first", rules: "r.json", tenants: tenantList{a}, want: tenantList{rulesDefault, a}},
 		{name: "repeated tenant", tenants: tenantList{a, x, a2}, wantError: "tenant a/b/c given twice"},
 		{name: "rules and default tenant", rules: "r.json", tenants: tenantList{def}, wantError: "tenant default/default/default given twice"},
+		{name: "shared metric label", tenants: tenantList{a, x, tenant("A/b/c=upper.json")}, wantError: "tenants a/b/c and A/b/c share the metric label a_b_c"},
+		{name: "shared label with default", rules: "r.json", tenants: tenantList{tenant("Default/default/default=d.json")},
+			wantError: "tenants default/default/default and Default/default/default share the metric label default_default_default"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := withRules(tc.rules, tc.tenants)

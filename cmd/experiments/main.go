@@ -4,16 +4,16 @@
 //
 // Usage:
 //
-//	experiments [-fig N|all] [-space tiny|sim] [-cache path] [-seed N]
-//	            [-nodes N] [-ppn N]
+//	experiments [-fig N|all] [-space tiny|sim] [-seed N] [-nodes N] [-ppn N]
 //
 // -space sim uses the full paper-scale grid (64 nodes, 1 MiB messages);
-// collecting its replay dataset takes a few minutes of CPU the first
-// time, so -cache is recommended. -nodes/-ppn scale the Figure 14
-// production run (paper: 128 nodes, 16 ppn).
+// every run collects its replay dataset afresh, which takes about 12 s
+// on 2 cores for that grid. -nodes/-ppn scale the Figure 14 production
+// run (paper: 128 nodes, 16 ppn).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,21 +33,32 @@ import (
 var figures = []int{3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15}
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if ue, ok := err.(usageError); ok {
+		if errors.Is(ue.error, flag.ErrHelp) {
+			return
+		}
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
+// usageError is a command line the flag set rejected. The flag package
+// has already printed it with the usage, so main only exits, as
+// flag.ExitOnError would: 0 for -h, 2 otherwise.
+type usageError struct{ error }
+
 // run is the whole command: the figure tables go to stdout, progress
 // and timing lines to stderr.
 func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		fig   = fs.String("fig", "all", "figure to regenerate (3,4,5,6,7,9,10,11,12,13,14,15 or 'all')")
 		space = fs.String("space", "tiny", "testbed grid: 'tiny' or 'sim' (paper-scale)")
-		cache = fs.String("cache", "", "dataset cache path (used with -space sim)")
 		seed  = fs.Int64("seed", 42, "experiment seed")
 		nodes = fs.Int("nodes", 32, "production node count for figure 14 (paper: 128)")
 		ppn   = fs.Int("ppn", 4, "production max ppn for figure 14 (paper: 16)")
@@ -59,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		msg         = fs.Int("msg", 4096, "message size in bytes for -matrix")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 
 	if *matrix {
@@ -105,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		start := time.Now()
 		fmt.Fprintf(stderr, "building testbed (%d grid points)...\n", grid.Size())
 		var err error
-		lab, err = experiments.NewLab(grid, *cache, *seed)
+		lab, err = experiments.NewLab(grid, *seed)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -73,6 +74,35 @@ func TestFigFlagRejectsUnknownFigure(t *testing.T) {
 			}
 			if out.Len() != 0 || errOut.Len() != 0 {
 				t.Errorf("run(-fig %s) wrote output before failing:\n%s%s", tc.fig, out.String(), errOut.String())
+			}
+		})
+	}
+}
+
+// TestRunRejectsBadFlags pins that a command line the flag set rejects
+// comes back from run as a usageError (main exits 2, or 0 for -h)
+// instead of exiting the process from inside run. -cache is not a
+// flag: every testbed collects its dataset.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		wantError string
+	}{
+		{args: []string{"-cache", "x"}, wantError: "flag provided but not defined: -cache"},
+		{args: []string{"-h"}, wantError: flag.ErrHelp.Error()},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			err := run(tc.args, &out, &errOut)
+			var ue usageError
+			if !errors.As(err, &ue) || !strings.Contains(err.Error(), tc.wantError) {
+				t.Fatalf("run(%q) = %v, want a usageError containing %q", tc.args, err, tc.wantError)
+			}
+			if help := tc.args[0] == "-h"; errors.Is(ue.error, flag.ErrHelp) != help {
+				t.Errorf("run(%q): usageError %v, want flag.ErrHelp only for -h, which exits 0", tc.args, ue.error)
+			}
+			if out.Len() != 0 || !strings.Contains(errOut.String(), "Usage of experiments") {
+				t.Errorf("run(%q): stdout %q, stderr %q; want only the usage on stderr", tc.args, out.String(), errOut.String())
 			}
 		})
 	}

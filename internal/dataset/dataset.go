@@ -1,8 +1,8 @@
 // Package dataset manages precollected benchmark data. The paper's
 // simulated experiments (its Figure 1(a) methodology) replay an
 // exhaustively benchmarked dataset instead of touching the machine;
-// this package collects such datasets from the simulator, persists
-// them, answers lookups, and exposes a Replay backend that serves
+// this package collects such datasets from the simulator, answers
+// lookups, and exposes a Replay backend that serves
 // autotuners "benchmark results" from the table while charging the
 // recorded machine time — including topology-aware parallel replay for
 // the Figure 13 study — and, when given a live runner, simulates the
@@ -10,10 +10,8 @@
 package dataset
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -59,13 +57,6 @@ func (d *Dataset) Lookup(k Key) (Entry, bool) {
 
 // Put stores an entry.
 func (d *Dataset) Put(k Key, e Entry) { d.Entries[k] = e }
-
-// Merge copies every entry of other into d, overwriting duplicates.
-func (d *Dataset) Merge(other *Dataset) {
-	for k, e := range other.Entries {
-		d.Entries[k] = e
-	}
-}
 
 // Points returns the distinct feature points present for a collective,
 // in deterministic order.
@@ -114,9 +105,8 @@ func (d *Dataset) TimeOf(c coll.Collective, alg string, p featspace.Point) (floa
 
 // CollectOptions configures exhaustive collection.
 type CollectOptions struct {
-	Collectives []coll.Collective     // default: all four
-	Workers     int                   // parallel simulator workers (default: NumCPU)
-	Progress    func(done, total int) // optional progress callback
+	Collectives []coll.Collective // default: all four
+	Workers     int               // parallel simulator workers (default: NumCPU)
 }
 
 // Collect benchmarks every (collective, algorithm, point) combination on
@@ -152,7 +142,6 @@ func Collect(r *benchmark.Runner, points []featspace.Point, opts CollectOptions)
 	d := New()
 	var (
 		mu     sync.Mutex
-		done   int
 		next   atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
@@ -179,10 +168,6 @@ func Collect(r *benchmark.Runner, points []featspace.Point, opts CollectOptions)
 				mu.Lock()
 				d.Put(Key{Coll: s.Coll, Alg: s.Alg, Point: s.Point},
 					Entry{MeanTime: m.MeanTime, WallTime: m.WallTime})
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(specs))
-				}
 				mu.Unlock()
 			}
 		}()
@@ -192,33 +177,6 @@ func Collect(r *benchmark.Runner, points []featspace.Point, opts CollectOptions)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return d, nil
-}
-
-// Save writes the dataset to path with encoding/gob.
-func (d *Dataset) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(d.Entries); err != nil {
-		return fmt.Errorf("dataset: encode: %w", err)
-	}
-	return nil
-}
-
-// Load reads a dataset written by Save.
-func Load(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d := New()
-	if err := gob.NewDecoder(f).Decode(&d.Entries); err != nil {
-		return nil, fmt.Errorf("dataset: decode: %w", err)
 	}
 	return d, nil
 }

@@ -3,9 +3,9 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -17,6 +17,7 @@ import (
 	"acclaim/internal/coll"
 	"acclaim/internal/featspace"
 	"acclaim/internal/netmodel"
+	"acclaim/internal/obs"
 )
 
 func tinySpace() featspace.Space {
@@ -106,49 +107,6 @@ func TestBestAndTimeOf(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d := collectTiny(t)
-	path := filepath.Join(t.TempDir(), "ds.gob")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != d.Len() {
-		t.Fatalf("loaded %d entries, want %d", d2.Len(), d.Len())
-	}
-	for k, e := range d.Entries {
-		if e2, ok := d2.Lookup(k); !ok || e2 != e {
-			t.Fatalf("entry %v lost in round trip", k)
-		}
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.gob")); err == nil {
-		t.Error("loading a missing file should fail")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := New()
-	b := New()
-	k1 := Key{Coll: coll.Bcast, Alg: "binomial", Point: featspace.Point{Nodes: 2, PPN: 1, MsgBytes: 8}}
-	k2 := Key{Coll: coll.Bcast, Alg: "binomial", Point: featspace.Point{Nodes: 4, PPN: 1, MsgBytes: 8}}
-	a.Put(k1, Entry{MeanTime: 1})
-	b.Put(k1, Entry{MeanTime: 2})
-	b.Put(k2, Entry{MeanTime: 3})
-	a.Merge(b)
-	if e, _ := a.Lookup(k1); e.MeanTime != 2 {
-		t.Error("Merge did not overwrite")
-	}
-	if a.Len() != 2 {
-		t.Errorf("merged length = %d", a.Len())
-	}
-}
-
 func TestReplayMeasure(t *testing.T) {
 	d := collectTiny(t)
 	rp := &Replay{DS: d, Alloc: cluster.TopologyTwoPairs()}
@@ -224,32 +182,13 @@ func TestNonP2PointGenerators(t *testing.T) {
 	}
 }
 
-func TestCollectProgress(t *testing.T) {
-	alloc := cluster.TopologyTwoPairs()
-	r, _ := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, benchmark.Config{})
-	var calls int
-	var last int
-	pts := []featspace.Point{{Nodes: 2, PPN: 1, MsgBytes: 8}, {Nodes: 2, PPN: 1, MsgBytes: 16}}
-	_, err := Collect(r, pts, CollectOptions{
-		Collectives: []coll.Collective{coll.Bcast},
-		Workers:     1,
-		Progress:    func(done, total int) { calls++; last = total },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTotal := coll.NumAlgorithms(coll.Bcast) * 2
-	if calls != wantTotal || last != wantTotal {
-		t.Errorf("progress calls=%d last total=%d, want %d", calls, last, wantTotal)
-	}
-}
-
 // TestCollectStopsAtFirstFailure holds Collect's failure path: two
 // points whose PPN exceeds the machine's cores per node pass
 // Point.Valid but fail in netmodel. The sweep must stop handing out
-// specs once one fails, so Progress sees fewer than all of them, and
-// return the error of the failing spec with the lowest index at every
-// worker count.
+// specs once one fails, so the runner's benchmark.runs_total counter,
+// which counts successful measurements, stops short of every spec that
+// succeeds, and return the error of the failing spec with the lowest
+// index at every worker count.
 func TestCollectStopsAtFirstFailure(t *testing.T) {
 	alloc := cluster.TopologyTwoPairs()
 	r, err := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc, benchmark.Config{Seed: 5})
@@ -263,17 +202,16 @@ func TestCollectStopsAtFirstFailure(t *testing.T) {
 	}
 	pts[3].PPN = cores + 1
 	pts[7].PPN = cores + 2
-	failing := 0 // every (collective, algorithm) fails at both points
+	total, failing := 0, 0
 	for _, c := range coll.Collectives() {
-		failing += 2 * coll.NumAlgorithms(c)
+		total += len(pts) * coll.NumAlgorithms(c)
+		failing += 2 * coll.NumAlgorithms(c) // every algorithm fails at both points
 	}
 	var want string
 	for _, workers := range []int{1, 2, 4} {
-		total, seen := 0, 0
-		_, err := Collect(r, pts, CollectOptions{
-			Workers:  workers,
-			Progress: func(done, n int) { seen, total = max(seen, done), n },
-		})
+		met := benchmark.NewMetrics(obs.NewRegistry())
+		r.Metrics = met
+		_, err := Collect(r, pts, CollectOptions{Workers: workers})
 		if err == nil {
 			t.Fatalf("Workers=%d: no error for ppn %d > %d cores", workers, cores+1, cores)
 		}
@@ -285,8 +223,8 @@ func TestCollectStopsAtFirstFailure(t *testing.T) {
 		} else if err.Error() != want {
 			t.Errorf("Workers=%d: error %q, Workers=1 returned %q", workers, err, want)
 		}
-		if total == 0 || seen >= total-failing {
-			t.Errorf("Workers=%d: progress reached %d of the %d specs that succeed; the sweep went on after a failure",
+		if seen := met.Runs.Load(); seen >= uint64(total-failing) {
+			t.Errorf("Workers=%d: %d of the %d specs that succeed were measured; the sweep went on after a failure",
 				workers, seen, total-failing)
 		}
 	}
@@ -330,7 +268,7 @@ func TestReplayLiveFallback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := map[benchmark.Spec]benchmark.Measurement{hit: {Spec: hit, MeanTime: doctored.MeanTime, WallTime: doctored.WallTime}}
 			full := New() // d plus every miss, as a strict replay's table
-			full.Merge(d)
+			maps.Copy(full.Entries, d.Entries)
 			for _, s := range tc.specs {
 				if s == hit {
 					continue

@@ -20,7 +20,7 @@ func tinyLab(t testing.TB) *Lab {
 	if tinyLabCache != nil {
 		return tinyLabCache
 	}
-	l, err := NewLab(TinySpace(), "", 77)
+	l, err := NewLab(TinySpace(), 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,21 +43,6 @@ func TestNewLabCollectsEverything(t *testing.T) {
 		if _, _, ok := l.DS.Best(coll.Bcast, p); !ok {
 			t.Fatalf("non-P2 msg point %v missing from dataset", p)
 		}
-	}
-}
-
-func TestLabCache(t *testing.T) {
-	path := t.TempDir() + "/lab.gob"
-	l1, err := NewLab(TinySpace(), path, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := NewLab(TinySpace(), path, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1.DS.Len() != l2.DS.Len() {
-		t.Error("cache round trip changed the dataset")
 	}
 }
 

@@ -11,9 +11,7 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
 
 	"acclaim/internal/autotune"
 	"acclaim/internal/benchmark"
@@ -58,11 +56,11 @@ func TinySpace() featspace.Space {
 	}
 }
 
-// NewLab builds a testbed over the grid: it collects (or loads from
-// cachePath, when non-empty and present) the exhaustive replay dataset
-// including both non-P2 test sets. Collection parallelises across CPU
-// cores; the resulting dataset is deterministic for a given seed.
-func NewLab(space featspace.Space, cachePath string, seed int64) (*Lab, error) {
+// NewLab builds a testbed over the grid: it collects the exhaustive
+// replay dataset including both non-P2 test sets. Collection
+// parallelises across CPU cores; the resulting dataset is deterministic
+// for a given seed.
+func NewLab(space featspace.Space, seed int64) (*Lab, error) {
 	alloc := cluster.TopologyTwoPairs()
 	runner, err := benchmark.NewRunner(netmodel.DefaultParams(), netmodel.DefaultEnv(), alloc,
 		benchmark.Config{Seed: seed})
@@ -79,24 +77,12 @@ func NewLab(space featspace.Space, cachePath string, seed int64) (*Lab, error) {
 		Seed:         seed,
 		ForestConfig: forest.Config{NTrees: 30, Seed: seed + 1},
 	}
-	if cachePath != "" {
-		if ds, err := dataset.Load(cachePath); err == nil {
-			lab.DS = ds
-			return lab, nil
-		}
-	}
 	pts := append(append(space.Points(), lab.NonP2Nodes...), lab.NonP2Msgs...)
 	ds, err := dataset.Collect(runner, pts, dataset.CollectOptions{})
 	if err != nil {
 		return nil, err
 	}
 	lab.DS = ds
-	if cachePath != "" {
-		if err := ds.Save(cachePath); err != nil {
-			// The cache is an optimisation; losing it is not fatal.
-			fmt.Fprintf(os.Stderr, "experiments: could not cache dataset: %v\n", err)
-		}
-	}
 	return lab, nil
 }
 
