@@ -6,18 +6,21 @@
 // evaluation sweeps.
 //
 // Layout. A trained forest is stored once, in the layout the kernel
-// walks: three per-node arrays in tree order (the packed type) —
-// steering word meta[] = right<<32 | feature, thresh[] and value[] —
-// plus roots[] / depths[] per tree. That is 24 bytes per node. There is
-// no per-node struct, no per-tree slice header and no separate left,
-// right or feature array: the left child is always i+1 (trees are laid
-// out parent, left subtree, right subtree), and the right child and the
-// feature are the two halves of the steering word, so a descent step
-// loads one 8-byte word and one 8-byte threshold. A leaf is a
-// self-loop: its steering word points at itself (feature slot 0) and
-// its threshold is NaN, so the batch walk's compare never fires and
-// needs no leaf test. TrainMatrix writes these arrays once; Compile
-// wraps them in a Kernel without copying.
+// walks: two per-node arrays in tree order (the packed type) — the
+// steering word meta[] = right-child offset << 8 | internal << 7 |
+// feature, and val[], an internal node's split threshold or a leaf's
+// prediction — plus roots[] / depths[] per tree. That is 12 bytes a
+// node. There is no per-node struct, no per-tree slice header and no
+// separate left, right or feature array: the left child is always i+1
+// (trees are laid out parent, left subtree, right subtree), and the
+// right child and the feature are both in the steering word, so a
+// descent step loads one 4-byte word and one 8-byte value. The right
+// child is an offset from its parent, so a tree can be copied to any
+// position unchanged. Internal-node means are never read, so none are
+// stored. A leaf is the zero word: offset 0 and internal bit 0 make
+// both of the batch walk's targets the leaf itself, whichever way its
+// compare goes, so the walk needs no leaf test. TrainMatrix writes
+// these arrays once; Compile wraps them in a Kernel without copying.
 //
 // Tiling. Batch calls walk tree x query tiles: queries are cut into
 // blocks of blockQ rows, and within a block the kernel iterates trees
@@ -79,13 +82,29 @@ type kernelScratch struct {
 }
 
 // packed is node storage in the kernel's layout (see the file
-// comment). Indices in meta are absolute positions in the arrays.
+// comment).
 type packed struct {
-	// meta is each node's steering word: right-child index << 32 |
-	// feature index; a leaf's word is its own index << 32.
-	meta   []int64
-	thresh []float64 // split threshold; NaN for a leaf
-	value  []float64 // node mean; a leaf's prediction
+	// meta is each node's steering word: the right child's offset from
+	// the node << offsetShift | internalBit | feature index. A leaf's
+	// word is 0.
+	meta []uint32
+	val  []float64 // internal node: split threshold; leaf: prediction
+}
+
+// The steering word's fields. TrainMatrix rejects a forest whose
+// features or right-child offsets would not fit (see checkLayout).
+const (
+	featureMask = 1<<7 - 1    // low 7 bits: the split feature
+	internalBit = 1 << 7      // set on every internal node, clear on leaves
+	offsetShift = 8           // high 24 bits: right child - node index
+	maxOffset   = 1<<24 - 1   // largest right-child offset a word holds
+	maxColumns  = featureMask // most feature columns TrainMatrix accepts
+)
+
+// steer is the steering word of an internal node splitting on feature
+// feat whose right child lies off nodes after it.
+func steer(off, feat int) uint32 {
+	return uint32(off)<<offsetShift | internalBit | uint32(feat)
 }
 
 // Compile returns the forest's inference kernel. The kernel reads the
@@ -107,23 +126,22 @@ func (f *Forest) Compile() *Kernel {
 func (k *Kernel) NumFeatures() int { return k.nFeatures }
 
 // walk traverses one tree from node i for the query row x and returns
-// its leaf prediction. A node whose steering word points at itself is
-// a leaf; otherwise the walk goes to i+1 when x[feature] <= thresh and
-// to the right child else (NaN descends right).
+// its leaf prediction. A zero steering word is a leaf; otherwise the
+// walk goes to i+1 when x[feature] <= threshold and to the right child
+// else (NaN descends right).
 //
 //acclaim:zeroalloc
 func (k *Kernel) walk(i int, x []float64) float64 {
-	meta, thresh := k.meta, k.thresh
+	meta, val := k.meta, k.val
 	for {
 		m := meta[i]
-		r := int(m >> 32)
-		if r == i {
-			return k.value[i]
+		if m == 0 {
+			return val[i]
 		}
-		if x[int32(m)] <= thresh[i] {
+		if x[m&featureMask] <= val[i] {
 			i++
 		} else {
-			i = r
+			i += int(m >> offsetShift)
 		}
 	}
 }
@@ -134,34 +152,48 @@ func (k *Kernel) walk(i int, x []float64) float64 {
 // tree's compiled depth. Scalar traversal is bound by a dependent-load
 // chain and a 50/50 descent branch; here the tile's loads within one
 // level are all independent (blockQ load chains in flight) and the
-// descent is a branchless conditional move over the packed steering
-// word — the left child is the adjacent i+1 (no load at all),
-// and a leaf's self-loop steering with NaN threshold parks finished
-// queries in place with no leaf test at all. The <= compare keeps the
-// reference path's NaN polarity (NaN descends right). Each cursor
-// lands on exactly the leaf its scalar walk reaches.
+// descent is a branchless conditional move between two offsets taken
+// from the steering word: the right child's, and the internal bit as
+// the left child's (the adjacent i+1, no load at all). A leaf's zero
+// word makes both offsets 0, so finished queries stay parked whatever
+// their compare against the leaf's value says, with no leaf test. The
+// <= compare keeps the reference path's NaN polarity (NaN descends
+// right). Each cursor lands on exactly the leaf its scalar walk
+// reaches. The per-level pass is its own function so that its loop
+// keeps every value in a register.
 //
 //acclaim:zeroalloc
 func (k *Kernel) walkLevels(t int, x []float64, q0, nq int, idx []int32) {
-	meta, thresh := k.meta, k.thresh
 	root := k.roots[t]
 	idx = idx[:nq]
 	for q := range idx {
 		idx[q] = root
 	}
-	nf := k.nFeatures
-	for d := int32(0); d < k.depths[t]; d++ {
-		base := q0 * nf
-		for q := range idx {
-			i := int(idx[q])
-			m := meta[i]
-			nxt := int(m >> 32) // right child (leaf: self)
-			if x[base+int(int32(m))] <= thresh[i] {
-				nxt = i + 1 // left child by arena adjacency (never chosen for leaves: thresh is NaN)
-			}
-			idx[q] = int32(nxt)
-			base += nf
+	x = x[q0*k.nFeatures:]
+	for d := k.depths[t]; d > 0; d-- {
+		descend(k.meta, k.val, x, k.nFeatures, idx)
+	}
+}
+
+// descend moves each cursor in idx one level down, query q reading its
+// row at x[q*nf:]. The queries are independent, so walking them last
+// to first, which frees the register a row count would hold, changes
+// no result.
+//
+//acclaim:zeroalloc
+func descend(meta []uint32, val, x []float64, nf int, idx []int32) {
+	val = val[:len(meta)]
+	base := len(idx) * nf
+	for q := len(idx) - 1; q >= 0; q-- {
+		base -= nf
+		i := int(idx[q])
+		m := meta[i]
+		step := m >> offsetShift // to the right child (leaf: 0)
+		left := m >> 7 & 1       // to the left child i+1 (leaf: 0)
+		if x[base+int(m&featureMask)] <= val[i] {
+			step = left
 		}
+		idx[q] = int32(i + int(step))
 	}
 }
 
@@ -264,7 +296,7 @@ func (k *Kernel) predictBlock(s *kernelScratch, x []float64, q0, nq int, out []f
 	for t := 0; t < nt; t++ {
 		k.walkLevels(t, x, q0, nq, idx)
 		for q := 0; q < nq; q++ {
-			sums[q] += k.value[idx[q]]
+			sums[q] += k.val[idx[q]]
 		}
 	}
 	for q := 0; q < nq; q++ {
@@ -292,7 +324,7 @@ func (k *Kernel) scoreBlock(s *kernelScratch, x []float64, q0, nq int, mean, var
 		k.walkLevels(t, x, q0, nq, idx)
 		row := preds[t*blockQ : t*blockQ+nq]
 		for q := 0; q < nq; q++ {
-			v := k.value[idx[q]]
+			v := k.val[idx[q]]
 			row[q] = v
 			sums[q] += v
 		}

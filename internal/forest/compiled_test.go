@@ -93,6 +93,85 @@ func TestCompiledBitIdentical(t *testing.T) {
 	}
 }
 
+// specialQueries returns nq query rows of nf features in the range the
+// training data spans, with about one value in five replaced by NaN,
+// +Inf or -Inf: NaN must descend right at every internal node, the
+// infinities must take the side their compare gives, and no special
+// value may move a cursor off a leaf.
+func specialQueries(rng *rand.Rand, nq, nf int) [][]float64 {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	qs := make([][]float64, nq)
+	for i := range qs {
+		row := make([]float64, nf)
+		for j := range row {
+			if rng.Intn(5) == 0 {
+				row[j] = special[rng.Intn(len(special))]
+			} else {
+				row[j] = rng.NormFloat64() * 10
+			}
+		}
+		qs[i] = row
+	}
+	return qs
+}
+
+// TestKernelMatchesRawBuilderTrees checks the kernel against an oracle
+// that shares no code with the packed layout: the reference builder's
+// trees as it emitted them, walked node struct by node struct. Both
+// the production forest (the trainer's encoding) and the reference
+// forest (appendTree's encoding) must score every query, NaN and ±Inf
+// included, bit for bit as those raw trees do.
+func TestKernelMatchesRawBuilderTrees(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    Config
+		ns, nf int
+	}{
+		{Config{NTrees: 7, MaxDepth: 6, Seed: 31}, 200, 3},
+		{Config{NTrees: 5, MaxDepth: 14, MinLeaf: 2, Seed: 32, Workers: 3}, 300, 5},
+		{Config{NTrees: 1, Seed: 33}, 60, 2},
+		{Config{NTrees: 4, MTry: 2, Seed: 34}, 150, maxColumns},
+	} {
+		rng := rand.New(rand.NewSource(tc.cfg.Seed))
+		x := make([][]float64, tc.ns)
+		y := make([]float64, tc.ns)
+		for i := range x {
+			row := make([]float64, tc.nf)
+			for j := range row {
+				row[j] = rng.NormFloat64() * 10
+			}
+			x[i] = row
+			y[i] = row[0]*row[tc.nf-1] + rng.NormFloat64()
+		}
+		qs := specialQueries(rng, blockQ+9, tc.nf)
+		ref, raw := trainRaw(tc.cfg, x, y)
+		f, err := trainRows(tc.cfg, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantP, wantV := treeScores(raw, qs)
+		flat := flatten(qs)
+		for name, k := range map[string]*Kernel{"trainer": f.Compile(), "appendTree": ref.Compile()} {
+			mean := make([]float64, len(qs))
+			vari := make([]float64, len(qs))
+			k.ScoreFlat(flat, mean, vari)
+			out := make([]float64, len(qs))
+			k.PredictFlat(flat, out)
+			for i, q := range qs {
+				if !sameFloat(mean[i], wantP[i]) || !sameFloat(vari[i], wantV[i]) || !sameFloat(out[i], wantP[i]) {
+					t.Fatalf("cfg %+v, %s forest, query %v: ScoreFlat (%v, %v), PredictFlat %v; raw trees (%v, %v)",
+						tc.cfg, name, q, mean[i], vari[i], out[i], wantP[i], wantV[i])
+				}
+				if got := k.Predict(q); !sameFloat(got, wantP[i]) {
+					t.Fatalf("cfg %+v, %s forest, query %v: Predict %v, raw trees %v", tc.cfg, name, q, got, wantP[i])
+				}
+			}
+		}
+	}
+}
+
+// sameFloat reports bit identity.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // TestCompiledPureLeafTrees compiles a forest whose trees are all
 // single leaves (constant target collapses every split).
 func TestCompiledPureLeafTrees(t *testing.T) {
@@ -249,9 +328,11 @@ func TestKernelZeroAlloc(t *testing.T) {
 }
 
 // TestCompileLayout checks the packed layout Compile serves: the node
-// count is the trees' total, every leaf is a self-loop with a NaN
-// threshold, every internal node's right child lies inside its own tree
-// after the adjacent left child i+1, and the kernel holds 24 bytes per
+// count is the trees' total, every leaf is the zero steering word,
+// every internal word carries the internal bit, a feature the forest
+// was trained on and a right offset of at least 2 (past the adjacent
+// left child i+1) that stays inside its own tree, each tree has one
+// more leaf than internal nodes, and the kernel holds 12 bytes per
 // node, in arrays shared with the forest rather than copied.
 func TestCompileLayout(t *testing.T) {
 	f, k, _ := trainedKernel(t, Config{NTrees: 6, MaxDepth: 6, Seed: 8}, 300, 0)
@@ -259,15 +340,14 @@ func TestCompileLayout(t *testing.T) {
 	for _, tr := range f.unpack() {
 		total += len(tr.nodes)
 	}
-	if len(k.meta) != total || len(k.thresh) != total || len(k.value) != total {
-		t.Fatalf("kernel arrays hold %d/%d/%d nodes, forest trees hold %d",
-			len(k.meta), len(k.thresh), len(k.value), total)
+	if len(k.meta) != total || len(k.val) != total {
+		t.Fatalf("kernel arrays hold %d/%d nodes, forest trees hold %d", len(k.meta), len(k.val), total)
 	}
 	if k.nTrees != len(f.roots) || k.NumFeatures() != f.NumFeatures() {
 		t.Fatalf("kernel shape (%d trees, %d features) != forest (%d, %d)",
 			k.nTrees, k.NumFeatures(), len(f.roots), f.NumFeatures())
 	}
-	if &k.meta[0] != &f.meta[0] || &k.thresh[0] != &f.thresh[0] || &k.value[0] != &f.value[0] {
+	if &k.meta[0] != &f.meta[0] || &k.val[0] != &f.val[0] {
 		t.Fatal("Compile copied the node arrays")
 	}
 	for ti := 0; ti < k.nTrees; ti++ {
@@ -276,26 +356,32 @@ func TestCompileLayout(t *testing.T) {
 		if ti+1 < k.nTrees {
 			hi = int(k.roots[ti+1])
 		}
+		leaves, internal := 0, 0
 		for j := lo; j < hi; j++ {
 			m := k.meta[j]
-			r, feat := int(m>>32), int(int32(m))
-			if r == j {
-				if feat != 0 || !math.IsNaN(k.thresh[j]) {
-					t.Fatalf("leaf node %d: feature slot %d, threshold %v; want a self-loop on slot 0 with a NaN threshold", j, feat, k.thresh[j])
+			if m&internalBit == 0 {
+				if m != 0 {
+					t.Fatalf("leaf node %d: steering word %#x, want 0", j, m)
 				}
+				leaves++
 				continue
 			}
-			if r <= j+1 || r >= hi {
-				t.Fatalf("node %d right child %d is not after its left child %d inside tree %d's range [%d, %d)", j, r, j+1, ti, lo, hi)
+			internal++
+			off, feat := int(m>>offsetShift), int(m&featureMask)
+			if off < 2 || j+off >= hi {
+				t.Fatalf("node %d right offset %d is not past its left child %d inside tree %d's range [%d, %d)", j, off, j+1, ti, lo, hi)
 			}
-			if feat < 0 || feat >= k.NumFeatures() || math.IsNaN(k.thresh[j]) {
-				t.Fatalf("internal node %d: feature %d, threshold %v", j, feat, k.thresh[j])
+			if feat >= k.NumFeatures() || math.IsNaN(k.val[j]) {
+				t.Fatalf("internal node %d: feature %d, threshold %v", j, feat, k.val[j])
 			}
+		}
+		if leaves != internal+1 {
+			t.Fatalf("tree %d has %d leaves and %d internal nodes; a binary tree has one more leaf", ti, leaves, internal)
 		}
 	}
 
 	// Every per-node array of the kernel, found by reflection so a new
-	// one cannot slip in unnoticed, adds up to 24 bytes a node.
+	// one cannot slip in unnoticed, adds up to 12 bytes a node.
 	perNode := 0
 	var sum func(v reflect.Value)
 	sum = func(v reflect.Value) {
@@ -310,7 +396,7 @@ func TestCompileLayout(t *testing.T) {
 		}
 	}
 	sum(reflect.ValueOf(k).Elem())
-	if perNode != 24 {
-		t.Fatalf("kernel holds %d bytes per node, want 24", perNode)
+	if perNode != 12 {
+		t.Fatalf("kernel holds %d bytes per node, want 12", perNode)
 	}
 }

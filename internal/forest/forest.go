@@ -30,7 +30,8 @@ import (
 	"acclaim/internal/stats"
 )
 
-// Config holds the forest hyperparameters. Zero fields take defaults.
+// Config holds the forest hyperparameters. Zero fields take defaults;
+// TrainMatrix rejects negative counts.
 type Config struct {
 	NTrees   int   // ensemble size (default 30)
 	MaxDepth int   // maximum tree depth (default 14)
@@ -124,8 +125,8 @@ type Forest struct {
 // worker grows.
 type fitter interface {
 	// fitTree appends one tree, grown from seed and the bootstrap
-	// sample boot, to dst in the packed layout (node indices absolute
-	// in dst, left child adjacent) and returns its edge depth.
+	// sample boot, to dst in the packed layout (left child adjacent,
+	// right child an offset) and returns its edge depth.
 	fitTree(seed int64, boot []int, dst *packed) (depth int)
 }
 
@@ -139,16 +140,15 @@ type grownTree struct {
 // reserve makes room in arena a for one more tree of up to maxNodes
 // nodes, so growing the tree never reallocates. It at least doubles
 // the capacity when it must grow, which bounds the copies it leaves
-// behind at one arena's worth; node indices are offsets into the
-// arena, so they survive the move.
+// behind at one arena's worth; right children are offsets from their
+// parent, so they survive the move.
 func reserve(a *packed, maxNodes int) {
 	if cap(a.meta)-len(a.meta) >= maxNodes {
 		return
 	}
 	n := max(2*cap(a.meta), len(a.meta)+maxNodes)
-	a.meta = append(make([]int64, 0, n), a.meta...)
-	a.thresh = append(make([]float64, 0, n), a.thresh...)
-	a.value = append(make([]float64, 0, n), a.value...)
+	a.meta = append(make([]uint32, 0, n), a.meta...)
+	a.val = append(make([]float64, 0, n), a.val...)
 }
 
 // maxTreeNodes bounds the node count of one tree grown on a bootstrap
@@ -250,31 +250,23 @@ func train(cfg Config, nSamples, nFeatures int, y []float64, newFitter func() fi
 }
 
 // concat lays the grown trees out in tree order in right-sized node
-// arrays. Moving a tree from arena offset start to forest offset base
-// shifts every index in its steering words — right children and leaf
-// self-references alike, all in the high half — by base-start; the
-// feature in the low half is untouched.
+// arrays. A steering word holds its right child as an offset from the
+// node, so moving a tree is a plain copy.
 func (f *Forest) concat(grown []grownTree) {
 	total := 0
 	for _, g := range grown {
 		total += g.end - g.start
 	}
 	f.packed = packed{
-		meta:   make([]int64, total),
-		thresh: make([]float64, total),
-		value:  make([]float64, total),
+		meta: make([]uint32, total),
+		val:  make([]float64, total),
 	}
 	f.roots = make([]int32, len(grown))
 	f.depths = make([]int32, len(grown))
 	base := 0
 	for ti, g := range grown {
-		a := g.arena
-		shift := int64(base-g.start) << 32
-		for j, m := range a.meta[g.start:g.end] {
-			f.meta[base+j] = m + shift
-		}
-		copy(f.thresh[base:], a.thresh[g.start:g.end])
-		copy(f.value[base:], a.value[g.start:g.end])
+		copy(f.meta[base:], g.arena.meta[g.start:g.end])
+		copy(f.val[base:], g.arena.val[g.start:g.end])
 		f.roots[ti] = int32(base)
 		f.depths[ti] = int32(g.depth)
 		base += g.end - g.start

@@ -21,28 +21,61 @@ func grid2d(n int, fn func(a, b float64) float64) (x [][]float64, y []float64) {
 	return x, y
 }
 
-// TestTrainValidation: TrainMatrix rejects each malformed input with
-// its own error.
+// TestTrainValidation: TrainMatrix rejects each malformed input, bad
+// Config field and forest the node layout cannot encode with its own
+// error, before any goroutine starts.
 func TestTrainValidation(t *testing.T) {
 	var noRows featspace.Matrix
 	noRows.Reset(2)
 	var twoRows featspace.Matrix
 	twoRows.AppendRow(1, 2)
 	twoRows.AppendRow(3, 4)
+	wide := func(cols int) *featspace.Matrix {
+		var m featspace.Matrix
+		m.AppendRow(make([]float64, cols)...)
+		m.AppendRow(make([]float64, cols)...)
+		return &m
+	}
+	two := []float64{1, 2}
 	for _, tc := range []struct {
 		name string
+		cfg  Config
 		m    *featspace.Matrix
 		y    []float64
 		want string
 	}{
-		{"zero rows", &noRows, nil, "forest: no training samples"},
-		{"target mismatch", &twoRows, []float64{1, 2, 3}, "forest: 2 samples but 3 targets"},
-		{"zero cols", &featspace.Matrix{}, nil, "forest: samples have no features"},
+		{"zero rows", Config{}, &noRows, nil, "forest: no training samples"},
+		{"target mismatch", Config{}, &twoRows, []float64{1, 2, 3}, "forest: 2 samples but 3 targets"},
+		{"zero cols", Config{}, &featspace.Matrix{}, nil, "forest: samples have no features"},
+		{"negative NTrees", Config{NTrees: -1}, &twoRows, two, "forest: Config.NTrees is -1, want >= 0"},
+		{"negative MaxDepth", Config{MaxDepth: -2}, &twoRows, two, "forest: Config.MaxDepth is -2, want >= 0"},
+		{"negative MinLeaf", Config{MinLeaf: -1}, &twoRows, two, "forest: Config.MinLeaf is -1, want >= 0"},
+		{"negative MTry", Config{MTry: -1, Workers: 2}, &twoRows, two, "forest: Config.MTry is -1, want >= 0"},
+		{"too many columns", Config{}, wide(maxColumns + 1), two, "forest: 128 feature columns, the node layout holds at most 127"},
 	} {
-		_, err := TrainMatrix(Config{}, tc.m, tc.y)
+		_, err := TrainMatrix(tc.cfg, tc.m, tc.y)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: TrainMatrix error = %v, want %q", tc.name, err, tc.want)
 		}
+	}
+	if _, err := TrainMatrix(Config{NTrees: 2, Seed: 1}, wide(maxColumns), two); err != nil {
+		t.Errorf("%d columns: %v", maxColumns, err)
+	}
+
+	// Right-child offsets: a tree may reach 2·min(n/MinLeaf, 2^MaxDepth)
+	// − 1 nodes, so 2^23 samples at depth 30 fit and one more does not.
+	// checkLayout is TrainMatrix's check, called without a 64 MB matrix.
+	deep := Config{MaxDepth: 30}.withDefaults(1)
+	if err := checkLayout(deep, 1<<23, 1); err != nil {
+		t.Errorf("2^23 samples at depth 30: %v", err)
+	}
+	want := "forest: a tree of 8388609 samples may reach 16777217 nodes, the node layout holds at most 16777215 (raise MinLeaf or lower MaxDepth)"
+	if err := checkLayout(deep, 1<<23+1, 1); err == nil || err.Error() != want {
+		t.Errorf("2^23+1 samples at depth 30: error = %v, want %q", err, want)
+	}
+	deep.MinLeaf = 2
+	if err := checkLayout(deep, 1<<23+1, 1); err != nil {
+		t.Errorf("2^23+1 samples at MinLeaf 2: %v", err)
 	}
 }
 

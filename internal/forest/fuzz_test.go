@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -113,9 +114,10 @@ func fuzzTunerRow(rng *rand.Rand, card *[7]int, row []float64) {
 // FuzzCompiledDifferential proves Forest.Compile is observationally
 // identical to the reference pointer-walk path: for an arbitrary
 // trained forest (hyperparameters and data derived deterministically
-// from the fuzzed inputs) and an arbitrary query batch, the kernel's
-// Predict / PredictFlat / ScoreFlat must reproduce the per-row oracle
-// loop (oracleScores) bit for bit. Two Workers settings are compared per
+// from the fuzzed inputs) and an arbitrary query batch, NaN and ±Inf
+// values included, the kernel's Predict / PredictFlat / ScoreFlat must
+// reproduce the per-row walk over the reference builder's raw trees
+// (treeScores over trainRaw's copies) bit for bit. Two Workers settings are compared per
 // input — trained forests are bit-identical across worker counts, so
 // the pair also pins kernel results to be worker-independent. Shapes
 // deliberately sweep the degenerate corners: single trees, pure-leaf
@@ -151,14 +153,7 @@ func FuzzCompiledDifferential(f *testing.F) {
 				y[i] = row[0]*row[1%nf] + rng.NormFloat64()
 			}
 		}
-		qs := make([][]float64, nq)
-		for i := range qs {
-			row := make([]float64, nf)
-			for j := range row {
-				row[j] = rng.NormFloat64() * 12
-			}
-			qs[i] = row
-		}
+		qs := specialQueries(rng, nq, nf)
 
 		cfg := Config{NTrees: nt, MaxDepth: md, Seed: seed, Workers: 1}
 		ref, err := trainRows(cfg, x, y)
@@ -171,7 +166,13 @@ func FuzzCompiledDifferential(f *testing.F) {
 			t.Fatalf("training the alternate forest: %v", err)
 		}
 
-		wantP, wantV := oracleScores(ref, qs)
+		// The oracle is the reference builder's raw trees, which share
+		// no code with the packed layout; the unpacked walk must agree.
+		_, raw := trainRaw(cfg, x, y)
+		wantP, wantV := treeScores(raw, qs)
+		if p, v := oracleScores(ref, qs); !slices.Equal(p, wantP) || !slices.Equal(v, wantV) {
+			t.Fatalf("unpacked trees score (%v, %v), raw builder trees (%v, %v)", p, v, wantP, wantV)
+		}
 		flat := flatten(qs)
 		for _, k := range []*Kernel{ref.Compile(), alt.Compile()} {
 			gotP := make([]float64, nq)

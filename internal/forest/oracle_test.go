@@ -65,22 +65,21 @@ type tree struct {
 // appendTree writes nodes to dst in the packed layout (see compiled.go)
 // and returns the tree's edge depth. It is how the reference builder's
 // trees reach the production Forest, so the builder must keep a left
-// child adjacent to its parent, as the trainer does.
+// child adjacent to its parent, as the trainer does. An internal node
+// keeps its threshold, not its mean: the layout stores no internal
+// means.
 func appendTree(dst *packed, nodes []node) int {
-	base := len(dst.meta)
 	for i, n := range nodes {
-		j := base + i
-		dst.value = append(dst.value, n.value)
 		if n.left == -1 {
-			dst.meta = append(dst.meta, int64(j)<<32)
-			dst.thresh = append(dst.thresh, math.NaN())
+			dst.meta = append(dst.meta, 0)
+			dst.val = append(dst.val, n.value)
 			continue
 		}
 		if n.left != i+1 {
 			panic("forest: reference tree violates left-child adjacency")
 		}
-		dst.meta = append(dst.meta, int64(base+n.right)<<32|int64(n.feature))
-		dst.thresh = append(dst.thresh, n.thresh)
+		dst.meta = append(dst.meta, steer(n.right-i, n.feature))
+		dst.val = append(dst.val, n.thresh)
 	}
 	return nodeDepth(nodes, 0)
 }
@@ -97,9 +96,9 @@ func nodeDepth(nodes []node, i int) int {
 
 // unpack rebuilds the forest's trees in the reference builder's form
 // from the packed layout: tree-local indices, and leaves with feature 0
-// and threshold 0, exactly as builder.grow appends them. It inverts
-// appendTree, so node-for-node comparisons of unpacked forests compare
-// the packed arrays.
+// and threshold 0, exactly as builder.grow appends them. Internal nodes
+// come back with value 0, as the layout stores no internal means, so
+// unpacked forests compare structure, thresholds and leaf values.
 func (f *Forest) unpack() []tree {
 	trees := make([]tree, len(f.roots))
 	for ti := range trees {
@@ -110,16 +109,44 @@ func (f *Forest) unpack() []tree {
 		nodes := make([]node, hi-lo)
 		for j := lo; j < hi; j++ {
 			m := f.meta[j]
-			r := int(m >> 32)
-			if r == j {
-				nodes[j-lo] = node{left: -1, right: -1, value: f.value[j]}
+			if m == 0 {
+				nodes[j-lo] = node{left: -1, right: -1, value: f.val[j]}
 				continue
 			}
-			nodes[j-lo] = node{feature: int(int32(m)), thresh: f.thresh[j], left: j + 1 - lo, right: r - lo, value: f.value[j]}
+			r := j + int(m>>offsetShift)
+			nodes[j-lo] = node{feature: int(m & featureMask), thresh: f.val[j], left: j + 1 - lo, right: r - lo}
 		}
 		trees[ti] = tree{nodes: nodes}
 	}
 	return trees
+}
+
+// trainRaw trains cfg's forest with the reference builder, serially so
+// trees are grown in tree order, and returns it beside each tree's
+// nodes as the builder emitted them, copied before appendTree packs
+// them. Walking the copies shares no code with the packed layout, so an
+// encoding bug in the trainer or appendTree cannot be cancelled by a
+// matching decoding bug in unpack.
+func trainRaw(cfg Config, x [][]float64, y []float64) (*Forest, []tree) {
+	cfg = cfg.withDefaults(len(x[0]))
+	cfg.Workers = 1
+	var raw []tree
+	f := train(cfg, len(x), len(x[0]), y, func() fitter {
+		return &recorder{builder: builder{x: x, y: y, cfg: cfg}, trees: &raw}
+	})
+	return f, raw
+}
+
+// recorder is a builder that keeps a copy of every tree it grows.
+type recorder struct {
+	builder
+	trees *[]tree
+}
+
+func (r *recorder) fitTree(seed int64, boot []int, dst *packed) int {
+	nodes := r.build(seed, boot)
+	*r.trees = append(*r.trees, tree{nodes: append([]node(nil), nodes...)})
+	return appendTree(dst, nodes)
 }
 
 // fv pairs one sample's feature value with its target for split scans.
@@ -352,12 +379,18 @@ func (f *Forest) check(x []float64) {
 // every row of qs, one pointer walk per (row, tree) into one reused
 // prediction buffer.
 func oracleScores(f *Forest, qs [][]float64) (mean, vari []float64) {
+	for _, q := range qs {
+		f.check(q)
+	}
+	return treeScores(f.unpack(), qs)
+}
+
+// treeScores is oracleScores over trees in the reference builder's form.
+func treeScores(trees []tree, qs [][]float64) (mean, vari []float64) {
 	mean = make([]float64, len(qs))
 	vari = make([]float64, len(qs))
-	trees := f.unpack()
 	preds := make([]float64, len(trees))
 	for i, q := range qs {
-		f.check(q)
 		mean[i] = predictMean(trees, q)
 		treePredictInto(trees, q, preds)
 		vari[i] = jackknifeVariance(preds)

@@ -58,21 +58,22 @@
 // Arena. Each trainer appends its trees' nodes straight into its
 // worker's arena in the packed layout the inference Kernel walks (same
 // parent, left-subtree, right-subtree emission order as the builder, so
-// a left child is always its parent+1). train concatenates the arenas
-// once, in tree order, into the Forest's node arrays, and Compile
-// serves those arrays as they are. train reserves room for the largest
-// tree possible before each tree, and each trainer reseeds one
-// stats.Source per tree instead of allocating a math/rand generator,
-// so growing a tree allocates nothing once scratch is warm: order
-// building, live-set marking, split scans and partitions included. The
-// zeroalloc annotations, TestTrainerSteadyStateZeroAlloc and
-// BenchmarkTrainSplitScan's hard benchguard gate hold that line.
+// a left child is always its parent+1, and right children stored as
+// offsets from their parent). train copies the arenas once, in tree
+// order, into the Forest's node arrays — the offsets hold wherever a
+// tree lands — and Compile serves those arrays as they are. train
+// reserves room for the largest tree possible before each tree, and
+// each trainer reseeds one stats.Source per tree instead of allocating
+// a math/rand generator, so growing a tree allocates nothing once
+// scratch is warm: order building, live-set marking, split scans and
+// partitions included. The zeroalloc annotations,
+// TestTrainerSteadyStateZeroAlloc and BenchmarkTrainSplitScan's hard
+// benchguard gate hold that line.
 package forest
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -177,9 +178,10 @@ func (t *trainer) ensure(nb int) {
 	if cap(t.perm) < t.bs.nf {
 		t.perm = make([]int, t.bs.nf)
 	}
-	// Only nodes shallower than MaxDepth split, so depths [0, MaxDepth)
-	// need rows.
-	if need := t.cfg.MaxDepth * t.bs.nf; cap(t.live) < need {
+	// Only nodes shallower than MaxDepth split, and a node at depth d
+	// holds at most nb-d samples, so it splits only when d <= nb-2:
+	// depths [0, min(MaxDepth, nb)) need rows.
+	if need := min(t.cfg.MaxDepth, nb) * t.bs.nf; cap(t.live) < need {
 		t.live = make([]bool, need)
 	}
 }
@@ -276,20 +278,20 @@ func (t *trainer) growRange(lo, hi, depth int, mean, sse float64) int {
 	}
 	t.growRange(lo, lo+k, depth+1, lMean, lSSE) // lands at self+1
 	r := t.growRange(lo+k, hi, depth+1, rMean, rSSE)
-	t.out.meta[self] = int64(r)<<32 | int64(feat)
-	t.out.thresh[self] = thresh
+	t.out.meta[self] = steer(r-self, feat)
+	t.out.val[self] = thresh
 	return self
 }
 
 // pushLeaf appends a leaf predicting mean at depth to the arena and
-// returns its index: a self-loop with a NaN threshold, which growRange
-// turns into a split node once its children exist.
+// returns its index: a zero steering word and the mean as its value,
+// which growRange overwrites with a split's word and threshold once
+// the node's children exist.
 func (t *trainer) pushLeaf(mean float64, depth int) int {
 	a := t.out
 	i := len(a.meta)
-	a.meta = append(a.meta, int64(i)<<32)
-	a.thresh = append(a.thresh, math.NaN())
-	a.value = append(a.value, mean)
+	a.meta = append(a.meta, 0)
+	a.val = append(a.val, mean)
 	t.depth = max(t.depth, depth)
 	return i
 }
@@ -464,9 +466,44 @@ func TrainMatrix(cfg Config, m *featspace.Matrix, y []float64) (*Forest, error) 
 	if rows != len(y) {
 		return nil, fmt.Errorf("forest: %d samples but %d targets", rows, len(y))
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults(cols)
+	if err := checkLayout(cfg, rows, cols); err != nil {
+		return nil, err
+	}
 	bs := newBinset(rows, cols, m.Col)
 	return train(cfg, rows, cols, y, func() fitter {
 		return newTrainer(bs, y, cfg)
 	}), nil
+}
+
+// validate rejects a negative count: NTrees and MaxDepth would panic in
+// a make or a shift, MTry inside a pool goroutine, which kills the
+// process, and a negative MinLeaf would switch its stopping rule off.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"NTrees", c.NTrees}, {"MaxDepth", c.MaxDepth}, {"MinLeaf", c.MinLeaf}, {"MTry", c.MTry}} {
+		if f.v < 0 {
+			return fmt.Errorf("forest: Config.%s is %d, want >= 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// checkLayout rejects a forest the steering word cannot encode: a
+// feature index needs 7 bits, and a right child's offset, which is
+// below its tree's node count, 24. cfg must have defaults applied, and
+// a bootstrap has rows samples.
+func checkLayout(cfg Config, rows, cols int) error {
+	if cols > maxColumns {
+		return fmt.Errorf("forest: %d feature columns, the node layout holds at most %d", cols, maxColumns)
+	}
+	if n := cfg.maxTreeNodes(rows); n > maxOffset {
+		return fmt.Errorf("forest: a tree of %d samples may reach %d nodes, the node layout holds at most %d (raise MinLeaf or lower MaxDepth)", rows, n, maxOffset)
+	}
+	return nil
 }

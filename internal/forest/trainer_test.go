@@ -311,7 +311,7 @@ func TestTrainerSteadyStateZeroAlloc(t *testing.T) {
 
 	seed := int64(61)
 	if n := testing.AllocsPerRun(20, func() {
-		arena.meta, arena.thresh, arena.value = arena.meta[:0], arena.thresh[:0], arena.value[:0]
+		arena.meta, arena.val = arena.meta[:0], arena.val[:0]
 		seed++
 		tr.fitTree(seed%2+61, boot, arena) // two trees, so reseeding is exercised
 	}); n != 0 {

@@ -55,6 +55,7 @@ var zeroAllocManifest = map[string][]string{
 		"Kernel.scoreBlock",
 		"Kernel.walk",
 		"Kernel.walkLevels",
+		"descend",
 		"trainer.buildOrders",
 		"trainer.markLive",
 		"trainer.scanFeature",
