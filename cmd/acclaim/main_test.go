@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -167,5 +168,28 @@ func TestCollectiveList(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "tuned.json")); !os.IsNotExist(err) {
 		t.Errorf("failed run left a rule file (stat: %v)", err)
+	}
+}
+
+// TestRunRulesGolden pins the rule file of the seeded run CI's smoke
+// jobs make. The simulator and the tuner are deterministic, so any
+// byte that differs is a change to what a production job emits.
+func TestRunRulesGolden(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "tuned.json")
+	err := run([]string{"-nodes", "8", "-ppn", "2", "-collectives", "bcast,allreduce",
+		"-maxmsg", "65536", "-seed", "5", "-out", out}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "rules_n8_p2_s5.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("rule file differs from testdata/rules_n8_p2_s5.golden:\n%s", got)
 	}
 }
