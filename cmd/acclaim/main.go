@@ -134,21 +134,12 @@ func run(args []string, stdout io.Writer) error {
 	runner.Topology = topo
 	runner.Metrics = benchmark.NewMetrics(reg)
 
-	// --- Training: ACCLAiM with parallel wave collection.
-	tuner := core.New(core.Config{
-		Space:     featspace.P2Grid(*nodes, *ppn, 8, *maxMsg),
-		Forest:    forest.Config{NTrees: 60, Seed: *seed, Metrics: forest.NewMetrics(reg)},
-		Seed:      *seed,
-		Parallel:  true,
-		BatchSize: 4,
-		// Production selections feed a whole job: spend a little more
-		// collection time for a stabler model than the default
-		// stall criterion accepts.
-		Window:   6,
-		Epsilon:  0.03,
-		Recorder: recorder,
-		Registry: reg,
-	}, autotune.LiveBackend{Runner: runner})
+	// --- Training: ACCLAiM's production configuration, instrumented.
+	cfg := core.Production(featspace.P2Grid(*nodes, *ppn, 8, *maxMsg), *seed)
+	cfg.Forest.Metrics = forest.NewMetrics(reg)
+	cfg.Recorder = recorder
+	cfg.Registry = reg
+	tuner := core.New(cfg, autotune.LiveBackend{Runner: runner})
 
 	wall := time.Now()
 	results := make(map[coll.Collective]*core.Result, len(colls))
@@ -249,8 +240,7 @@ func reportSpeedup(w io.Writer, app string, tuned, def, machineTime float64) {
 	fmt.Fprintf(w, "application %s collective time: tuned %.2f s vs default %.2f s (%.3fx speedup)\n",
 		app, tuned/1e6, def/1e6, speedup)
 	if speedup > 1 {
-		breakEvenHours := machineTime * speedup / (speedup - 1) / 1e6 / 3600
-		fmt.Fprintf(w, "break-even application runtime: %.2f hours\n", breakEvenHours)
+		fmt.Fprintf(w, "break-even application runtime: %.2f hours\n", core.BreakEvenHours(machineTime, speedup))
 	} else {
 		fmt.Fprintln(w, "no collective speedup on this job; default selections were already optimal")
 	}

@@ -114,5 +114,5 @@ func main() {
 	perPassSaving := def - tuned
 	passes := trainTime / perPassSaving
 	fmt.Printf("break-even after %.0f passes of the communication mix (R_min = T*s/(s-1) = %.2f h of collective time)\n",
-		passes, trainTime*speedup/(speedup-1)/1e6/3600)
+		passes, core.BreakEvenHours(trainTime, speedup))
 }

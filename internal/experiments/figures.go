@@ -377,11 +377,7 @@ func Fig15(trainTimeUS float64, speedups []float64) []Fig15Row {
 	}
 	out := make([]Fig15Row, len(speedups))
 	for i, s := range speedups {
-		hours := math.Inf(1)
-		if s > 1 {
-			hours = trainTimeUS * s / (s - 1) / 1e6 / 3600
-		}
-		out[i] = Fig15Row{AppSpeedup: s, MinRuntimeHours: hours}
+		out[i] = Fig15Row{AppSpeedup: s, MinRuntimeHours: core.BreakEvenHours(trainTimeUS, s)}
 	}
 	return out
 }
