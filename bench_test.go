@@ -219,7 +219,7 @@ func BenchmarkFig14(b *testing.B) {
 	var total float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, total, err = experiments.Fig14(32, 4, 99)
+		_, _, total, _, err = experiments.Fig14(32, 4, 99)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		// Jackknife (ACCLAiM).
-		at := core.New(core.Config{Space: l.Space, Forest: l.ForestConfig, Seed: 9,
+		at := core.New(core.Config{Space: l.Space, Forest: core.Production(l.Space, 9).Forest, Seed: 9,
 			Epsilon: 1e-12, MaxIterations: 70}, backend)
 		ares, err := at.Tune(coll.Bcast)
 		if err != nil {
@@ -274,7 +274,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Surrogate (FACT).
-		ft := fact.New(fact.Config{Space: l.Space, Forest: l.ForestConfig, Seed: 9,
+		ft := fact.New(fact.Config{Space: l.Space, Forest: core.Production(l.Space, 9).Forest, Seed: 9,
 			MaxPoints: 70, Criterion: 1.0, CheckEvery: 50}, backend)
 		fres, err := ft.Tune(coll.Bcast)
 		if err != nil {
@@ -285,7 +285,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Random (Hunold).
-		ht := hunold.New(hunold.Config{Space: l.Space, Forest: l.ForestConfig, Seed: 9}, backend)
+		ht := hunold.New(hunold.Config{Space: l.Space, Forest: core.Production(l.Space, 9).Forest, Seed: 9}, backend)
 		hCurve, err := ht.LearningCurve(coll.Bcast, fracs, func(s autotune.Selector) (float64, error) { return eval(s) })
 		if err != nil {
 			b.Fatal(err)
@@ -301,7 +301,7 @@ func BenchmarkAblationNonP2(b *testing.B) {
 	l, backend := ablationBackend(b)
 	for i := 0; i < b.N; i++ {
 		for _, every := range []int{-1, 2, 5} {
-			tuner := core.New(core.Config{Space: l.Space, Forest: l.ForestConfig, Seed: 4,
+			tuner := core.New(core.Config{Space: l.Space, Forest: core.Production(l.Space, 4).Forest, Seed: 4,
 				NonP2Every: every}, backend)
 			res, err := tuner.Tune(coll.Bcast)
 			if err != nil {
@@ -333,7 +333,7 @@ func BenchmarkAblationConvergence(b *testing.B) {
 			window  int
 			epsilon float64
 		}{{"loose", 3, 0.10}, {"default", 5, 0.05}, {"strict", 7, 0.02}} {
-			tuner := core.New(core.Config{Space: l.Space, Forest: l.ForestConfig, Seed: 6,
+			tuner := core.New(core.Config{Space: l.Space, Forest: core.Production(l.Space, 6).Forest, Seed: 6,
 				Window: cfg.window, Epsilon: cfg.epsilon}, backend)
 			res, err := tuner.Tune(coll.Reduce)
 			if err != nil {

@@ -211,26 +211,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return experiments.ReportFig13(rows), nil
 	})
 
-	var prodTotal float64
-	figure(14, func() (string, error) {
-		rows, total, err := experiments.Fig14(*nodes, *ppn, *seed)
+	// Figure 15 prices Figure 14's machine time at assumed speedups and
+	// at the speedup Figure 14 measured.
+	var prodTotal, prodSpeedup float64
+	production := func() (string, error) {
+		rows, cell, total, speedup, err := experiments.Fig14(*nodes, *ppn, *seed)
 		if err != nil {
 			return "", err
 		}
-		prodTotal = total
-		return experiments.ReportFig14(rows, total), nil
-	})
+		prodTotal, prodSpeedup = total, speedup
+		return experiments.ReportFig14(rows, cell, total, speedup), nil
+	}
+	figure(14, production)
 	figure(15, func() (string, error) {
 		if prodTotal == 0 {
-			// Figure 15 needs a training time; derive one from a small
-			// production run if figure 14 was not requested.
-			_, total, err := experiments.Fig14(*nodes, *ppn, *seed)
-			if err != nil {
+			if _, err := production(); err != nil {
 				return "", err
 			}
-			prodTotal = total
 		}
-		rows := experiments.Fig15(prodTotal, nil)
+		measured := experiments.Fig15(prodTotal, []float64{prodSpeedup})
+		measured[0].Measured = true
+		rows := append(experiments.Fig15(prodTotal, nil), measured...)
 		return experiments.ReportFig15(rows, prodTotal), nil
 	})
 	return failed

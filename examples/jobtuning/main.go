@@ -18,7 +18,6 @@ import (
 	"acclaim/internal/cluster"
 	"acclaim/internal/core"
 	"acclaim/internal/featspace"
-	"acclaim/internal/forest"
 	"acclaim/internal/netmodel"
 	"acclaim/internal/ruleserver"
 	"acclaim/internal/traces"
@@ -56,13 +55,8 @@ func main() {
 	}
 	fmt.Printf("%s uses: %v\n", app, colls)
 
-	tuner := core.New(core.Config{
-		Space:     featspace.P2Grid(jobNodes, jobPPN, 8, 1<<20),
-		Forest:    forest.Config{NTrees: 30, Seed: seed},
-		Seed:      seed,
-		Parallel:  true,
-		BatchSize: 4,
-	}, autotune.LiveBackend{Runner: runner})
+	tuner := core.New(core.Production(featspace.P2Grid(jobNodes, jobPPN, 8, 1<<20), seed),
+		autotune.LiveBackend{Runner: runner})
 
 	results, err := tuner.TuneAll(colls)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"acclaim/internal/coll"
 	"acclaim/internal/core"
 	"acclaim/internal/featspace"
-	"acclaim/internal/forest"
 	"acclaim/internal/netmodel"
 	"acclaim/internal/rules"
 	"acclaim/internal/ruleserver"
@@ -33,15 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. An ACCLAiM tuner over the job's feature space (up to 16 nodes,
-	// 4 ppn, 1 MiB messages), collecting benchmark waves in parallel.
-	tuner := core.New(core.Config{
-		Space:     featspace.P2Grid(16, 4, 8, 1<<20),
-		Forest:    forest.Config{NTrees: 30, Seed: 1},
-		Seed:      1,
-		Parallel:  true,
-		BatchSize: 4,
-	}, autotune.LiveBackend{Runner: runner})
+	// 2. ACCLAiM's production tuner over the job's feature space (up to
+	// 16 nodes, 4 ppn, 1 MiB messages), collecting benchmark waves in
+	// parallel.
+	tuner := core.New(core.Production(featspace.P2Grid(16, 4, 8, 1<<20), 1),
+		autotune.LiveBackend{Runner: runner})
 
 	// 3. Train a model for MPI_Bcast.
 	res, err := tuner.Tune(coll.Bcast)

@@ -17,12 +17,15 @@ import (
 // curve figures (3, 5, 11), as shares of the candidate pool.
 var defaultFractions = []float64{0.02, 0.05, 0.10, 0.20, 0.40, 0.60}
 
-// hunoldTuner builds the Hunold baseline over the lab.
+// hunoldTuner builds the Hunold baseline over the lab. Like FACT, it
+// trains core.Production's forest, so a figure that compares tuners
+// compares how they select points, not how big their models are.
 func (l *Lab) hunoldTuner() *hunold.Tuner {
+	seed := l.Seed + 100
 	return hunold.New(hunold.Config{
 		Space:  l.Space,
-		Forest: l.ForestConfig,
-		Seed:   l.Seed + 100,
+		Forest: core.Production(l.Space, seed).Forest,
+		Seed:   seed,
 	}, l.Backend())
 }
 
@@ -30,10 +33,11 @@ func (l *Lab) hunoldTuner() *hunold.Tuner {
 // training collection at that share of the candidate pool and disables
 // convergence, producing a full selection order for learning curves.
 func (l *Lab) factTuner(c coll.Collective, maxPoolFrac float64) *fact.Tuner {
+	seed := l.Seed + 200
 	cfg := fact.Config{
 		Space:  l.Space,
-		Forest: l.ForestConfig,
-		Seed:   l.Seed + 200,
+		Forest: core.Production(l.Space, seed).Forest,
+		Seed:   seed,
 	}
 	if maxPoolFrac > 0 {
 		pool := len(autotune.Candidates(c, l.Space, l.Backend().MaxNodes()))
@@ -44,17 +48,11 @@ func (l *Lab) factTuner(c coll.Collective, maxPoolFrac float64) *fact.Tuner {
 	return fact.New(cfg, l.Backend())
 }
 
-// acclaimTuner builds an ACCLAiM tuner. Sequential by default (batch
-// collection is evaluated separately in Figure 13).
-func (l *Lab) acclaimTuner(mutate func(*core.Config)) *core.Tuner {
-	cfg := core.Config{
-		Space:  l.Space,
-		Forest: l.ForestConfig,
-		Seed:   l.Seed + 300,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
+// acclaimTuner builds an ACCLAiM tuner from the configuration that
+// ships, core.Production; set applies the knobs the figure studies.
+func (l *Lab) acclaimTuner(set func(*core.Config)) *core.Tuner {
+	cfg := core.Production(l.Space, l.Seed+300)
+	set(&cfg)
 	return core.New(cfg, l.Backend())
 }
 
@@ -200,6 +198,7 @@ func Fig11(l *Lab, fracs []float64) ([]Fig11Series, error) {
 	var out []Fig11Series
 	for _, sp := range splits {
 		tuner := l.acclaimTuner(func(cfg *core.Config) {
+			cfg.Parallel = false
 			cfg.NonP2Every = sp.every
 			cfg.Epsilon = 1e-12 // never converge: collect the whole order
 			cfg.MaxIterations = target

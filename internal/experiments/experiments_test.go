@@ -7,6 +7,7 @@ import (
 
 	"acclaim/internal/autotune"
 	"acclaim/internal/coll"
+	"acclaim/internal/core"
 	"acclaim/internal/featspace"
 	"acclaim/internal/stats"
 )
@@ -239,7 +240,7 @@ func fig11Mechanism(t *testing.T, l *Lab) (p2Only, withNonP2 float64) {
 				ts.Add(autotune.Candidate{Point: p, Alg: a, AlgIdx: ai}, mean, mean)
 			}
 		}
-		m, err := autotune.TrainModel(l.ForestConfig, ts)
+		m, err := autotune.TrainModel(core.Production(l.Space, l.Seed).Forest, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +305,7 @@ func TestFig13Shape(t *testing.T) {
 
 func TestFig14Small(t *testing.T) {
 	// A scaled-down production run: 16 nodes, 2 ppn.
-	rows, total, err := Fig14(16, 2, 99)
+	rows, cell, total, speedup, err := Fig14(16, 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,12 +315,25 @@ func TestFig14Small(t *testing.T) {
 	if total <= 0 {
 		t.Error("no training time")
 	}
+	var tuning float64
 	for _, r := range rows {
 		if r.Samples == 0 || r.TrainTime <= 0 {
 			t.Errorf("bad row %+v", r)
 		}
+		tuning += r.TrainTime
 	}
-	_ = ReportFig14(rows, total)
+	// The job cell is charged, and the total is the rows' tuning time
+	// plus the cell, bit for bit.
+	if cell <= 0 {
+		t.Errorf("job cell machine time = %v, want > 0", cell)
+	}
+	if math.Float64bits(total) != math.Float64bits(tuning+cell) {
+		t.Errorf("total = %v, want tuning %v + cell %v = %v", total, tuning, cell, tuning+cell)
+	}
+	if math.IsInf(speedup, 0) || math.IsNaN(speedup) || speedup <= 0 {
+		t.Errorf("measured speedup = %v, want finite and > 0", speedup)
+	}
+	_ = ReportFig14(rows, cell, total, speedup)
 }
 
 func TestFig15Math(t *testing.T) {
@@ -342,6 +356,22 @@ func TestFig15Math(t *testing.T) {
 		}
 	}
 	_ = ReportFig15(rows, 3.6e9)
+}
+
+// TestFig15Never: a measured speedup that is not above 1 never pays
+// the training back, and the table says so instead of printing +Inf.
+func TestFig15Never(t *testing.T) {
+	for _, s := range []float64{1, 0.97} {
+		rows := Fig15(3.6e9, []float64{s})
+		if len(rows) != 1 || !math.IsInf(rows[0].MinRuntimeHours, 1) {
+			t.Fatalf("Fig15(1h, %v) = %+v, want one row at +Inf", s, rows)
+		}
+		rows[0].Measured = true
+		out := ReportFig15(rows, 3.6e9)
+		if !strings.Contains(out, "never") || strings.Contains(out, "Inf") || !strings.Contains(out, "measured") {
+			t.Errorf("ReportFig15 at speedup %v:\n%s\nwant a measured row reading \"never\"", s, out)
+		}
+	}
 }
 
 func TestConvergenceTimeHelper(t *testing.T) {

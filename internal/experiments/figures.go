@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"acclaim/internal/autotune"
 	"acclaim/internal/benchmark"
@@ -13,6 +14,7 @@ import (
 	"acclaim/internal/featspace"
 	"acclaim/internal/netmodel"
 	"acclaim/internal/rules"
+	"acclaim/internal/ruleserver"
 	"acclaim/internal/stats"
 	"acclaim/internal/traces"
 )
@@ -67,6 +69,7 @@ type Fig7Point struct {
 // test-set-free convergence proxy.
 func Fig7(l *Lab, c coll.Collective) ([]Fig7Point, error) {
 	tuner := l.acclaimTuner(func(cfg *core.Config) {
+		cfg.Parallel = false
 		cfg.Evaluator = l.Eval(l.Space.Points())
 	})
 	res, err := tuner.Tune(c)
@@ -84,7 +87,7 @@ func Fig7(l *Lab, c coll.Collective) ([]Fig7Point, error) {
 // trains ACCLAiM on the paper's collectives and lowers the models into
 // a validated MPICH-style JSON rule file.
 func Fig9(l *Lab) (*rules.File, error) {
-	tuner := l.acclaimTuner(nil)
+	tuner := l.acclaimTuner(func(cfg *core.Config) { cfg.Parallel = false })
 	results, err := tuner.TuneAll(coll.PaperCollectives())
 	if err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
@@ -132,6 +135,7 @@ func Fig10(l *Lab, maxPoolFrac float64) ([]Fig10Row, float64, error) {
 		pool := len(autotune.Candidates(c, l.Space, l.Backend().MaxNodes()))
 		target := int(maxPoolFrac * float64(pool))
 		at := l.acclaimTuner(func(cfg *core.Config) {
+			cfg.Parallel = false
 			cfg.Epsilon = 1e-12
 			cfg.MaxIterations = target
 		})
@@ -195,6 +199,7 @@ func Fig12(l *Lab) ([]Fig12Row, float64, error) {
 	var sumVar, sumSlow float64
 	for _, c := range coll.PaperCollectives() {
 		tuner := l.acclaimTuner(func(cfg *core.Config) {
+			cfg.Parallel = false
 			cfg.Evaluator = l.Eval(l.Space.Points())
 		})
 		res, err := tuner.Tune(c)
@@ -261,8 +266,8 @@ func topologyOrder() []string {
 func Fig13(l *Lab) ([]Fig13Row, error) {
 	var out []Fig13Row
 	for _, c := range coll.PaperCollectives() {
-		// The benchmark sequence: ACCLAiM's selection order.
-		res, err := l.acclaimTuner(nil).Tune(c)
+		// The benchmark sequence: ACCLAiM's sequential selection order.
+		res, err := l.acclaimTuner(func(cfg *core.Config) { cfg.Parallel = false }).Tune(c)
 		if err != nil {
 			return nil, fmt.Errorf("fig13 %v: %w", c, err)
 		}
@@ -313,39 +318,48 @@ type Fig14Row struct {
 	MaxWaveSize int
 }
 
+// fig14App is the application whose trace Figure 14 replays: the one
+// cmd/acclaim runs when no -app is given.
+const fig14App = "LAMMPS"
+
 // Fig14 reproduces Figure 14: ACCLAiM trained live on a
 // leadership-class machine (Theta-sized, best-effort allocation,
 // sampled per-job environment) at production scale. Expected shape:
 // convergence within minutes of machine time, not hours. nodes and
-// maxPPN scale the experiment (the paper uses 128 nodes, 16 ppn).
-func Fig14(nodes, maxPPN int, seed int64) ([]Fig14Row, float64, error) {
+// maxPPN scale the experiment (the paper uses 128 nodes, 16 ppn); the
+// job is nodes x maxPPN.
+//
+// It runs the pipeline that ships, as cmd/acclaim does: the
+// core.Production tuner over the paper's collectives, the job-cell
+// verification and rule file (core.Tuner.JobFile), and a replay of
+// one application trace, filtered to the tuned collectives, under the
+// file and under the library defaults. It returns one row per
+// collective, the job cell's machine time, the total machine time (the
+// rows' training time summed in row order, plus the cell's summed in
+// the same order) and the application's measured collective speedup,
+// default time over tuned time.
+func Fig14(nodes, maxPPN int, seed int64) (rows []Fig14Row, cell, total, speedup float64, err error) {
 	machine := cluster.Theta()
 	rng := newRand(seed)
 	alloc, err := cluster.BestEffort(machine, rng, nodes)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, 0, err
 	}
 	env := netmodel.SampleEnv(rng, alloc)
 	runner, err := benchmark.NewRunner(netmodel.DefaultParams(), env, alloc, benchmark.Config{Seed: seed})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, 0, err
 	}
-	space := featspace.ProductionSpace(nodes, maxPPN)
-	tuner := core.New(core.Config{
-		Space:     space,
-		Forest:    forestConfig(seed),
-		Seed:      seed,
-		Parallel:  true,
-		BatchSize: 4,
-	}, autotune.LiveBackend{Runner: runner})
-
-	var rows []Fig14Row
-	var total float64
-	for _, c := range coll.PaperCollectives() {
-		res, err := tuner.Tune(c)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fig14 %v: %w", c, err)
-		}
+	tuner := core.New(core.Production(featspace.ProductionSpace(nodes, maxPPN), seed),
+		autotune.LiveBackend{Runner: runner})
+	colls := coll.PaperCollectives()
+	results, err := tuner.TuneAll(colls)
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("fig14: %w", err)
+	}
+	var tuning float64
+	for _, c := range colls {
+		res := results[c]
 		maxWave := 0
 		for _, w := range res.Parallelism {
 			if w > maxWave {
@@ -356,21 +370,47 @@ func Fig14(nodes, maxPPN int, seed int64) ([]Fig14Row, float64, error) {
 			Coll: c, TrainTime: res.Ledger.Collection,
 			Samples: len(res.Order), Converged: res.Converged, MaxWaveSize: maxWave,
 		})
-		total += res.Ledger.Collection
+		tuning += res.Ledger.Collection
 	}
-	return rows, total, nil
+	file, cells, err := tuner.JobFile(results, colls, nodes, maxPPN, "theta-sim")
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("fig14 job cell: %w", err)
+	}
+	for _, ex := range cells {
+		cell += ex.Ledger.Collection
+	}
+
+	tr, err := traces.Synthesize(fig14App, nodes, seed)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	calls := slices.DeleteFunc(tr.Calls, func(call traces.Call) bool { return !slices.Contains(colls, call.Coll) })
+	idx, err := ruleserver.Compile(file)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	tuned, err := runner.Replay(calls, nodes, maxPPN, idx)
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("fig14 replay: %w", err)
+	}
+	def, err := runner.Replay(calls, nodes, maxPPN, nil)
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("fig14 replay: %w", err)
+	}
+	return rows, cell, tuning + cell, def / tuned, nil
 }
 
 // Fig15Row is one speedup scenario of Figure 15.
 type Fig15Row struct {
 	AppSpeedup      float64 // application speedup from better selections
-	MinRuntimeHours float64 // minimum app runtime to recoup training
+	MinRuntimeHours float64 // minimum app runtime to recoup training; +Inf if never
+	Measured        bool    // AppSpeedup is Figure 14's replayed speedup, not an assumed one
 }
 
 // Fig15 reproduces Figure 15: the minimum application runtime R needed
-// to recover a training cost T given a speedup s — the job saves
-// R·(1−1/s), so break-even is R = T·s/(s−1). trainTimeUS is the
-// measured total training time (from Fig14).
+// to recover a training cost T given a speedup s (core.BreakEvenHours).
+// trainTimeUS is the measured total machine time (from Fig14); nil
+// speedups are the assumed range 1.005–1.10.
 func Fig15(trainTimeUS float64, speedups []float64) []Fig15Row {
 	if speedups == nil {
 		speedups = []float64{1.005, 1.01, 1.02, 1.05, 1.10}

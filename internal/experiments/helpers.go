@@ -5,19 +5,12 @@ import (
 
 	"acclaim/internal/benchmark"
 	"acclaim/internal/cluster"
-	"acclaim/internal/forest"
 	"acclaim/internal/sched"
 )
 
 // newRand returns a seeded RNG (a tiny alias that keeps figure code
 // readable).
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// forestConfig is the standard model configuration for live production
-// runs.
-func forestConfig(seed int64) forest.Config {
-	return forest.Config{NTrees: 30, Seed: seed + 1}
-}
 
 // planWaves schedules the specs on the allocation and returns the
 // benchmarks-per-wave histogram (the Figure 13(b) series).

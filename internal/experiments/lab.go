@@ -19,7 +19,6 @@ import (
 	"acclaim/internal/coll"
 	"acclaim/internal/dataset"
 	"acclaim/internal/featspace"
-	"acclaim/internal/forest"
 	"acclaim/internal/netmodel"
 )
 
@@ -30,14 +29,13 @@ import (
 // configuration outside it is simulated each time it is asked for, so
 // the table a figure reads does not depend on which figures ran before.
 type Lab struct {
-	Space        featspace.Space
-	DS           *dataset.Dataset
-	NonP2Nodes   []featspace.Point // "Non-P2 Nodes" test set (Figure 5)
-	NonP2Msgs    []featspace.Point // "Non-P2 Message Size" test set
-	Alloc        cluster.Allocation
-	Runner       *benchmark.Runner
-	Seed         int64
-	ForestConfig forest.Config
+	Space      featspace.Space
+	DS         *dataset.Dataset
+	NonP2Nodes []featspace.Point // "Non-P2 Nodes" test set (Figure 5)
+	NonP2Msgs  []featspace.Point // "Non-P2 Message Size" test set
+	Alloc      cluster.Allocation
+	Runner     *benchmark.Runner
+	Seed       int64
 }
 
 // SimSpace returns the default simulated-experiment grid, mirroring the
@@ -69,13 +67,12 @@ func NewLab(space featspace.Space, seed int64) (*Lab, error) {
 	}
 	rng := rand.New(rand.NewSource(seed + 17))
 	lab := &Lab{
-		Space:        space,
-		NonP2Nodes:   dataset.NonP2NodesPoints(rng, space),
-		NonP2Msgs:    dataset.NonP2MsgPoints(rng, space),
-		Alloc:        alloc,
-		Runner:       runner,
-		Seed:         seed,
-		ForestConfig: forest.Config{NTrees: 30, Seed: seed + 1},
+		Space:      space,
+		NonP2Nodes: dataset.NonP2NodesPoints(rng, space),
+		NonP2Msgs:  dataset.NonP2MsgPoints(rng, space),
+		Alloc:      alloc,
+		Runner:     runner,
+		Seed:       seed,
 	}
 	pts := append(append(space.Points(), lab.NonP2Nodes...), lab.NonP2Msgs...)
 	ds, err := dataset.Collect(runner, pts, dataset.CollectOptions{})
