@@ -6,10 +6,19 @@
 //
 //	experiments [-fig N|all] [-space tiny|sim] [-seed N] [-nodes N] [-ppn N]
 //
+// Every figure runs the tuner that ships: ACCLAiM starts from
+// core.Production and a figure sets only the knob it studies
+// (sequential collection for Figures 7 and 9–13; Figures 10 and 11's
+// collection budgets and non-P2 splits), and the FACT and Hunold
+// baselines train core.Production's forest.
+//
 // -space sim uses the full paper-scale grid (64 nodes, 1 MiB messages);
 // every run collects its replay dataset afresh, which takes about 12 s
-// on 2 cores for that grid. -nodes/-ppn scale the Figure 14 production
-// run (paper: 128 nodes, 16 ppn).
+// on 2 cores for that grid. -nodes/-ppn size the Figure 14 production
+// job (paper: 128 nodes, 16 ppn), which runs cmd/acclaim's pipeline:
+// tuning, the job-cell sweep, and a replay of LAMMPS's trace under the
+// tuned file. Figure 15 prices that job's machine time at assumed
+// speedups and at the speedup the replay measured.
 package main
 
 import (
